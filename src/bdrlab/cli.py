@@ -314,11 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(args, argv):
-    if not getattr(args, "config", None):
-        return args
+def _config_value(action, key, value):
+    """A config value, checked and converted as the flag's own value is."""
+    if action.nargs == 0:  # a switch such as --gate
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} must be true or false")
+        return value
+    if isinstance(value, (bool, list, dict)) or value is None:
+        raise UsageError(f"config key {key!r} must be a string or a number")
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        value = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid value {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r} must be one of {action.choices}")
+    return value
+
+
+def _apply_config_file(parser, command, path):
+    """Make the JSON config file's values the subcommand's defaults."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
@@ -326,15 +342,14 @@ def _apply_config_file(args, argv):
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    # flags given on the command line override file values
-    given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    actions = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key: {key}")
-        if f"--{key.replace('_', '-')}" not in given:
-            setattr(args, attr, value)
-    return args
+        sub.set_defaults(**{action.dest: _config_value(action, key, value)})
 
 
 def main(argv=None) -> int:
@@ -342,9 +357,13 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
+            if args.config:
+                # file values become defaults, so a flag in any spelling
+                # argparse accepts still wins
+                _apply_config_file(parser, args.command, args.config)
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on bad flags; remap
             return 0 if exc.code in (0, None) else USAGE_ERROR
-        args = _apply_config_file(args, argv if argv is not None else sys.argv[1:])
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,53 +76,41 @@ def bdr_loss(target, prediction, stride: float = 1.0,
     return data + penalty
 
 
+def _smoothed_loss_and_grad(target, prediction, stride: float, alpha: float,
+                            delta: float):
+    """Huber-smoothed loss and its gradient in one pass (batched rows).
+
+    The Huber term is c*r - delta*c^2/2 with c = clip(r/delta, -1, 1), the
+    clipped residual the gradient needs anyway: r^2/(2 delta) inside the
+    band, |r| - delta/2 outside.
+    """
+    prediction = np.asarray(prediction, dtype=float)
+    T = prediction.shape[-1]
+    r = prediction - target
+    c = np.clip(r / delta, -1.0, 1.0)
+    inc = np.diff(prediction, axis=-1)
+    excess = np.maximum(0.0, np.abs(inc) - stride)
+    loss = (np.mean(c * r - 0.5 * delta * c * c, axis=-1)
+            + alpha / (T - 1) * np.sum(excess * excess, axis=-1))
+    g = c / T
+    pg = 2.0 * alpha / (T - 1) * excess * np.sign(inc)
+    g[..., :-1] -= pg
+    g[..., 1:] += pg
+    return loss, g
+
+
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
                       cfg: BDRLossConfig = BDRLossConfig()):
     """Huber-smoothed variant of bdr_loss used by the fitter (same minimiser)."""
-    d = np.asarray(target, dtype=float)
-    dh = np.asarray(prediction, dtype=float)
-    T = d.shape[-1]
-    delta = cfg.huber_delta * stride
-    r = dh - d
-    a = np.abs(r)
-    hub = np.where(a <= delta, 0.5 * r**2 / delta, a - 0.5 * delta)
-    inc = np.diff(dh, axis=-1)
-    excess = np.maximum(0.0, np.abs(inc) - stride)
-    return np.mean(hub, axis=-1) + cfg.alpha / (T - 1) * np.sum(excess**2, axis=-1)
+    return _smoothed_loss_and_grad(target, prediction, stride, cfg.alpha,
+                                   cfg.huber_delta * stride)[0]
 
 
 def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
                            cfg: BDRLossConfig = BDRLossConfig()) -> np.ndarray:
     """Analytic gradient of bdr_loss_smoothed with respect to the prediction."""
-    d = np.asarray(target, dtype=float)
-    dh = np.asarray(prediction, dtype=float)
-    T = d.shape[-1]
-    delta = cfg.huber_delta * stride
-    r = dh - d
-    g = np.clip(r / delta, -1.0, 1.0) / T
-    inc = np.diff(dh, axis=-1)
-    excess = np.maximum(0.0, np.abs(inc) - stride)
-    pg = 2.0 * cfg.alpha / (T - 1) * excess * np.sign(inc)
-    g = g.copy()
-    g[..., :-1] -= pg
-    g[..., 1:] += pg
-    return g
-
-
-def _loss_and_grad(o: np.ndarray, d: np.ndarray, alpha: float, delta: float):
-    """Smoothed loss and its gradient in one pass (grid units, batched rows)."""
-    T = o.shape[-1]
-    r = d - o
-    a = np.abs(r)
-    hub = np.where(a <= delta, 0.5 * r * r / delta, a - 0.5 * delta)
-    inc = np.diff(d, axis=-1)
-    excess = np.maximum(0.0, np.abs(inc) - 1.0)
-    loss = np.mean(hub, axis=-1) + alpha / (T - 1) * np.sum(excess * excess, axis=-1)
-    g = np.clip(r / delta, -1.0, 1.0) / T
-    pg = 2.0 * alpha / (T - 1) * excess * np.sign(inc)
-    g[..., :-1] -= pg
-    g[..., 1:] += pg
-    return loss, g
+    return _smoothed_loss_and_grad(target, prediction, stride, cfg.alpha,
+                                   cfg.huber_delta * stride)[1]
 
 
 def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> np.ndarray:
@@ -146,17 +134,18 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     for start in range(0, full.shape[0], chunk):
         o = full[start:start + chunk]
         d = o.copy()
-        loss, g = _loss_and_grad(o, d, alpha, delta)
+        loss, g = _smoothed_loss_and_grad(o, d, 1.0, alpha, delta)
         step = np.full(o.shape[0], cfg.step)
         for _ in range(cfg.iterations):
             cand = d - step[:, None] * g
-            cand_loss, cand_g = _loss_and_grad(o, cand, alpha, delta)
-            ok = cand_loss <= loss
-            okc = ok[:, None]
-            d = np.where(okc, cand, d)
-            g = np.where(okc, cand_g, g)
-            loss = np.where(ok, cand_loss, loss)
-            step = np.where(ok, step, 0.5 * step)
+            cand_loss, cand_g = _smoothed_loss_and_grad(o, cand, 1.0, alpha, delta)
+            # rejected rows keep their previous state
+            bad = ~(cand_loss <= loss)
+            cand[bad] = d[bad]
+            cand_g[bad] = g[bad]
+            cand_loss[bad] = loss[bad]
+            step[bad] *= 0.5
+            d, g, loss = cand, cand_g, cand_loss
         out[start:start + chunk] = d
     out *= grid.stride
     return out[0] if single else out

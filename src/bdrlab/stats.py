@@ -2,14 +2,11 @@
 
 Determinism contract: every per-trial random stream is seeded from
 (master_seed, stream_label, trial_index), so results are bit-identical no
-matter how trials are chunked or parallelised. Aggregation is always in
-trial order.
+matter how trials are chunked. Aggregation is always in trial order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,23 +166,38 @@ def _mse(errors: np.ndarray):
     return float(np.mean(e)), float(np.mean(e**2)), int(e.size)
 
 
-def blocked_bootstrap(groups, num_resamples: int, seed: int, statistic=None):
+def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
     """95% CI from resampling whole groups with replacement.
 
-    `groups` is a sequence of per-group data arrays; `statistic` maps a list
-    of groups to a scalar (default: mean of the concatenation).
+    `totals` is an (n_groups, k) array of per-group totals; one resample
+    sums the totals of its picked groups. `statistic` maps the
+    (num_resamples, k) resampled sums to one value per resample (default:
+    column 0 / column 1, a mean from a sum and a count). All picks come from
+    one draw, which gives the same picks as one draw per resample.
     """
-    if len(groups) < 2:
+    totals = np.asarray(totals, dtype=float)
+    n = len(totals)
+    if n < 2:
         raise ValueError("need at least 2 groups")
     if statistic is None:
-        statistic = lambda gs: float(np.mean(np.concatenate(gs)))
-    rng = np.random.default_rng(seed)
-    n = len(groups)
-    stats = np.empty(num_resamples)
-    for i in range(num_resamples):
-        pick = rng.integers(0, n, size=n)
-        stats[i] = statistic([groups[j] for j in pick])
+        statistic = lambda s: s[:, 0] / s[:, 1]
+    picks = np.random.default_rng(seed).integers(0, n, size=(num_resamples, n))
+    sums = np.stack([col[picks].sum(axis=1) for col in totals.T], axis=-1)
+    stats = statistic(sums)
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
+
+
+def _block_totals(errors: np.ndarray, nblocks: int, block_size: int) -> list:
+    """Per-block [sum of squares, count] over the finite errors."""
+    blocks = (errors[i * block_size:(i + 1) * block_size] for i in range(nblocks))
+    return [[np.sum(b[np.isfinite(b)] ** 2), np.isfinite(b).sum()] for b in blocks]
+
+
+def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
+    """MSE ratio per resample from [Σb², n_b, Σc², n_c]; NaN unless positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = sums[:, 2] / sums[:, 3]
+        return np.where(denom > 0, sums[:, 0] / sums[:, 1] / denom, np.nan)
 
 
 def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
@@ -206,18 +218,9 @@ def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
     ratio = vb / vc
     nblocks = max(len(eb), len(ec)) // block_size
     if nblocks >= 2:
-        pairs = [(eb[i * block_size:(i + 1) * block_size],
-                  ec[i * block_size:(i + 1) * block_size])
-                 for i in range(nblocks)]
-
-        def stat(gs):
-            b = np.concatenate([g[0] for g in gs])
-            c = np.concatenate([g[1] for g in gs])
-            b, c = b[np.isfinite(b)], c[np.isfinite(c)]
-            denom = np.mean(c**2)
-            return float(np.mean(b**2) / denom) if denom > 0 else np.nan
-
-        lo, hi = blocked_bootstrap(pairs, num_resamples, seed, stat)
+        totals = np.hstack([_block_totals(eb, nblocks, block_size),
+                            _block_totals(ec, nblocks, block_size)])
+        lo, hi = blocked_bootstrap(totals, num_resamples, seed, _ratio_of_mse)
     else:
         lo = hi = ratio
     return VarianceReport(mb, vb, nb, mc, vc, nc, ratio, lo, hi)
@@ -272,45 +275,31 @@ def width_stratified_R(results):
     return [float(np.mean(v)) if v else None for v in sums]
 
 
-def _max_workers() -> int:
-    env = os.environ.get("BDRLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
-                  num_trials: int, master_seed: int, progress=None):
+                  num_trials: int, master_seed: int):
     """Run the (kappa, stride) grid and fit the variance-ratio scaling law.
 
     Returns (cells, slope, intercept, r2, bin_means) where cells is a list of
-    dicts in deterministic (kappa-major) order. Cells execute in a thread
-    pool capped by BDRLAB_THREADS; per-trial seeding keeps results identical
-    for any worker count.
+    dicts in deterministic (kappa-major) order; cell i runs with master seed
+    master_seed + i.
     """
     conds = [(float(k), float(dt)) for k in kappas for dt in strides]
     if len(conds) < 3:
         raise ValueError("need at least 3 sweep cells")
-
-    def one(cell_index):
-        kappa, dt = conds[cell_index]
-        grid = TimeGrid(stride=dt, num_positions=num_positions)
+    cells = []
+    for cell_index, (kappa, dt) in enumerate(conds):
         spec = ExperimentSpec(
-            grid=grid, kappa=kappa, boundary=(num_positions // 2) * dt,
+            grid=TimeGrid(stride=dt, num_positions=num_positions),
+            kappa=kappa, boundary=(num_positions // 2) * dt,
             noise=noise, num_trials=num_trials,
             master_seed=master_seed + cell_index)
         errs = run_trials(spec)
         rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
-        return {"kappa": kappa, "stride": dt, "x": dt**2 / kappa,
-                "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
-                "R": rep.ratio_R, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
-                "n_bdr": rep.n_bdr, "failures": errs.bdr_failures}
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        cells = list(pool.map(one, range(len(conds))))
-    if progress:
-        for c in cells:
-            progress(c)
+        cells.append({"kappa": kappa, "stride": dt, "x": dt**2 / kappa,
+                      "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
+                      "R": rep.ratio_R, "ci_low": rep.ci_low,
+                      "ci_high": rep.ci_high, "n_bdr": rep.n_bdr,
+                      "failures": errs.bdr_failures})
     slope, intercept, r2 = loglog_slope([c["x"] for c in cells],
                                         [c["R"] for c in cells])
     bin_means = width_stratified_R(

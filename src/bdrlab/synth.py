@@ -17,7 +17,6 @@ class TimeGrid:
 
     stride: float
     num_positions: int
-    fps: float = 30.0
 
     def __post_init__(self):
         if self.stride <= 0:

@@ -1,8 +1,8 @@
 import json
-import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bdrlab.cli import main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
@@ -106,19 +106,82 @@ def test_scaling_gate_exit_codes(tmp_path):
     assert run(args + ["--gate", "--band-low", "99", "--band-high", "100"]) == 2
 
 
-def test_scaling_determinism_across_thread_counts(tmp_path):
+def test_scaling_rerun_determinism(tmp_path):
     outs = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}.csv"
-        os.environ["BDRLAB_THREADS"] = threads
-        try:
-            assert run(["scaling", "--kappas", "1,2", "--strides", "1,2",
-                        "--trials", "60", "--seed", "5",
-                        "--num-positions", "60", "--out", str(out)]) == 0
-        finally:
-            del os.environ["BDRLAB_THREADS"]
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert run(["scaling", "--kappas", "1,2", "--strides", "1,2",
+                    "--trials", "60", "--seed", "5",
+                    "--num-positions", "60", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _calib_samples(tmp_path, argv, cfg):
+    """Samples a calib run used, read back from its per-bin counts."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "c.json"
+    assert run(["calib", "--seed", "1", "--bins", "2", "--format", "json",
+                "--config", str(path), "--out", str(out), *argv]) == 0
+    records = json.loads(out.read_text())["records"]
+    return sum(r["count"] for r in records if r["bin"] != "r_ece")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.integers(50, 400), config=st.integers(50, 400),
+       prefix=st.integers(2, len("samples")), inline=st.booleans())
+def test_flag_beats_config_in_any_spelling(tmp_path, flag, config, prefix,
+                                           inline):
+    spelling = "--" + "samples"[:prefix]  # "--sa" is the shortest unique one
+    argv = [f"{spelling}={flag}"] if inline else [spelling, str(flag)]
+    assert _calib_samples(tmp_path, argv, {"samples": config}) == flag
+    assert _calib_samples(tmp_path, [], {"samples": config}) == config
+
+
+def test_abbreviated_flag_beats_config_in_scaling(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 50}))
+    common = ["scaling", "--kappas", "1,2", "--strides", "1,2", "--seed", "5",
+              "--num-positions", "60"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(common + ["--tri", "40", "--config", str(cfg),
+                         "--out", str(a)]) == 0
+    assert run(common + ["--trials", "40", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.one_of(st.text().filter(_not_an_int), st.floats(),
+                       st.booleans(), st.none(),
+                       st.lists(st.integers(), max_size=2)))
+def test_bad_config_trials_exits_usage(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": value}))
+    assert run(["scaling", "--seed", "1", "--config", str(cfg),
+                "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_config_values_are_checked_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"gate": "yes"}, {"gate": 1}, {"format": "xml"},
+                {"noise_family": "cauchy"}, {"band_low": "low"},
+                {"config": "other.json"}, {"func": 1}):
+        cfg.write_text(json.dumps(bad))
+        argv = ["scaling", "--kappas", "1,2", "--strides", "1,2",
+                "--trials", "20", "--num-positions", "60", "--seed", "1",
+                "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        assert run(argv) == 1, bad
 
 
 def test_atr_sim_scenario_report(tmp_path):

@@ -1,0 +1,131 @@
+"""The vectorised bootstrap and fitter against straightforward references.
+
+The references are the earlier implementations: a bootstrap that draws and
+evaluates one resample at a time on the raw per-group data, and a fitter
+whose Huber term and accept step use np.where over whole arrays.
+"""
+
+import numpy as np
+import pytest
+
+from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
+from bdrlab.stats import SWEEP_FIT_ALPHA, blocked_bootstrap, variance_ratio
+from bdrlab.synth import NoiseSpec, TimeGrid, sample_noise_matrix
+
+
+def reference_bootstrap(groups, num_resamples, seed, statistic=None):
+    if statistic is None:
+        statistic = lambda gs: float(np.mean(np.concatenate(gs)))
+    rng = np.random.default_rng(seed)
+    n = len(groups)
+    stats = np.empty(num_resamples)
+    for i in range(num_resamples):
+        pick = rng.integers(0, n, size=n)
+        stats[i] = statistic([groups[j] for j in pick])
+    return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
+
+
+def reference_ratio_ci(eb, ec, block_size=20, num_resamples=2000, seed=0):
+    nblocks = max(len(eb), len(ec)) // block_size
+    pairs = [(eb[i * block_size:(i + 1) * block_size],
+              ec[i * block_size:(i + 1) * block_size]) for i in range(nblocks)]
+
+    def stat(gs):
+        b = np.concatenate([g[0] for g in gs])
+        c = np.concatenate([g[1] for g in gs])
+        b, c = b[np.isfinite(b)], c[np.isfinite(c)]
+        denom = np.mean(c**2)
+        return float(np.mean(b**2) / denom) if denom > 0 else np.nan
+
+    return reference_bootstrap(pairs, num_resamples, seed, stat)
+
+
+def _reference_loss_and_grad(o, d, alpha, delta):
+    T = o.shape[-1]
+    r = d - o
+    a = np.abs(r)
+    hub = np.where(a <= delta, 0.5 * r * r / delta, a - 0.5 * delta)
+    inc = np.diff(d, axis=-1)
+    excess = np.maximum(0.0, np.abs(inc) - 1.0)
+    loss = np.mean(hub, axis=-1) + alpha / (T - 1) * np.sum(excess * excess, axis=-1)
+    g = np.clip(r / delta, -1.0, 1.0) / T
+    pg = 2.0 * alpha / (T - 1) * excess * np.sign(inc)
+    g[..., :-1] -= pg
+    g[..., 1:] += pg
+    return loss, g
+
+
+def reference_fit(observations, grid, cfg):
+    o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
+    alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
+    d = o.copy()
+    loss, g = _reference_loss_and_grad(o, d, alpha, delta)
+    step = np.full(o.shape[0], cfg.step)
+    for _ in range(cfg.iterations):
+        cand = d - step[:, None] * g
+        cand_loss, cand_g = _reference_loss_and_grad(o, cand, alpha, delta)
+        ok = cand_loss <= loss
+        d = np.where(ok[:, None], cand, d)
+        g = np.where(ok[:, None], cand_g, g)
+        loss = np.where(ok, cand_loss, loss)
+        step = np.where(ok, step, 0.5 * step)
+    return d * grid.stride
+
+
+@pytest.mark.parametrize("n", [5, 10, 50, 500])
+def test_one_draw_gives_the_per_resample_picks(n):
+    rng = np.random.default_rng(42)
+    loop = np.stack([rng.integers(0, n, size=n) for _ in range(300)])
+    once = np.random.default_rng(42).integers(0, n, size=(300, n))
+    assert np.array_equal(loop, once)
+
+
+def test_bootstrap_mean_matches_reference():
+    rng = np.random.default_rng(5)
+    groups = [rng.normal(1.0, 2.0, rng.integers(1, 30)) for _ in range(40)]
+    want = reference_bootstrap(groups, 1000, seed=9)
+    got = blocked_bootstrap([[g.sum(), g.size] for g in groups], 1000, seed=9)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fail_rate", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("n_bdr,n_cls", [(400, 400), (410, 400), (333, 400)])
+def test_variance_ratio_ci_matches_reference(fail_rate, n_bdr, n_cls):
+    rng = np.random.default_rng(17)
+    eb = rng.laplace(0.0, 0.7, n_bdr)
+    eb[rng.uniform(size=n_bdr) < fail_rate] = np.nan  # failed extractions
+    ec = rng.normal(0.0, 1.0, n_cls)
+    rep = variance_ratio(eb, ec, seed=3)
+    lo, hi = reference_ratio_ci(eb, ec, seed=3)
+    assert rep.ci_low == pytest.approx(lo, rel=1e-12)
+    assert rep.ci_high == pytest.approx(hi, rel=1e-12)
+
+
+def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
+    rng = np.random.default_rng(8)
+    eb = rng.laplace(0.0, 0.7, 100)
+    eb[20:40] = np.nan
+    ec = rng.normal(0.0, 1.0, 100)
+    rep = variance_ratio(eb, ec, seed=1)
+    lo, hi = reference_ratio_ci(eb, ec, seed=1)
+    assert rep.ci_low == pytest.approx(lo, rel=1e-12)
+    assert rep.ci_high == pytest.approx(hi, rel=1e-12)
+
+
+def _noisy_rows(T, rho, stride, rows, seed):
+    grid = TimeGrid(stride=stride, num_positions=T)
+    seeds = [np.random.SeedSequence((seed, k)) for k in range(rows)]
+    noise = sample_noise_matrix(NoiseSpec(rho=rho), seeds, T)
+    truth = (T // 2 + np.random.default_rng(seed).uniform(size=rows)) * stride
+    clean = grid.times()[None, :] - truth[:, None]
+    return grid, clean + stride * noise
+
+
+@pytest.mark.parametrize("T,rho,stride,rows", [(200, 0.0, 2.0, 160),
+                                               (800, 0.6, 1.0, 40)])
+def test_fit_matches_reference(T, rho, stride, rows):
+    grid, obs = _noisy_rows(T, rho, stride, rows, seed=T)
+    cfg = FitConfig(loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA))
+    got = fit_distance(obs, grid, cfg)
+    want = reference_fit(obs, grid, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-9

@@ -61,17 +61,18 @@ def test_variance_ratio_degenerate_denominator():
 
 def test_blocked_bootstrap_identical_groups():
     groups = [np.full(10, 2.0)] * 5
-    lo, hi = blocked_bootstrap(groups, 200, seed=0)
+    lo, hi = blocked_bootstrap([[g.sum(), g.size] for g in groups], 200, seed=0)
     assert lo == hi == pytest.approx(2.0)
 
 
 def test_blocked_bootstrap_deterministic_and_validated():
     groups = [np.random.default_rng(k).normal(size=10) for k in range(8)]
-    a = blocked_bootstrap(groups, 500, seed=3)
-    b = blocked_bootstrap(groups, 500, seed=3)
+    totals = [[g.sum(), g.size] for g in groups]
+    a = blocked_bootstrap(totals, 500, seed=3)
+    b = blocked_bootstrap(totals, 500, seed=3)
     assert a == b
     with pytest.raises(ValueError):
-        blocked_bootstrap(groups[:1], 100, seed=0)
+        blocked_bootstrap(totals[:1], 100, seed=0)
 
 
 def test_holm_bonferroni():
