@@ -23,7 +23,7 @@ from .atr import (HysteresisConfig, apply_hysteresis, expected_tau, flip_rate,
                   FlopsModel, per_layer_pruned_cost, surrogate_tau, total_flops)
 from .calib import CalibrationConfig, r_ece
 from .stats import scaling_sweep, WIDTH_BIN_LABELS
-from .synth import (NoiseSpec, TimeGrid, make_distance_field,
+from .synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
                     make_kernel_features, sample_noise)
 
 GATE_FAIL = 2
@@ -215,13 +215,8 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
     rho defaults near cos(0.182*pi) so the raw flip rate of the latent sits
     around the observed 18% level.
     """
-    rng = np.random.default_rng(seed)
-    eta = rng.normal(0.0, 1.0, length)
-    x = np.empty(length)
-    x[0] = eta[0]
-    c = np.sqrt(1.0 - rho**2)
-    for i in range(1, length):
-        x[i] = rho * x[i - 1] + c * eta[i]
+    eta = np.random.default_rng(seed).normal(0.0, 1.0, length)
+    x = _apply_ar1(eta, rho)
     return 1.0 / (1.0 + np.exp(-gain * x))
 
 

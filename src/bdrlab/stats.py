@@ -2,7 +2,14 @@
 
 Determinism contract: every per-trial random stream is seeded from
 (master_seed, stream_label, trial_index), so results are bit-identical no
-matter how trials are chunked. Aggregation is always in trial order.
+matter how trials are chunked. Aggregation is always in trial order. The
+stream labels are 0 for the boundary phase, 1 for the distance noise and 2
+for the classification noise.
+
+scaling_sweep shares streams 0 and 1 across its cells (common random
+numbers): the distance side never reads kappa and runs in grid units, so one
+stride-1 fit, scaled by each cell's stride, serves every cell. Stream 2 and
+the bootstrap stay per cell.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ class ExperimentSpec:
     extract: ExtractConfig = field(default_factory=ExtractConfig)
 
     def __post_init__(self):
+        if not (np.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be finite and positive")
         if self.num_trials < 2:
             raise ValueError("num_trials must be >= 2")
         if not 0.0 < self.boundary < self.grid.duration:
@@ -112,50 +121,75 @@ def _cls_local_peak(row: np.ndarray, grid: TimeGrid, truth: float,
     return (i + off) * stride
 
 
+def _truths(spec: ExperimentSpec) -> np.ndarray:
+    """Per-trial boundary positions: the spec's boundary + phase x stride."""
+    return spec.boundary + _phases(spec) * spec.grid.stride
+
+
+def _noise_rows(spec: ExperimentSpec, label: int) -> np.ndarray:
+    """One noise row per trial from stream `label` (1 distance, 2 cls)."""
+    return sample_noise_matrix(
+        spec.noise, _trial_seeds(spec.master_seed, label, spec.num_trials),
+        spec.grid.num_positions)
+
+
+def _fit_distance_side(spec: ExperimentSpec):
+    """(truths, fitted rows) of the spec's distance side.
+
+    The observations are the clean signed-distance field plus noise in
+    stride units (one noise unit per grid step), matching the regression
+    error model the scaling analysis is phrased in.
+    """
+    grid = spec.grid
+    truths, noise = _truths(spec), _noise_rows(spec, 1)
+    clean = grid.times()[None, :] - truths[:, None]
+    return truths, fit_distance(clean + grid.stride * noise, grid, spec.fit)
+
+
+def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
+                             grid: TimeGrid, cfg: ExtractConfig):
+    """Signed error of the crossing nearest each truth; NaN (and counted in
+    the returned failures) where a row has no crossing."""
+    errors = np.full(len(truths), np.nan)
+    failures = 0
+    for k, truth in enumerate(truths):
+        cands = extract_boundaries(dhat[k], grid, cfg)
+        if cands.size:
+            errors[k] = cands[np.argmin(np.abs(cands - truth))] - truth
+        else:
+            failures += 1
+    return errors, failures
+
+
+def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
+                noise: np.ndarray) -> np.ndarray:
+    """Signed classification-peak error per trial, one noise row per truth."""
+    grid = spec.grid
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * spec.kappa / grid.stride)) | 1)
+    errors = np.empty(len(truths))
+    for k, truth in enumerate(truths):
+        phi = make_kernel_features(grid, truth, spec.kappa)
+        p = np.clip(phi + noise[k], 0.0, 1.0)
+        errors[k] = _cls_local_peak(p, grid, truth, spec.kappa, m) - truth
+    return errors
+
+
 def run_trials(spec: ExperimentSpec) -> TrialErrors:
     """Run the Monte-Carlo condition; signed errors in frames per estimator.
 
-    The distance observations are the clean signed-distance field plus noise
-    in stride units (one noise unit per grid step), matching the regression
-    error model the scaling analysis is phrased in. Failed extractions are
-    recorded as NaN and counted, not raised.
+    Failed extractions are recorded as NaN and counted, not raised.
     """
-    grid, n = spec.grid, spec.num_trials
-    t = grid.times()
-    stride = grid.stride
-    truths = spec.boundary + _phases(spec) * stride
     e_bdr = e_cls = None
     failures = 0
-
-    noise_bdr = None
-    if "bdr" in spec.estimators or spec.shared_noise:
-        noise_bdr = sample_noise_matrix(
-            spec.noise, _trial_seeds(spec.master_seed, 1, n), grid.num_positions)
-
     if "bdr" in spec.estimators:
-        clean = t[None, :] - truths[:, None]
-        dhat = fit_distance(clean + stride * noise_bdr, grid, spec.fit)
-        e_bdr = np.full(n, np.nan)
-        for k in range(n):
-            cands = extract_boundaries(dhat[k], grid, spec.extract)
-            if cands.size:
-                e_bdr[k] = cands[np.argmin(np.abs(cands - truths[k]))] - truths[k]
-            else:
-                failures += 1
-
+        truths, dhat = _fit_distance_side(spec)
+        e_bdr, failures = _nearest_crossing_errors(dhat, truths, spec.grid,
+                                                   spec.extract)
+    else:
+        truths = _truths(spec)
     if "cls" in spec.estimators:
-        if spec.shared_noise:
-            noise_cls = noise_bdr
-        else:
-            noise_cls = sample_noise_matrix(
-                spec.noise, _trial_seeds(spec.master_seed, 2, n), grid.num_positions)
-        m = max(1, int(round(CLS_SMOOTH_FACTOR * spec.kappa / stride)) | 1)
-        e_cls = np.empty(n)
-        for k in range(n):
-            phi = make_kernel_features(grid, truths[k], spec.kappa)
-            p = np.clip(phi + noise_cls[k], 0.0, 1.0)
-            e_cls[k] = _cls_local_peak(p, grid, truths[k], spec.kappa, m) - truths[k]
-
+        noise = _noise_rows(spec, 1 if spec.shared_noise else 2)
+        e_cls = _cls_errors(spec, truths, noise)
     return TrialErrors(bdr=e_bdr, cls=e_cls, bdr_failures=failures)
 
 
@@ -280,26 +314,48 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     """Run the (kappa, stride) grid and fit the variance-ratio scaling law.
 
     Returns (cells, slope, intercept, r2, bin_means) where cells is a list of
-    dicts in deterministic (kappa-major) order; cell i runs with master seed
-    master_seed + i.
+    dicts in deterministic (kappa-major) order.
+
+    Seeding: the boundary phases (stream 0) and the distance noise (stream 1)
+    come from master_seed and are shared by every cell. The distance side is
+    fitted and extracted once, on a stride-1 grid; a cell of stride dt takes
+    those grid-unit errors times dt and the stride-1 truths times dt, i.e.
+    (num_positions // 2) * dt + phase * dt. This is valid because the
+    distance estimator never reads kappa and its fit and extraction run in
+    grid units, so at a power-of-two stride the per-cell fit would give the
+    same errors times dt bit for bit. So var_bdr is exactly dt^2 times the
+    stride-1 value and every cell reports the same failures. Cell i draws
+    its classification noise (stream 2) and its bootstrap from
+    master_seed + i, so the classification side stays independent per cell.
+    Every cell's spec is built, and so validated, before any fitting.
     """
     conds = [(float(k), float(dt)) for k in kappas for dt in strides]
     if len(conds) < 3:
         raise ValueError("need at least 3 sweep cells")
+    specs = [ExperimentSpec(
+        grid=TimeGrid(stride=dt, num_positions=num_positions),
+        kappa=kappa, boundary=(num_positions // 2) * dt,
+        noise=noise, num_trials=num_trials,
+        master_seed=master_seed + cell_index)
+        for cell_index, (kappa, dt) in enumerate(conds)]
+    unit = replace(specs[0], master_seed=master_seed,
+                   grid=TimeGrid(stride=1.0, num_positions=num_positions),
+                   boundary=float(num_positions // 2))
+    truths, dhat = _fit_distance_side(unit)
+    e_unit, failures = _nearest_crossing_errors(dhat, truths, unit.grid,
+                                                unit.extract)
     cells = []
-    for cell_index, (kappa, dt) in enumerate(conds):
-        spec = ExperimentSpec(
-            grid=TimeGrid(stride=dt, num_positions=num_positions),
-            kappa=kappa, boundary=(num_positions // 2) * dt,
-            noise=noise, num_trials=num_trials,
-            master_seed=master_seed + cell_index)
-        errs = run_trials(spec)
-        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
-        cells.append({"kappa": kappa, "stride": dt, "x": dt**2 / kappa,
+    for spec in specs:
+        dt = spec.grid.stride
+        e_bdr = e_unit * dt
+        e_cls = _cls_errors(spec, truths * dt, _noise_rows(spec, 2))
+        rep = variance_ratio(e_bdr, e_cls, seed=spec.master_seed)
+        cells.append({"kappa": spec.kappa, "stride": dt,
+                      "x": dt**2 / spec.kappa,
                       "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
                       "R": rep.ratio_R, "ci_low": rep.ci_low,
                       "ci_high": rep.ci_high, "n_bdr": rep.n_bdr,
-                      "failures": errs.bdr_failures})
+                      "failures": failures})
     slope, intercept, r2 = loglog_slope([c["x"] for c in cells],
                                         [c["R"] for c in cells])
     bin_means = width_stratified_R(
@@ -343,13 +399,7 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
         spec = replace(base_spec, grid=grid,
                        boundary=(int(T) // 2) * grid.stride,
                        estimators=("bdr",))
-        t = grid.times()
-        truths = spec.boundary + _phases(spec) * grid.stride
-        noise = sample_noise_matrix(
-            spec.noise, _trial_seeds(spec.master_seed, 1, spec.num_trials),
-            grid.num_positions)
-        clean = t[None, :] - truths[:, None]
-        dhat = fit_distance(clean + grid.stride * noise, grid, spec.fit)
+        truths, dhat = _fit_distance_side(spec)
         est = pooled_boundary_estimate(dhat, grid)
         variances[int(T)] = float(np.mean((est - truths) ** 2))
     if all(v == 0 for v in variances.values()):

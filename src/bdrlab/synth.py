@@ -19,8 +19,8 @@ class TimeGrid:
     num_positions: int
 
     def __post_init__(self):
-        if self.stride <= 0:
-            raise ValueError("stride must be positive")
+        if not (np.isfinite(self.stride) and self.stride > 0):
+            raise ValueError("stride must be finite and positive")
         if self.num_positions < 2:
             raise ValueError("num_positions must be >= 2")
 
@@ -87,11 +87,25 @@ def _marginal_draws(rng: np.random.Generator, spec: NoiseSpec, shape) -> np.ndar
 
 
 def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
+    """Variance-preserving AR(1) along the last axis:
+    x[0] = eta[0], x[i] = rho x[i-1] + sqrt(1 - rho^2) eta[i]."""
     if rho == 0.0:
         return eta
+    rho = float(rho)
+    c = float(np.sqrt(1.0 - rho**2))
+    if eta.ndim == 1 or len(eta) == 1:
+        # one series: step through a memoryview, which reads and writes plain
+        # Python floats; indexing the array builds a numpy scalar or view per
+        # step, which costs far more than the arithmetic, and a list of
+        # floats would hold four times the array's memory
+        out = np.array(eta, dtype=float)
+        x = memoryview(out.reshape(-1))
+        prev = x[0] if len(x) else 0.0
+        for i in range(1, len(x)):
+            prev = x[i] = rho * prev + c * x[i]
+        return out
     out = np.empty_like(eta)
     out[..., 0] = eta[..., 0]
-    c = np.sqrt(1.0 - rho**2)
     for i in range(1, eta.shape[-1]):
         out[..., i] = rho * out[..., i - 1] + c * eta[..., i]
     return out
@@ -100,11 +114,10 @@ def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
 def sample_noise(spec: NoiseSpec, count: int, seed) -> np.ndarray:
     """Draw `count` correlated noise values; deterministic given seed.
 
-    `seed` may be an int or a numpy SeedSequence.
+    `seed` may be an int or a numpy SeedSequence. The values are the one row
+    sample_noise_matrix draws for that seed.
     """
-    rng = np.random.default_rng(seed)
-    eta = _marginal_draws(rng, spec, count)
-    return _apply_ar1(eta, spec.rho)
+    return sample_noise_matrix(spec, [seed], count)[0]
 
 
 def sample_noise_matrix(spec: NoiseSpec, trial_seeds, count: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """End-to-end acceptance gates for the estimation lab.
 
 The Monte-Carlo checks share one full-scale sweep (10^4 trials per cell),
-computed once per session; expect several minutes of runtime on one core.
+computed once per session. The file takes about 155 s on a 2-core VM
+(Python 3.11, numpy 2.4), the shared sweep about 25 s of that.
 """
 
 import numpy as np

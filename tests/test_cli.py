@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bdrlab.cli import main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
+from bdrlab.estimators import fit_distance
 
 
 def run(args):
@@ -115,6 +116,26 @@ def test_scaling_rerun_determinism(tmp_path):
                     "--num-positions", "60", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
+                                  ["--kappas", "1,0"], ["--strides", "1,inf"]])
+def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
+                                                   capsys, axis):
+    fits = []
+
+    def recording_fit(*args):
+        fits.append(args)
+        return fit_distance(*args)
+
+    monkeypatch.setattr("bdrlab.stats.fit_distance", recording_fit)
+    argv = ["scaling", "--kappas", "1,2", "--strides", "1,2", "--trials", "20",
+            "--num-positions", "60", "--seed", "1",
+            "--out", str(tmp_path / "s.csv"), *axis]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert fits == []
 
 
 def _calib_samples(tmp_path, argv, cfg):

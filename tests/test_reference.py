@@ -1,16 +1,22 @@
-"""The vectorised bootstrap and fitter against straightforward references.
+"""Rewritten code paths against straightforward references.
 
 The references are the earlier implementations: a bootstrap that draws and
-evaluates one resample at a time on the raw per-group data, and a fitter
-whose Huber term and accept step use np.where over whole arrays.
+evaluates one resample at a time on the raw per-group data, a fitter whose
+Huber term and accept step use np.where over whole arrays, the finite-sample
+check with its own seeding and fitting loop, and the AR(1) recursions that
+indexed numpy arrays step by step.
 """
 
 import numpy as np
 import pytest
 
+from bdrlab.cli import tau_scenario
 from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
-from bdrlab.stats import SWEEP_FIT_ALPHA, blocked_bootstrap, variance_ratio
-from bdrlab.synth import NoiseSpec, TimeGrid, sample_noise_matrix
+from bdrlab.stats import (SWEEP_FIT_ALPHA, ExperimentSpec, blocked_bootstrap,
+                          finite_sample_variance_check, loglog_slope,
+                          variance_ratio)
+from bdrlab.synth import (NoiseSpec, TimeGrid, sample_noise,
+                          sample_noise_matrix)
 
 
 def reference_bootstrap(groups, num_resamples, seed, statistic=None):
@@ -129,3 +135,78 @@ def test_fit_matches_reference(T, rho, stride, rows):
     got = fit_distance(obs, grid, cfg)
     want = reference_fit(obs, grid, cfg)
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def reference_finite_sample(base_spec, lengths):
+    seed, n = base_spec.master_seed, base_spec.num_trials
+    variances = {}
+    for T in lengths:
+        grid = TimeGrid(stride=base_spec.grid.stride, num_positions=T)
+        phases = np.array([
+            np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
+            .uniform(0.0, 1.0) for k in range(n)])
+        truths = (T // 2) * grid.stride + phases * grid.stride
+        noise = sample_noise_matrix(
+            base_spec.noise,
+            [np.random.SeedSequence((seed, 1, k)) for k in range(n)], T)
+        t = grid.times()
+        dhat = fit_distance(t[None, :] - truths[:, None] + grid.stride * noise,
+                            grid, base_spec.fit)
+        est = np.median(t[None, :] - dhat, axis=-1)
+        variances[T] = float(np.mean((est - truths) ** 2))
+    slope, _, _ = loglog_slope(list(variances), list(variances.values()))
+    return slope, variances
+
+
+@pytest.mark.parametrize("seed", [4, 91])
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_finite_sample_check_matches_reference(seed, rho):
+    base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
+                          kappa=4.0, boundary=100.0,
+                          noise=NoiseSpec(rho=rho), num_trials=12,
+                          master_seed=seed)
+    lengths = [50, 100, 200]
+    assert (finite_sample_variance_check(base, lengths)
+            == reference_finite_sample(base, lengths))
+
+
+def reference_ar1_loop(eta, rho):
+    x = np.empty(len(eta))
+    x[0] = eta[0]
+    c = np.sqrt(1.0 - rho**2)
+    for i in range(1, len(eta)):
+        x[i] = rho * x[i - 1] + c * eta[i]
+    return x
+
+
+def reference_sample_noise(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    if spec.family == "laplace":
+        eta = rng.laplace(0.0, spec.scale, size=count)
+    else:
+        eta = spec.scale * rng.standard_t(spec.nu, size=count)
+    if spec.rho == 0.0:
+        return eta
+    out = np.empty_like(eta)
+    out[..., 0] = eta[..., 0]
+    c = np.sqrt(1.0 - spec.rho**2)
+    for i in range(1, eta.shape[-1]):
+        out[..., i] = spec.rho * out[..., i - 1] + c * eta[..., i]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123])
+@pytest.mark.parametrize("rho", [0.0, 0.6, 0.84])
+def test_tau_scenario_matches_reference_loop(seed, rho):
+    eta = np.random.default_rng(seed).normal(0.0, 1.0, 3000)
+    want = 1.0 / (1.0 + np.exp(-0.2 * reference_ar1_loop(eta, rho)))
+    assert np.array_equal(tau_scenario(3000, rho, 0.2, seed), want)
+
+
+@pytest.mark.parametrize("seed", [1, 7, np.random.SeedSequence((3, 1, 4))])
+@pytest.mark.parametrize("rho", [0.0, 0.6, 0.84])
+@pytest.mark.parametrize("family", ["laplace", "student_t"])
+def test_sample_noise_matches_reference(seed, rho, family):
+    spec = NoiseSpec(family=family, scale=0.7, rho=rho)
+    assert np.array_equal(sample_noise(spec, 2000, seed),
+                          reference_sample_noise(spec, 2000, seed))

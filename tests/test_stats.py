@@ -4,8 +4,8 @@ import pytest
 from bdrlab.stats import (ExperimentSpec, blocked_bootstrap,
                           correlation_robustness, finite_sample_variance_check,
                           holm_bonferroni, loglog_slope,
-                          pooled_boundary_estimate, run_trials, variance_ratio,
-                          width_stratified_R)
+                          pooled_boundary_estimate, run_trials, scaling_sweep,
+                          variance_ratio, width_stratified_R)
 from bdrlab.synth import NoiseSpec, TimeGrid
 
 
@@ -22,6 +22,9 @@ def test_spec_validation():
         _spec(num_trials=1)
     with pytest.raises(ValueError):
         _spec(boundary=500.0)
+    for kappa in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            _spec(kappa=kappa)
 
 
 def test_run_trials_zero_noise_on_grid_is_exact():
@@ -129,3 +132,38 @@ def test_finite_sample_degenerate_sentinel():
     out, variances = finite_sample_variance_check(spec, [50, 100, 200])
     assert out == "degenerate"
     assert all(v == 0 for v in variances.values())
+
+
+@pytest.mark.parametrize("dt", [2.0, 4.0, 8.0])
+def test_distance_errors_scale_with_stride_bit_for_bit(dt):
+    # the grid-unit problem does not depend on the stride, which is what
+    # lets scaling_sweep fit the distance side once
+    base = dict(noise=NoiseSpec(family="student_t"), num_trials=60,
+                master_seed=3, estimators=("bdr",))
+    unit = run_trials(_spec(**base))
+    scaled = run_trials(_spec(grid=TimeGrid(stride=dt, num_positions=100),
+                              boundary=50.0 * dt, **base))
+    assert unit.bdr_failures > 0
+    assert scaled.bdr_failures == unit.bdr_failures
+    assert np.array_equal(scaled.bdr, dt * unit.bdr, equal_nan=True)
+
+
+def test_sweep_shares_the_distance_side_across_cells():
+    cells, *_ = scaling_sweep([1.0, 2.0], [1.0, 2.0, 4.0], 80,
+                              NoiseSpec(family="student_t"), 60,
+                              master_seed=11)
+    unit = {c["kappa"]: c for c in cells if c["stride"] == 1.0}
+    for c in cells:
+        want = c["stride"] ** 2 * unit[c["kappa"]]["var_bdr"]
+        assert c["var_bdr"] == pytest.approx(want, rel=1e-12)
+    assert len({c["failures"] for c in cells}) == 1
+    assert cells[0]["failures"] > 0
+    # the classification side still draws its own noise per cell
+    assert unit[1.0]["var_cls"] != unit[2.0]["var_cls"]
+
+
+def test_shared_noise_gives_cls_the_distance_stream():
+    both = run_trials(_spec(shared_noise=True))
+    cls_only = run_trials(_spec(shared_noise=True, estimators=("cls",)))
+    assert np.array_equal(both.cls, cls_only.cls)
+    assert not np.array_equal(both.cls, run_trials(_spec()).cls)

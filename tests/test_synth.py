@@ -14,8 +14,9 @@ def test_grid_times_and_duration():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(stride=0.0, num_positions=10)
+    for stride in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            TimeGrid(stride=stride, num_positions=10)
     with pytest.raises(ValueError):
         TimeGrid(stride=1.0, num_positions=1)
 
