@@ -203,23 +203,38 @@ def extract_boundaries(prediction, grid: TimeGrid,
 
 
 def moving_average(series, window: int) -> np.ndarray:
-    """Odd-window moving average with zero padding at the edges."""
+    """Moving average along the last axis with zero padding at the edges.
+
+    Aligned like np.convolve(row, np.ones(window) / window, "same"), even
+    windows included, and the output keeps the input's shape. All rows are
+    smoothed in one pass: the sum of `window` shifted copies of the
+    zero-padded rows, each weighted 1/window, added left to right.
+    """
+    x = np.asarray(series, dtype=float)
     if window <= 1:
-        return np.asarray(series, dtype=float)
-    ker = np.ones(window) / window
-    x = np.atleast_2d(np.asarray(series, dtype=float))
-    out = np.empty_like(x)
-    for k in range(x.shape[0]):
-        out[k] = np.convolve(x[k], ker, mode="same")
-    return out[0] if np.asarray(series).ndim == 1 else out
+        return x
+    T = x.shape[-1]
+    pad = np.zeros(x.shape[:-1] + (T + window - 1,))
+    pad[..., window // 2:window // 2 + T] = x
+    pad *= 1.0 / window
+    out = pad[..., :T].copy()
+    for j in range(1, window):
+        out += pad[..., j:j + T]
+    return out
 
 
-def quadratic_peak_offset(ym: float, y0: float, yp: float) -> float:
-    """Sub-sample offset of the vertex through three points, clipped to ±0.5."""
+def quadratic_peak_offset(ym, y0, yp):
+    """Sub-sample offset of the vertex through three points, clipped to ±0.5.
+
+    Elementwise over arrays; a float for scalar inputs. The offset is 0
+    where the curvature term is below 1e-12 in magnitude.
+    """
+    ym, y0, yp = (np.asarray(v, dtype=float) for v in (ym, y0, yp))
     den = ym - 2.0 * y0 + yp
-    if abs(den) < 1e-12:
-        return 0.0
-    return float(np.clip(0.5 * (ym - yp) / den, -0.5, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.where(np.abs(den) < 1e-12, 0.0,
+                       np.clip(0.5 * (ym - yp) / den, -0.5, 0.5))
+    return float(off) if off.ndim == 0 else off
 
 
 def classification_peak(series, grid: TimeGrid,

@@ -9,7 +9,12 @@ for the classification noise.
 scaling_sweep shares streams 0 and 1 across its cells (common random
 numbers): the distance side never reads kappa and runs in grid units, so one
 stride-1 fit, scaled by each cell's stride, serves every cell. Stream 2 and
-the bootstrap stay per cell.
+the bootstrap stay per cell. cls_variance_kappa_slope draws streams 0 and 2
+once per call and reuses them for every kappa.
+
+The classification side is batched: features, smoothing, the windowed
+argmax and the quadratic refinement each run once per chunk of at most
+CLS_CHUNK_ROWS trials, which bounds its working memory.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ from .synth import NoiseSpec, TimeGrid, make_kernel_features, sample_noise_matri
 SWEEP_FIT_ALPHA = 4.0
 CLS_WINDOW_FACTOR = 3.0
 CLS_SMOOTH_FACTOR = 1.5
+# Trials per batched pass of the classification side. Each pass holds a few
+# (rows, T) temporaries; batching every trial at once would hold several
+# copies of the whole noise matrix.
+CLS_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -97,30 +106,6 @@ def _phases(spec: ExperimentSpec) -> np.ndarray:
     return out
 
 
-def _cls_local_peak(row: np.ndarray, grid: TimeGrid, truth: float,
-                    kappa: float, smooth_window: int) -> float:
-    """Peak estimate restricted to the plateau neighbourhood of the truth.
-
-    Search radius: half a stride plus CLS_WINDOW_FACTOR times the part of
-    kappa that resolves beyond half a stride. Quadratic refinement is only
-    meaningful when the window holds at least three samples.
-    """
-    stride = grid.stride
-    T = row.shape[-1]
-    ps = moving_average(row, smooth_window)
-    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
-    lo = max(int(np.ceil((truth - r) / stride)), 1)
-    hi = min(int(np.floor((truth + r) / stride)) + 1, T - 1)
-    if hi <= lo:
-        lo = min(max(int(round(truth / stride)), 1), T - 2)
-        hi = lo + 1
-    i = lo + int(np.argmax(ps[lo:hi]))
-    off = 0.0
-    if hi - lo >= 3:
-        off = quadratic_peak_offset(ps[i - 1], ps[i], ps[i + 1])
-    return (i + off) * stride
-
-
 def _truths(spec: ExperimentSpec) -> np.ndarray:
     """Per-trial boundary positions: the spec's boundary + phase x stride."""
     return spec.boundary + _phases(spec) * spec.grid.stride
@@ -161,16 +146,45 @@ def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
     return errors, failures
 
 
+def _cls_noise(spec: ExperimentSpec) -> np.ndarray:
+    """The classification side's noise rows: stream 2, or 1 if shared."""
+    return _noise_rows(spec, 1 if spec.shared_noise else 2)
+
+
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
                 noise: np.ndarray) -> np.ndarray:
-    """Signed classification-peak error per trial, one noise row per truth."""
-    grid = spec.grid
-    m = max(1, int(round(CLS_SMOOTH_FACTOR * spec.kappa / grid.stride)) | 1)
+    """Signed classification-peak error per trial, one noise row per truth.
+
+    A trial's estimate is the first maximum of its clipped, smoothed feature
+    row within the plateau neighbourhood [lo, hi) of its truth: half a stride
+    plus CLS_WINDOW_FACTOR times the part of kappa that resolves beyond half
+    a stride, or the nearest interior sample if that holds none. Quadratic
+    refinement is only meaningful when the window holds at least three
+    samples. Trials run in chunks of CLS_CHUNK_ROWS rows.
+    """
+    grid, kappa = spec.grid, spec.kappa
+    stride, T = grid.stride, grid.num_positions
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+    cols = np.arange(T)
     errors = np.empty(len(truths))
-    for k, truth in enumerate(truths):
-        phi = make_kernel_features(grid, truth, spec.kappa)
-        p = np.clip(phi + noise[k], 0.0, 1.0)
-        errors[k] = _cls_local_peak(p, grid, truth, spec.kappa, m) - truth
+    for start in range(0, len(truths), CLS_CHUNK_ROWS):
+        rows = slice(start, start + CLS_CHUNK_ROWS)
+        truth = truths[rows]
+        ps = make_kernel_features(grid, truth, kappa)
+        ps += noise[rows]
+        ps = moving_average(np.clip(ps, 0.0, 1.0, out=ps), m)
+        lo = np.maximum(np.ceil((truth - r) / stride), 1)
+        hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
+        empty = hi <= lo
+        lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
+        hi[empty] = lo[empty] + 1
+        inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+        i = np.argmax(np.where(inside, ps, -np.inf), axis=1)
+        k = np.arange(len(i))
+        off = quadratic_peak_offset(ps[k, i - 1], ps[k, i], ps[k, i + 1])
+        off[hi - lo < 3] = 0.0
+        errors[rows] = (i + off) * stride - truth
     return errors
 
 
@@ -188,8 +202,7 @@ def run_trials(spec: ExperimentSpec) -> TrialErrors:
     else:
         truths = _truths(spec)
     if "cls" in spec.estimators:
-        noise = _noise_rows(spec, 1 if spec.shared_noise else 2)
-        e_cls = _cls_errors(spec, truths, noise)
+        e_cls = _cls_errors(spec, truths, _cls_noise(spec))
     return TrialErrors(bdr=e_bdr, cls=e_cls, bdr_failures=failures)
 
 
@@ -328,6 +341,13 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     its classification noise (stream 2) and its bootstrap from
     master_seed + i, so the classification side stays independent per cell.
     Every cell's spec is built, and so validated, before any fitting.
+
+    Known limitation: in a cell with kappa <= dt/2 the peak-search window
+    holds one sample, so the classification error is the phase's rounding
+    error times dt, whatever the noise and kappa. With shared phases all
+    such cells (six of the 4x4 grid) therefore share one classification
+    error in grid units, hence one var_cls / dt^2 and one R: they are one
+    estimate, not several independent ones.
     """
     conds = [(float(k), float(dt)) for k in kappas for dt in strides]
     if len(conds) < 3:
@@ -409,13 +429,19 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
 
 
 def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
-    """Slope of log Var[classification peak] vs log kappa."""
+    """Slope of log Var[classification peak] vs log kappa.
+
+    The phases and the classification noise do not depend on kappa, so
+    they are drawn once and every kappa reuses them; each kappa's errors
+    equal those of run_trials with estimators=("cls",).
+    """
+    specs = [replace(base_spec, kappa=float(k), estimators=("cls",))
+             for k in kappas]
+    truths, noise = _truths(base_spec), _cls_noise(base_spec)
     variances = {}
-    for kappa in kappas:
-        spec = replace(base_spec, kappa=float(kappa), estimators=("cls",))
-        errs = run_trials(spec)
-        _, v, _ = _mse(errs.cls)
-        variances[float(kappa)] = v
+    for spec in specs:
+        _, v, _ = _mse(_cls_errors(spec, truths, noise))
+        variances[spec.kappa] = v
     if all(v == 0 for v in variances.values()):
         return "degenerate", variances
     slope, _, _ = loglog_slope(list(variances.keys()), list(variances.values()))

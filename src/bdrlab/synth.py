@@ -70,12 +70,17 @@ def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
     return t - b[idx]
 
 
-def make_kernel_features(grid: TimeGrid, center: float, kappa: float) -> np.ndarray:
-    """Gaussian bump exp(-(t-center)^2 / (2 kappa^2)), peak 1 at the center."""
+def make_kernel_features(grid: TimeGrid, center, kappa: float) -> np.ndarray:
+    """Gaussian bump exp(-(t-center)^2 / (2 kappa^2)), peak 1 at the center.
+
+    A scalar center gives one row of T values; an array of centers gives
+    one row per center.
+    """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     t = grid.times()
-    return np.exp(-((t - center) ** 2) / (2.0 * kappa**2))
+    c = np.asarray(center, dtype=float)[..., None]
+    return np.exp(-((t - c) ** 2) / (2.0 * kappa**2))
 
 
 def _marginal_draws(rng: np.random.Generator, spec: NoiseSpec, shape) -> np.ndarray:

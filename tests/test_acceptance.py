@@ -1,8 +1,10 @@
 """End-to-end acceptance gates for the estimation lab.
 
 The Monte-Carlo checks share one full-scale sweep (10^4 trials per cell),
-computed once per session. The file takes about 155 s on a 2-core VM
-(Python 3.11, numpy 2.4), the shared sweep about 25 s of that.
+computed once per session, and carry the `slow` marker: they take about
+140 s on a 2-core VM (Python 3.11, numpy 2.4), the shared sweep 21 s of
+that, and the rest of the file under 2 s. `pytest -m "not slow"` skips
+them.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ def full_sweep():
                          master_seed=1000)
 
 
+@pytest.mark.slow
 def test_variance_ratio_scaling_law(full_sweep):
     cells, slope, _, r2, _ = full_sweep
     assert len(cells) == 16
@@ -41,6 +44,7 @@ def test_variance_ratio_scaling_law(full_sweep):
     assert r2 >= 0.6
 
 
+@pytest.mark.slow
 def test_width_stratified_monotonicity(full_sweep):
     cells, *_ = full_sweep
     rows = [(2 * c["kappa"], c["stride"], c["R"]) for c in cells]
@@ -60,6 +64,7 @@ def test_width_stratified_monotonicity(full_sweep):
     assert bins[0] > bins[1] > bins[2] > bins[3]
 
 
+@pytest.mark.slow
 def test_variance_scaling_in_sequence_length_and_kappa():
     base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
                           kappa=4.0, boundary=100.0, noise=NoiseSpec(),
@@ -74,6 +79,7 @@ def test_variance_scaling_in_sequence_length_and_kappa():
     assert 0.7 <= slope_k <= 1.3
 
 
+@pytest.mark.slow
 def test_correlation_robustness():
     base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
                           kappa=4.0, boundary=100.0, noise=NoiseSpec(),
@@ -194,6 +200,7 @@ def test_cli_determinism(tmp_path):
     assert outs[2] == outs[3]
 
 
+@pytest.mark.slow
 def test_bdr_estimator_bias_is_negligible(full_sweep):
     # unbiasedness at desk scale: stride-1 cells of the shared sweep
     cells, *_ = full_sweep

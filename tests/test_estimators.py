@@ -217,3 +217,28 @@ def test_moving_average_simple():
 def test_quadratic_peak_offset_clip_and_flat():
     assert quadratic_peak_offset(0.0, 0.0, 0.0) == 0.0
     assert abs(quadratic_peak_offset(0.9999, 1.0, 0.9)) <= 0.5
+
+
+@pytest.mark.parametrize("window", range(1, 15))
+def test_moving_average_batch_matches_per_row_convolve(window):
+    rows = np.clip(np.random.default_rng(window).laplace(0.5, 0.5, (70, 40)),
+                   0.0, 1.0)
+    want = np.stack([np.convolve(r, np.ones(window) / window, mode="same")
+                     for r in rows])
+    got = moving_average(rows, window)
+    assert got.shape == rows.shape
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # one row alone gives the same values as the same row of the batch
+    assert np.array_equal(moving_average(rows[3], window), got[3])
+
+
+def test_quadratic_peak_offset_elementwise_over_arrays():
+    rng = np.random.default_rng(12)
+    ym, y0, yp = rng.uniform(0.0, 1.0, (3, 500))
+    ym[:50] = y0[:50] = yp[:50] = 0.7  # flat: offset 0
+    got = quadratic_peak_offset(ym, y0, yp)
+    want = [quadratic_peak_offset(a, b, c) for a, b, c in zip(ym, y0, yp)]
+    assert got.shape == (500,)
+    assert np.array_equal(got, want)
+    assert np.all(got[:50] == 0.0)
+    assert type(quadratic_peak_offset(0.2, 1.0, 0.4)) is float

@@ -3,16 +3,21 @@
 The references are the earlier implementations: a bootstrap that draws and
 evaluates one resample at a time on the raw per-group data, a fitter whose
 Huber term and accept step use np.where over whole arrays, the finite-sample
-check with its own seeding and fitting loop, and the AR(1) recursions that
-indexed numpy arrays step by step.
+check with its own seeding and fitting loop, the AR(1) recursions that
+indexed numpy arrays step by step, and the classification-peak loop that
+smoothed, searched and refined one trial at a time.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bdrlab.cli import tau_scenario
 from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
-from bdrlab.stats import (SWEEP_FIT_ALPHA, ExperimentSpec, blocked_bootstrap,
+from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
+                          SWEEP_FIT_ALPHA, ExperimentSpec, _cls_errors,
+                          _noise_rows, _truths, blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
 from bdrlab.synth import (NoiseSpec, TimeGrid, sample_noise,
@@ -210,3 +215,88 @@ def test_sample_noise_matches_reference(seed, rho, family):
     spec = NoiseSpec(family=family, scale=0.7, rho=rho)
     assert np.array_equal(sample_noise(spec, 2000, seed),
                           reference_sample_noise(spec, 2000, seed))
+
+
+def reference_cls_errors(spec, truths, noise):
+    """The per-trial classification loop: per-row np.convolve smoothing, an
+    argmax over the sliced search window and a scalar quadratic refinement.
+
+    Also returns, per trial, whether the window's two largest smoothed
+    values lie within 1e-12 of each other (a near tie)."""
+    grid, kappa = spec.grid, spec.kappa
+    stride, T = grid.stride, grid.num_positions
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    t = grid.times()
+    errors = np.empty(len(truths))
+    near_tie = np.zeros(len(truths), dtype=bool)
+    for k, truth in enumerate(truths):
+        phi = np.exp(-((t - truth) ** 2) / (2.0 * kappa**2))
+        p = np.clip(phi + noise[k], 0.0, 1.0)
+        ps = np.convolve(p, np.ones(m) / m, mode="same") if m > 1 else p
+        r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+        lo = max(int(np.ceil((truth - r) / stride)), 1)
+        hi = min(int(np.floor((truth + r) / stride)) + 1, T - 1)
+        if hi <= lo:
+            lo = min(max(int(round(truth / stride)), 1), T - 2)
+            hi = lo + 1
+        i = lo + int(np.argmax(ps[lo:hi]))
+        off = 0.0
+        if hi - lo >= 3:
+            ym, y0, yp = ps[i - 1], ps[i], ps[i + 1]
+            den = ym - 2.0 * y0 + yp
+            if abs(den) >= 1e-12:
+                off = float(np.clip(0.5 * (ym - yp) / den, -0.5, 0.5))
+        errors[k] = (i + off) * stride - truth
+        top = np.sort(ps[lo:hi])[-2:]
+        near_tie[k] = top.size == 2 and top[1] - top[0] <= 1e-12
+    return errors, near_tie
+
+
+CLS_NOISES = {"laplace": NoiseSpec(), "ar1": NoiseSpec(rho=0.6)}
+MOVED_LIMIT = 1e-3  # share of a test's trials whose maximum may move
+
+
+def _check_cls_against_reference(spec, truths, noise):
+    got = _cls_errors(spec, truths, noise)
+    want, near_tie = reference_cls_errors(spec, truths, noise)
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * spec.kappa / spec.grid.stride)) | 1)
+    if m <= 7:
+        assert np.array_equal(got, want)
+        return 0
+    # Wider windows: the shifted adds round differently from np.convolve in
+    # the last bit, which may move the first maximum between near-tied values.
+    moved = np.abs(got - want) > 1e-12
+    assert np.all(near_tie[moved])
+    return int(moved.sum())
+
+
+@pytest.mark.parametrize("noise", CLS_NOISES)
+@pytest.mark.parametrize("seed", [3, 70, 811])
+def test_cls_kappa_errors_match_reference(noise, seed):
+    base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
+                          kappa=1.0, boundary=100.0, noise=CLS_NOISES[noise],
+                          num_trials=1000, master_seed=seed)
+    truths, rows = _truths(base), _noise_rows(base, 2)
+    moved = sum(_check_cls_against_reference(replace(base, kappa=k),
+                                             truths, rows)
+                for k in (1.0, 2.0, 4.0, 8.0))
+    assert moved <= MOVED_LIMIT * 4 * base.num_trials
+
+
+@pytest.mark.parametrize("noise", CLS_NOISES)
+@pytest.mark.parametrize("seed", [21, 1000])
+def test_sweep_cell_cls_errors_match_reference(noise, seed):
+    T, n = 200, 400
+    unit = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
+                          kappa=1.0, boundary=float(T // 2),
+                          noise=CLS_NOISES[noise], num_trials=n,
+                          master_seed=seed)
+    moved = 0
+    for cell, (kappa, dt) in enumerate(
+            (k, dt) for k in (1.0, 2.0, 4.0, 8.0) for dt in (1.0, 2.0, 4.0, 8.0)):
+        spec = replace(unit, grid=TimeGrid(stride=dt, num_positions=T),
+                       kappa=kappa, boundary=(T // 2) * dt,
+                       master_seed=seed + cell)
+        moved += _check_cls_against_reference(spec, _truths(unit) * dt,
+                                              _noise_rows(spec, 2))
+    assert moved <= MOVED_LIMIT * 16 * n

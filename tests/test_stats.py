@@ -1,7 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from bdrlab import stats
 from bdrlab.stats import (ExperimentSpec, blocked_bootstrap,
+                          cls_variance_kappa_slope,
                           correlation_robustness, finite_sample_variance_check,
                           holm_bonferroni, loglog_slope,
                           pooled_boundary_estimate, run_trials, scaling_sweep,
@@ -167,3 +172,31 @@ def test_shared_noise_gives_cls_the_distance_stream():
     cls_only = run_trials(_spec(shared_noise=True, estimators=("cls",)))
     assert np.array_equal(both.cls, cls_only.cls)
     assert not np.array_equal(both.cls, run_trials(_spec()).cls)
+
+
+def test_kappa_slope_draws_the_noise_once(monkeypatch):
+    drawn = []
+    sample = stats.sample_noise_matrix
+    monkeypatch.setattr(stats, "sample_noise_matrix",
+                        lambda *args: drawn.append(1) or sample(*args))
+    base = _spec(num_trials=300, master_seed=9)
+    _, variances = cls_variance_kappa_slope(base, [1.0, 2.0, 4.0, 8.0])
+    assert len(drawn) == 1
+    for kappa, v in variances.items():
+        errs = run_trials(replace(base, kappa=kappa, estimators=("cls",)))
+        assert v == np.mean(errs.cls ** 2)
+
+
+def test_classification_side_memory_stays_chunked():
+    # the batched classification side holds a few chunk-sized temporaries,
+    # never copies of the whole (trials, positions) matrix
+    spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200), kappa=8.0,
+                 boundary=100.0, num_trials=10_000, estimators=("cls",))
+    truths, noise = stats._truths(spec), stats._cls_noise(spec)
+    tracemalloc.start()
+    try:
+        stats._cls_errors(spec, truths, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < noise.nbytes + 2 * 2**20

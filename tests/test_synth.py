@@ -68,6 +68,16 @@ def test_kernel_peak_and_width():
     assert w2 == pytest.approx(2 * w1, abs=2)
 
 
+def test_kernel_features_one_row_per_center():
+    g = TimeGrid(stride=2.0, num_positions=60)
+    centers = np.random.default_rng(4).uniform(0.0, 120.0, 9)
+    rows = make_kernel_features(g, centers, 3.5)
+    assert rows.shape == (9, 60)
+    for c, row in zip(centers, rows):
+        assert np.array_equal(row, make_kernel_features(g, c, 3.5))
+    assert make_kernel_features(g, 25.0, 3.5).shape == (60,)
+
+
 def test_kernel_kappa_validation():
     g = TimeGrid(stride=1.0, num_positions=10)
     with pytest.raises(ValueError):
