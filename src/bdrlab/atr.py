@@ -47,6 +47,8 @@ class FlopsModel:
     def __post_init__(self):
         if not 0.0 <= self.attention_fraction <= 1.0:
             raise ValueError("attention_fraction must be in [0, 1]")
+        if not 0.0 <= self.keep_ratio <= 1.0:
+            raise ValueError("keep_ratio must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,10 @@ def r_ece(errors, sigmas, cfg: CalibrationConfig = CalibrationConfig(),
     s = np.asarray(sigmas, dtype=float)
     if e.shape != s.shape:
         raise ValueError("series lengths differ")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("errors must be finite")
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError("sigmas must be finite and positive")
     n = e.shape[-1]
     if n < cfg.num_bins:
         raise ValueError("need at least num_bins samples")

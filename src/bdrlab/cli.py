@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .atr import (HysteresisConfig, apply_hysteresis, expected_tau, flip_rate,
-                  FlopsModel, per_layer_pruned_cost, surrogate_tau, total_flops)
+from .atr import (HysteresisConfig, apply_hysteresis, flip_rate, FlopsModel,
+                  per_layer_pruned_cost, total_flops)
 from .calib import CalibrationConfig, r_ece
 from .stats import scaling_sweep, WIDTH_BIN_LABELS
 from .synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
@@ -69,7 +69,7 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _metadata(args, effective: dict) -> dict:
+def _metadata(effective: dict) -> dict:
     return {"seed": effective.get("seed"),
             "config_hash": _config_hash(effective),
             "tool_version": __version__}
@@ -77,7 +77,7 @@ def _metadata(args, effective: dict) -> dict:
 
 def _emit(args, header, rows, effective):
     if args.format == "json":
-        _write_json(args.out, header, rows, _metadata(args, effective))
+        _write_json(args.out, header, rows, _metadata(effective))
     else:
         _write_csv(args.out, header, rows)
 
@@ -213,8 +213,10 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
     """Synthetic depth-allocation trace: logistic of an AR(1) latent.
 
     rho defaults near cos(0.182*pi) so the raw flip rate of the latent sits
-    around the observed 18% level.
+    around the observed 18% level; it must lie in (-1, 1).
     """
+    if not -1.0 < rho < 1.0:
+        raise ValueError("trace rho must be in (-1, 1)")
     eta = np.random.default_rng(seed).normal(0.0, 1.0, length)
     x = _apply_ar1(eta, rho)
     return 1.0 / (1.0 + np.exp(-gain * x))

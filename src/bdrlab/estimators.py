@@ -37,13 +37,11 @@ class ExtractConfig:
 
     theta_grad is the forward-difference threshold in grid units (i.e. the
     raw difference is compared against theta_grad * stride). nms_window is
-    the suppression radius in grid positions. centered=True thresholds on
-    the centred difference instead of the forward one.
+    the suppression radius in grid positions.
     """
 
     theta_grad: float = 0.5
     nms_window: float = 5.0
-    centered: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,10 +173,10 @@ def extract_boundaries(prediction, grid: TimeGrid,
                        cfg: ExtractConfig = ExtractConfig()) -> np.ndarray:
     """Zero crossings of the fitted series, refined by linear interpolation.
 
-    Sign changes are kept when the (forward, or optionally centred)
-    difference exceeds the threshold; 1D non-maximum suppression keeps the
-    strongest candidate per window, ties going to the earlier one. Returns
-    boundary positions in frames, sorted ascending.
+    Sign changes are kept when the forward difference exceeds the threshold;
+    1D non-maximum suppression keeps the strongest candidate per window, ties
+    going to the earlier one. Returns boundary positions in frames, sorted
+    ascending.
     """
     d = np.asarray(prediction, dtype=float)
     s = np.sign(d)
@@ -187,13 +185,7 @@ def extract_boundaries(prediction, grid: TimeGrid,
     # boundary
     cross = np.nonzero((s[:-1] != s[1:]) & (d[:-1] < d[1:]))[0]
     fwd = d[cross + 1] - d[cross]
-    if cfg.centered:
-        hi = np.minimum(cross + 2, d.shape[-1] - 1)
-        lo = np.maximum(cross - 1, 0)
-        gate = np.abs(d[hi] - d[lo]) / 2.0
-    else:
-        gate = np.abs(fwd)
-    keep = gate > cfg.theta_grad * grid.stride
+    keep = np.abs(fwd) > cfg.theta_grad * grid.stride
     cross, fwd = cross[keep], fwd[keep]
     if cross.size == 0:
         return np.empty(0)

@@ -6,6 +6,10 @@ matter how trials are chunked. Aggregation is always in trial order. The
 stream labels are 0 for the boundary phase, 1 for the distance noise and 2
 for the classification noise.
 
+run_trials runs both estimators on one condition: the distance side fits
+with SWEEP_FIT and extracts with the default ExtractConfig, the
+classification side searches the plateau window of each truth.
+
 scaling_sweep shares streams 0 and 1 across its cells (common random
 numbers): the distance side never reads kappa and runs in grid units, so one
 stride-1 fit, scaled by each cell's stride, serves every cell. Stream 2 and
@@ -19,13 +23,12 @@ CLS_CHUNK_ROWS trials, which bounds its working memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import (BDRLossConfig, ExtractConfig, FitConfig,
-                         extract_boundaries, fit_distance, moving_average,
-                         quadratic_peak_offset)
+from .estimators import (BDRLossConfig, FitConfig, extract_boundaries,
+                         fit_distance, moving_average, quadratic_peak_offset)
 from .synth import NoiseSpec, TimeGrid, make_kernel_features, sample_noise_matrix
 
 # Fit/search settings used by the variance experiments. The distance fitter
@@ -37,6 +40,7 @@ from .synth import NoiseSpec, TimeGrid, make_kernel_features, sample_noise_matri
 # whole sequence, where under heavy noise the global argmax measures only
 # far-field clutter.
 SWEEP_FIT_ALPHA = 4.0
+SWEEP_FIT = FitConfig(loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA))
 CLS_WINDOW_FACTOR = 3.0
 CLS_SMOOTH_FACTOR = 1.5
 # Trials per batched pass of the classification side. Each pass holds a few
@@ -55,14 +59,11 @@ class ExperimentSpec:
     noise: NoiseSpec
     num_trials: int
     master_seed: int
-    estimators: tuple = ("bdr", "cls")
     jitter: bool = True  # add a per-trial sub-stride offset to the boundary
-    shared_noise: bool = False  # paired noise draws for both estimators
-    fit: FitConfig = field(default_factory=lambda: FitConfig(
-        loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA)))
-    extract: ExtractConfig = field(default_factory=ExtractConfig)
 
     def __post_init__(self):
+        if self.grid.num_positions < 3:
+            raise ValueError("num_positions must be >= 3")
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("kappa must be finite and positive")
         if self.num_trials < 2:
@@ -75,19 +76,15 @@ class ExperimentSpec:
 class TrialErrors:
     """Signed per-trial errors (frames); NaN marks a failed extraction."""
 
-    bdr: np.ndarray | None
-    cls: np.ndarray | None
-    bdr_failures: int = 0
+    bdr: np.ndarray
+    cls: np.ndarray
+    bdr_failures: int
 
 
 @dataclass(frozen=True)
 class VarianceReport:
-    mean_bdr: float
     var_bdr: float
-    n_bdr: int
-    mean_cls: float
     var_cls: float
-    n_cls: int
     ratio_R: float
     ci_low: float
     ci_high: float
@@ -128,27 +125,22 @@ def _fit_distance_side(spec: ExperimentSpec):
     grid = spec.grid
     truths, noise = _truths(spec), _noise_rows(spec, 1)
     clean = grid.times()[None, :] - truths[:, None]
-    return truths, fit_distance(clean + grid.stride * noise, grid, spec.fit)
+    return truths, fit_distance(clean + grid.stride * noise, grid, SWEEP_FIT)
 
 
 def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
-                             grid: TimeGrid, cfg: ExtractConfig):
+                             grid: TimeGrid):
     """Signed error of the crossing nearest each truth; NaN (and counted in
     the returned failures) where a row has no crossing."""
     errors = np.full(len(truths), np.nan)
     failures = 0
     for k, truth in enumerate(truths):
-        cands = extract_boundaries(dhat[k], grid, cfg)
+        cands = extract_boundaries(dhat[k], grid)
         if cands.size:
             errors[k] = cands[np.argmin(np.abs(cands - truth))] - truth
         else:
             failures += 1
     return errors, failures
-
-
-def _cls_noise(spec: ExperimentSpec) -> np.ndarray:
-    """The classification side's noise rows: stream 2, or 1 if shared."""
-    return _noise_rows(spec, 1 if spec.shared_noise else 2)
 
 
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
@@ -193,24 +185,16 @@ def run_trials(spec: ExperimentSpec) -> TrialErrors:
 
     Failed extractions are recorded as NaN and counted, not raised.
     """
-    e_bdr = e_cls = None
-    failures = 0
-    if "bdr" in spec.estimators:
-        truths, dhat = _fit_distance_side(spec)
-        e_bdr, failures = _nearest_crossing_errors(dhat, truths, spec.grid,
-                                                   spec.extract)
-    else:
-        truths = _truths(spec)
-    if "cls" in spec.estimators:
-        e_cls = _cls_errors(spec, truths, _cls_noise(spec))
+    truths, dhat = _fit_distance_side(spec)
+    e_bdr, failures = _nearest_crossing_errors(dhat, truths, spec.grid)
+    e_cls = _cls_errors(spec, truths, _noise_rows(spec, 2))
     return TrialErrors(bdr=e_bdr, cls=e_cls, bdr_failures=failures)
 
 
-def _mse(errors: np.ndarray):
+def _mse(errors: np.ndarray) -> float:
+    """Mean square of the finite errors; NaN if there are none."""
     e = errors[np.isfinite(errors)]
-    if e.size == 0:
-        return np.nan, np.nan, 0
-    return float(np.mean(e)), float(np.mean(e**2)), int(e.size)
+    return float(np.mean(e**2)) if e.size else np.nan
 
 
 def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
@@ -258,8 +242,7 @@ def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
     ec = np.asarray(errors_cls, dtype=float)
     if eb.size == 0 or ec.size == 0:
         raise ValueError("error series must be non-empty")
-    mb, vb, nb = _mse(eb)
-    mc, vc, nc = _mse(ec)
+    vb, vc = _mse(eb), _mse(ec)
     if not vc > 0:
         raise ValueError("degenerate denominator")
     ratio = vb / vc
@@ -270,7 +253,7 @@ def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
         lo, hi = blocked_bootstrap(totals, num_resamples, seed, _ratio_of_mse)
     else:
         lo = hi = ratio
-    return VarianceReport(mb, vb, nb, mc, vc, nc, ratio, lo, hi)
+    return VarianceReport(vb, vc, ratio, lo, hi)
 
 
 def holm_bonferroni(p_values):
@@ -308,9 +291,9 @@ WIDTH_BIN_LABELS = ("W<=dt", "dt<W<=2dt", "2dt<W<=3dt", "W>3dt")
 
 
 def width_stratified_R(results):
-    """Mean R per plateau-width bin; None marks an empty bin.
+    """Mean R per bin of the plateau-width ratio W/dt; None marks an empty bin.
 
-    `results` holds (W/dt ratio is derived here) tuples (W, dt, R).
+    `results` holds (W, dt, R) tuples; the bins are WIDTH_BIN_LABELS.
     """
     sums = [[] for _ in range(4)]
     for W, dt, R in results:
@@ -362,8 +345,7 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
                    grid=TimeGrid(stride=1.0, num_positions=num_positions),
                    boundary=float(num_positions // 2))
     truths, dhat = _fit_distance_side(unit)
-    e_unit, failures = _nearest_crossing_errors(dhat, truths, unit.grid,
-                                                unit.extract)
+    e_unit, failures = _nearest_crossing_errors(dhat, truths, unit.grid)
     cells = []
     for spec in specs:
         dt = spec.grid.stride
@@ -374,8 +356,7 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
                       "x": dt**2 / spec.kappa,
                       "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
                       "R": rep.ratio_R, "ci_low": rep.ci_low,
-                      "ci_high": rep.ci_high, "n_bdr": rep.n_bdr,
-                      "failures": failures})
+                      "ci_high": rep.ci_high, "failures": failures})
     slope, intercept, r2 = loglog_slope([c["x"] for c in cells],
                                         [c["R"] for c in cells])
     bin_means = width_stratified_R(
@@ -405,6 +386,14 @@ def pooled_boundary_estimate(dhat: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.median(t[None, :] - np.atleast_2d(dhat), axis=-1)
 
 
+def _variance_slope(variances: dict):
+    """(log-log slope, variances), or ("degenerate", variances) if all are 0."""
+    if all(v == 0 for v in variances.values()):
+        return "degenerate", variances
+    slope, _, _ = loglog_slope(list(variances.keys()), list(variances.values()))
+    return slope, variances
+
+
 def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     """Slope of log Var[pooled boundary estimate] vs log T.
 
@@ -417,15 +406,11 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     for T in lengths:
         grid = TimeGrid(stride=base_spec.grid.stride, num_positions=int(T))
         spec = replace(base_spec, grid=grid,
-                       boundary=(int(T) // 2) * grid.stride,
-                       estimators=("bdr",))
+                       boundary=(int(T) // 2) * grid.stride)
         truths, dhat = _fit_distance_side(spec)
         est = pooled_boundary_estimate(dhat, grid)
         variances[int(T)] = float(np.mean((est - truths) ** 2))
-    if all(v == 0 for v in variances.values()):
-        return "degenerate", variances
-    slope, _, _ = loglog_slope(list(variances.keys()), list(variances.values()))
-    return slope, variances
+    return _variance_slope(variances)
 
 
 def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
@@ -433,16 +418,9 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
 
     The phases and the classification noise do not depend on kappa, so
     they are drawn once and every kappa reuses them; each kappa's errors
-    equal those of run_trials with estimators=("cls",).
+    equal the classification errors of run_trials at that kappa.
     """
-    specs = [replace(base_spec, kappa=float(k), estimators=("cls",))
-             for k in kappas]
-    truths, noise = _truths(base_spec), _cls_noise(base_spec)
-    variances = {}
-    for spec in specs:
-        _, v, _ = _mse(_cls_errors(spec, truths, noise))
-        variances[spec.kappa] = v
-    if all(v == 0 for v in variances.values()):
-        return "degenerate", variances
-    slope, _, _ = loglog_slope(list(variances.keys()), list(variances.values()))
-    return slope, variances
+    specs = [replace(base_spec, kappa=float(k)) for k in kappas]
+    truths, noise = _truths(base_spec), _noise_rows(base_spec, 2)
+    return _variance_slope({spec.kappa: _mse(_cls_errors(spec, truths, noise))
+                            for spec in specs})

@@ -206,8 +206,7 @@ def test_bdr_estimator_bias_is_negligible(full_sweep):
     cells, *_ = full_sweep
     spec = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
                           kappa=2.0, boundary=100.0, noise=NoiseSpec(),
-                          num_trials=TRIALS, master_seed=55,
-                          estimators=("bdr",))
+                          num_trials=TRIALS, master_seed=55)
     errs = run_trials(spec)
     e = errs.bdr[np.isfinite(errs.bdr)]
     assert abs(np.mean(e)) < 0.05

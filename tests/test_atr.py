@@ -227,3 +227,9 @@ def test_total_flops_monotone():
 def test_total_flops_tau_range():
     with pytest.raises(ValueError):
         total_flops(FlopsModel(), 1.5)
+
+
+@pytest.mark.parametrize("keep", [-1.0, -1e-9, 1.0 + 1e-9, 2.0, float("nan")])
+def test_flops_model_rejects_keep_ratio_outside_unit_interval(keep):
+    with pytest.raises(ValueError, match="keep_ratio"):
+        FlopsModel(keep_ratio=keep)

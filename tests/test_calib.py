@@ -80,6 +80,22 @@ def test_r_ece_validation():
         CalibrationConfig(num_bins=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_r_ece_rejects_non_finite_errors(bad):
+    e = np.zeros(20)
+    e[7] = bad
+    with pytest.raises(ValueError, match="errors"):
+        r_ece(e, np.ones(20))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_r_ece_rejects_invalid_sigmas(bad):
+    s = np.ones(20)
+    s[7] = bad
+    with pytest.raises(ValueError, match="sigmas"):
+        r_ece(np.zeros(20), s)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_r_ece_permutation_and_scale_invariance(seed):

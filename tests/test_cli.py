@@ -87,6 +87,15 @@ def test_calib_input_file_errors(tmp_path):
     assert run(["calib", "--input", str(bad)]) == 1
 
 
+def test_calib_input_file_rejects_invalid_sigmas(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("error,sigma\n" + "0.1,1.0\n" * 20
+                   + "0.2,-1\n0.3,nan\n0.4,inf\n")
+    assert run(["calib", "--input", str(src), "--bins", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma" in err
+
+
 def test_calib_input_file(tmp_path):
     rng = np.random.default_rng(0)
     s = rng.uniform(0.5, 2.0, 400)
@@ -118,8 +127,10 @@ def test_scaling_rerun_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+# the last case is a grid too short for the peak search's window
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
-                                  ["--kappas", "1,0"], ["--strides", "1,inf"]])
+                                  ["--kappas", "1,0"], ["--strides", "1,inf"],
+                                  ["--num-positions", "2"]])
 def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []
@@ -222,6 +233,28 @@ def test_atr_sim_gamma_zero_identity(tmp_path):
     for line in out.read_text().splitlines()[1:]:
         _, _, raw, stab, mraw, mstab = line.split(",")
         assert raw == stab and mraw == mstab
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5, -1.0, -2.0, float("nan")])
+def test_tau_scenario_rejects_rho_outside_open_unit_interval(rho):
+    with pytest.raises(ValueError, match="rho"):
+        tau_scenario(50, rho, 0.2, 0)
+
+
+@pytest.mark.parametrize("rho", ["1.5", "-2"])
+def test_atr_sim_bad_trace_rho_exits_usage(tmp_path, capsys, rho):
+    assert run(["atr-sim", "--seed", "1", "--length", "50", "--trace-rho", rho,
+                "--out", str(tmp_path / "a.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["0.5:-1", "0.5:2", "0.16:0.8,1:1.01"])
+def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
+    assert run(["flops", "--points", points,
+                "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_tau_scenario_flip_never_increases_many_traces():

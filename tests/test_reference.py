@@ -16,8 +16,8 @@ import pytest
 from bdrlab.cli import tau_scenario
 from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
-                          SWEEP_FIT_ALPHA, ExperimentSpec, _cls_errors,
-                          _noise_rows, _truths, blocked_bootstrap,
+                          SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
+                          _cls_errors, _noise_rows, _truths, blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
 from bdrlab.synth import (NoiseSpec, TimeGrid, sample_noise,
@@ -156,7 +156,7 @@ def reference_finite_sample(base_spec, lengths):
             [np.random.SeedSequence((seed, 1, k)) for k in range(n)], T)
         t = grid.times()
         dhat = fit_distance(t[None, :] - truths[:, None] + grid.stride * noise,
-                            grid, base_spec.fit)
+                            grid, SWEEP_FIT)
         est = np.median(t[None, :] - dhat, axis=-1)
         variances[T] = float(np.mean((est - truths) ** 2))
     slope, _, _ = loglog_slope(list(variances), list(variances.values()))

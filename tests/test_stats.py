@@ -30,6 +30,9 @@ def test_spec_validation():
     for kappa in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="kappa"):
             _spec(kappa=kappa)
+    # the peak search needs an interior sample with a neighbour on each side
+    with pytest.raises(ValueError, match="num_positions"):
+        _spec(grid=TimeGrid(stride=1.0, num_positions=2), boundary=1.0)
 
 
 def test_run_trials_zero_noise_on_grid_is_exact():
@@ -144,7 +147,7 @@ def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     # the grid-unit problem does not depend on the stride, which is what
     # lets scaling_sweep fit the distance side once
     base = dict(noise=NoiseSpec(family="student_t"), num_trials=60,
-                master_seed=3, estimators=("bdr",))
+                master_seed=3)
     unit = run_trials(_spec(**base))
     scaled = run_trials(_spec(grid=TimeGrid(stride=dt, num_positions=100),
                               boundary=50.0 * dt, **base))
@@ -167,13 +170,6 @@ def test_sweep_shares_the_distance_side_across_cells():
     assert unit[1.0]["var_cls"] != unit[2.0]["var_cls"]
 
 
-def test_shared_noise_gives_cls_the_distance_stream():
-    both = run_trials(_spec(shared_noise=True))
-    cls_only = run_trials(_spec(shared_noise=True, estimators=("cls",)))
-    assert np.array_equal(both.cls, cls_only.cls)
-    assert not np.array_equal(both.cls, run_trials(_spec()).cls)
-
-
 def test_kappa_slope_draws_the_noise_once(monkeypatch):
     drawn = []
     sample = stats.sample_noise_matrix
@@ -183,7 +179,7 @@ def test_kappa_slope_draws_the_noise_once(monkeypatch):
     _, variances = cls_variance_kappa_slope(base, [1.0, 2.0, 4.0, 8.0])
     assert len(drawn) == 1
     for kappa, v in variances.items():
-        errs = run_trials(replace(base, kappa=kappa, estimators=("cls",)))
+        errs = run_trials(replace(base, kappa=kappa))
         assert v == np.mean(errs.cls ** 2)
 
 
@@ -191,8 +187,8 @@ def test_classification_side_memory_stays_chunked():
     # the batched classification side holds a few chunk-sized temporaries,
     # never copies of the whole (trials, positions) matrix
     spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200), kappa=8.0,
-                 boundary=100.0, num_trials=10_000, estimators=("cls",))
-    truths, noise = stats._truths(spec), stats._cls_noise(spec)
+                 boundary=100.0, num_trials=10_000)
+    truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
     tracemalloc.start()
     try:
         stats._cls_errors(spec, truths, noise)
