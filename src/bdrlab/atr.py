@@ -13,8 +13,8 @@ class HysteresisConfig:
     mode: str = "hold_previous"  # or "deadzone_half"
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be finite and >= 0")
         if self.mode not in ("hold_previous", "deadzone_half"):
             raise ValueError(f"unknown hysteresis mode: {self.mode}")
 

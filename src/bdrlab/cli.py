@@ -217,6 +217,8 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("trace rho must be in (-1, 1)")
+    if not np.isfinite(gain):
+        raise ValueError("gain must be finite")
     eta = np.random.default_rng(seed).normal(0.0, 1.0, length)
     x = _apply_ar1(eta, rho)
     return 1.0 / (1.0 + np.exp(-gain * x))

@@ -1,10 +1,12 @@
 """Monte-Carlo harness for estimator-variance scaling, plus statistics utilities.
 
-Determinism contract: every per-trial random stream is seeded from
-(master_seed, stream_label, trial_index), so results are bit-identical no
-matter how trials are chunked. Aggregation is always in trial order. The
-stream labels are 0 for the boundary phase, 1 for the distance noise and 2
-for the classification noise.
+Determinism contract: each random stream has one generator,
+np.random.default_rng((master_seed, stream_label)), which draws every trial's
+values in one call; trial k gets the k-th value (phase) or row (noise) of its
+stream. So results do not depend on how trials are chunked, and a run of n
+trials is exactly the first n trials of any longer run with the same seed.
+Aggregation is always in trial order. The stream labels are 0 for the
+boundary phase, 1 for the distance noise and 2 for the classification noise.
 
 run_trials runs both estimators on one condition: the distance side fits
 with SWEEP_FIT and extracts with the default ExtractConfig, the
@@ -90,17 +92,11 @@ class VarianceReport:
     ci_high: float
 
 
-def _trial_seeds(master_seed: int, label: int, n: int):
-    return [np.random.SeedSequence((master_seed, label, k)) for k in range(n)]
-
-
 def _phases(spec: ExperimentSpec) -> np.ndarray:
     if not spec.jitter:
         return np.zeros(spec.num_trials)
-    out = np.empty(spec.num_trials)
-    for k, ss in enumerate(_trial_seeds(spec.master_seed, 0, spec.num_trials)):
-        out[k] = np.random.default_rng(ss).uniform(0.0, 1.0)
-    return out
+    rng = np.random.default_rng((spec.master_seed, 0))
+    return rng.uniform(0.0, 1.0, spec.num_trials)
 
 
 def _truths(spec: ExperimentSpec) -> np.ndarray:
@@ -110,9 +106,8 @@ def _truths(spec: ExperimentSpec) -> np.ndarray:
 
 def _noise_rows(spec: ExperimentSpec, label: int) -> np.ndarray:
     """One noise row per trial from stream `label` (1 distance, 2 cls)."""
-    return sample_noise_matrix(
-        spec.noise, _trial_seeds(spec.master_seed, label, spec.num_trials),
-        spec.grid.num_positions)
+    return sample_noise_matrix(spec.noise, (spec.master_seed, label),
+                               spec.num_trials, spec.grid.num_positions)
 
 
 def _fit_distance_side(spec: ExperimentSpec):

@@ -51,8 +51,10 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family: {self.family}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
-        if self.scale < 0:
-            raise ValueError("scale must be >= 0")
+        if not (np.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError("scale must be finite and >= 0")
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ValueError("nu must be finite and positive")
 
 
 def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
@@ -63,6 +65,8 @@ def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
     b = np.sort(np.asarray(boundaries, dtype=float))
     if b.size == 0:
         raise ValueError("no boundaries")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("boundaries must be finite")
     t = grid.times()
     # argmin returns the first minimal index; with boundaries sorted this
     # realises the earlier-boundary tie rule.
@@ -76,19 +80,13 @@ def make_kernel_features(grid: TimeGrid, center, kappa: float) -> np.ndarray:
     A scalar center gives one row of T values; an array of centers gives
     one row per center.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    t = grid.times()
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be finite and positive")
     c = np.asarray(center, dtype=float)[..., None]
+    if not np.all(np.isfinite(c)):
+        raise ValueError("centers must be finite")
+    t = grid.times()
     return np.exp(-((t - c) ** 2) / (2.0 * kappa**2))
-
-
-def _marginal_draws(rng: np.random.Generator, spec: NoiseSpec, shape) -> np.ndarray:
-    if spec.family == "laplace":
-        return rng.laplace(0.0, spec.scale, size=shape)
-    if spec.family == "gaussian":
-        return rng.normal(0.0, spec.scale, size=shape)
-    return spec.scale * rng.standard_t(spec.nu, size=shape)
 
 
 def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
@@ -119,22 +117,26 @@ def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
 def sample_noise(spec: NoiseSpec, count: int, seed) -> np.ndarray:
     """Draw `count` correlated noise values; deterministic given seed.
 
-    `seed` may be an int or a numpy SeedSequence. The values are the one row
-    sample_noise_matrix draws for that seed.
+    `seed` is anything np.random.default_rng accepts. The values are the one
+    row sample_noise_matrix draws for that seed.
     """
-    return sample_noise_matrix(spec, [seed], count)[0]
+    return sample_noise_matrix(spec, seed, 1, count)[0]
 
 
-def sample_noise_matrix(spec: NoiseSpec, trial_seeds, count: int) -> np.ndarray:
-    """One noise row per trial seed; rows are mutually independent.
+def sample_noise_matrix(spec: NoiseSpec, seed, rows: int, count: int) -> np.ndarray:
+    """`rows` independent noise rows of `count` values, drawn row-major in one
+    call by np.random.default_rng(seed) before AR(1) runs along each row.
 
-    Each row is generated from its own seed, so the result does not depend
-    on how trials are chunked or ordered by the caller.
+    Row k is the k-th row of the seed's stream, so fewer rows are a prefix of
+    more; a row cannot be drawn without the rows before it.
     """
-    eta = np.empty((len(trial_seeds), count))
-    for k, s in enumerate(trial_seeds):
-        rng = np.random.default_rng(s)
-        eta[k] = _marginal_draws(rng, spec, count)
+    rng, shape = np.random.default_rng(seed), (rows, count)
+    if spec.family == "laplace":
+        eta = rng.laplace(0.0, spec.scale, size=shape)
+    elif spec.family == "gaussian":
+        eta = rng.normal(0.0, spec.scale, size=shape)
+    else:
+        eta = spec.scale * rng.standard_t(spec.nu, size=shape)
     return _apply_ar1(eta, spec.rho)
 
 

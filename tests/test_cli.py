@@ -249,6 +249,29 @@ def test_atr_sim_bad_trace_rho_exits_usage(tmp_path, capsys, rho):
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [["--gain", "nan"], ["--gain", "inf"],
+                                  ["--gamma", "nan"], ["--gamma", "inf"]])
+def test_atr_sim_non_finite_gain_or_gamma_exits_usage(tmp_path, capsys, flag):
+    assert run(["atr-sim", "--seed", "1", "--length", "50", *flag,
+                "--out", str(tmp_path / "a.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0][2:] in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--boundaries", "nan"], ["--boundaries", "3,inf"],
+    ["--series", "features", "--boundaries", "nan"],
+    ["--series", "noisy", "--noise-scale", "nan"],
+    ["--series", "noisy", "--noise-scale", "inf"],
+    ["--series", "noisy", "--noise-family", "student_t", "--nu", "nan"]])
+def test_synth_non_finite_input_exits_usage(tmp_path, capsys, flags):
+    assert run(["synth", "--seed", "1", "--num-positions", "6", *flags,
+                "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("points", ["0.5:-1", "0.5:2", "0.16:0.8,1:1.01"])
 def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
     assert run(["flops", "--points", points,

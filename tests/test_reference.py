@@ -125,8 +125,7 @@ def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
 
 def _noisy_rows(T, rho, stride, rows, seed):
     grid = TimeGrid(stride=stride, num_positions=T)
-    seeds = [np.random.SeedSequence((seed, k)) for k in range(rows)]
-    noise = sample_noise_matrix(NoiseSpec(rho=rho), seeds, T)
+    noise = sample_noise_matrix(NoiseSpec(rho=rho), (seed, 1), rows, T)
     truth = (T // 2 + np.random.default_rng(seed).uniform(size=rows)) * stride
     clean = grid.times()[None, :] - truth[:, None]
     return grid, clean + stride * noise
@@ -144,16 +143,16 @@ def test_fit_matches_reference(T, rho, stride, rows):
 
 def reference_finite_sample(base_spec, lengths):
     seed, n = base_spec.master_seed, base_spec.num_trials
+    noise_spec = base_spec.noise
     variances = {}
     for T in lengths:
         grid = TimeGrid(stride=base_spec.grid.stride, num_positions=T)
-        phases = np.array([
-            np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
-            .uniform(0.0, 1.0) for k in range(n)])
+        phases = np.random.default_rng((seed, 0)).uniform(0.0, 1.0, n)
         truths = (T // 2) * grid.stride + phases * grid.stride
-        noise = sample_noise_matrix(
-            base_spec.noise,
-            [np.random.SeedSequence((seed, 1, k)) for k in range(n)], T)
+        eta = np.random.default_rng((seed, 1)).laplace(
+            0.0, noise_spec.scale, (n, T))
+        noise = (np.array([reference_ar1_loop(row, noise_spec.rho)
+                           for row in eta]) if noise_spec.rho else eta)
         t = grid.times()
         dhat = fit_distance(t[None, :] - truths[:, None] + grid.stride * noise,
                             grid, SWEEP_FIT)

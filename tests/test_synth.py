@@ -41,6 +41,13 @@ def test_distance_field_empty_boundaries():
         make_distance_field(g, [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_distance_field_rejects_non_finite_boundaries(bad):
+    g = TimeGrid(stride=1.0, num_positions=10)
+    with pytest.raises(ValueError, match="finite"):
+        make_distance_field(g, [3.0, bad])
+
+
 @given(st.lists(st.floats(5.0, 95.0), min_size=1, max_size=5),
        st.sampled_from([0.5, 1.0, 2.0]))
 @settings(max_examples=50, deadline=None)
@@ -80,8 +87,11 @@ def test_kernel_features_one_row_per_center():
 
 def test_kernel_kappa_validation():
     g = TimeGrid(stride=1.0, num_positions=10)
-    with pytest.raises(ValueError):
-        make_kernel_features(g, 5.0, 0.0)
+    for kappa in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            make_kernel_features(g, 5.0, kappa)
+    with pytest.raises(ValueError, match="finite"):
+        make_kernel_features(g, [5.0, float("nan")], 2.0)
 
 
 def test_noise_spec_validation():
@@ -91,6 +101,11 @@ def test_noise_spec_validation():
         NoiseSpec(rho=1.0)
     with pytest.raises(ValueError):
         NoiseSpec(scale=-0.1)
+    for field, bad in [("scale", float("nan")), ("scale", float("inf")),
+                       ("nu", float("nan")), ("nu", float("inf")),
+                       ("nu", 0.0), ("nu", -1.0)]:
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(family="student_t", **{field: bad})
 
 
 def test_laplace_variance():
@@ -125,12 +140,16 @@ def test_noise_determinism():
     assert np.array_equal(a, b)
 
 
-def test_noise_matrix_rows_match_chunking_invariance():
-    spec = NoiseSpec(rho=0.5)
-    seeds = [np.random.SeedSequence((9, 1, k)) for k in range(6)]
-    full = sample_noise_matrix(spec, seeds, 50)
-    part = sample_noise_matrix(spec, seeds[2:5], 50)
-    assert np.allclose(full[2:5], part)
+def test_noise_matrix_rows_are_a_prefix_of_a_longer_draw():
+    # row k is the k-th row of the seed's stream whatever the row count;
+    # a row cannot be drawn on its own, so chunks are prefixes, not slices
+    for family in ("laplace", "gaussian", "student_t"):
+        spec = NoiseSpec(family=family, rho=0.5)
+        full = sample_noise_matrix(spec, (9, 1), 6, 50)
+        for rows in (1, 3, 6):
+            assert np.array_equal(sample_noise_matrix(spec, (9, 1), rows, 50),
+                                  full[:rows])
+        assert np.array_equal(sample_noise(spec, 50, (9, 1)), full[0])
 
 
 def test_feature_gradient_ramp_and_constant():
