@@ -21,6 +21,12 @@ class BDRLossConfig:
     alpha: float = 0.1
     huber_delta: float = 0.01
 
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
+        if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValueError("huber_delta must be finite and positive")
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -29,6 +35,14 @@ class FitConfig:
     loss: BDRLossConfig = BDRLossConfig()
     step: float = 2.0
     iterations: int = 300
+
+    def __post_init__(self):
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and positive")
+        if (isinstance(self.iterations, bool)
+                or not isinstance(self.iterations, (int, np.integer))
+                or self.iterations < 0):
+            raise ValueError("iterations must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,26 +89,53 @@ def bdr_loss(target, prediction, stride: float = 1.0,
 
 
 def _smoothed_loss_and_grad(target, prediction, stride: float, alpha: float,
-                            delta: float):
+                            delta: float, grad=None, work=None):
     """Huber-smoothed loss and its gradient in one pass (batched rows).
 
     The Huber term is c*r - delta*c^2/2 with c = clip(r/delta, -1, 1), the
     clipped residual the gradient needs anyway: r^2/(2 delta) inside the
-    band, |r| - delta/2 outside.
+    band, |r| - delta/2 outside. The hinge uses the signed excess
+    q = inc - clip(inc, -stride, stride) of each increment: q^2 is the
+    squared excess and 2 alpha/(T-1) * q its gradient, exactly, because q is
+    the excess times sign(inc).
+
+    The gradient is written into `grad`, and `work` holds two scratch
+    arrays, so a caller that evaluates many times allocates nothing per
+    call. All three must be C-contiguous and of the prediction's shape: the
+    increments and the hinge gradient run over the flattened rows, with each
+    row's last column, the one that would straddle two rows, set to zero.
+    Without them the kernel allocates its own, of the shape that the
+    prediction and target broadcast to, so one prediction can be scored
+    against a batch of targets.
     """
     prediction = np.asarray(prediction, dtype=float)
+    if work is None:
+        shape = np.broadcast_shapes(prediction.shape, np.shape(target))
+        prediction = np.broadcast_to(prediction, shape)
+        grad = np.empty(shape)
+        work = np.empty(shape), np.empty(shape)
+    r, q = work
     T = prediction.shape[-1]
-    r = prediction - target
-    c = np.clip(r / delta, -1.0, 1.0)
-    inc = np.diff(prediction, axis=-1)
-    excess = np.maximum(0.0, np.abs(inc) - stride)
-    loss = (np.mean(c * r - 0.5 * delta * c * c, axis=-1)
-            + alpha / (T - 1) * np.sum(excess * excess, axis=-1))
-    g = c / T
-    pg = 2.0 * alpha / (T - 1) * excess * np.sign(inc)
-    g[..., :-1] -= pg
-    g[..., 1:] += pg
-    return loss, g
+    np.subtract(prediction, target, out=r)
+    c = np.clip(np.divide(r, delta, out=grad), -1.0, 1.0, out=grad)
+    np.multiply(c, r, out=r)
+    h = np.multiply(0.5 * delta, c, out=q)
+    h *= c
+    r -= h
+    data = np.add.reduce(r, axis=-1) / T
+    inc = r  # the Huber terms are summed: r now takes the increments
+    flat_p, flat_inc, flat_q, flat_g = (
+        a.reshape(-1) for a in (prediction, inc, q, grad))
+    np.subtract(flat_p[1:], flat_p[:-1], out=flat_inc[:-1])
+    np.subtract(inc, np.clip(inc, -stride, stride, out=q), out=q)
+    q[..., -1] = 0.0
+    sq = np.multiply(q, q, out=inc)
+    loss = data + alpha / (T - 1) * np.add.reduce(sq[..., :-1], axis=-1)
+    c /= T  # the clipped residual becomes the gradient in place
+    q *= 2.0 * alpha / (T - 1)
+    flat_g[:-1] -= flat_q[:-1]
+    flat_g[1:] += flat_q[:-1]
+    return loss, grad
 
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
@@ -118,10 +159,18 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     Optimisation runs in grid units so behaviour is stride-independent; steps
     that would increase a row's loss are rejected and that row's step size is
     halved, which keeps the per-row loss monotone non-increasing.
+
+    Rows are fitted in chunks of 128. The work arrays are allocated once per
+    call, sized for one chunk: the current and candidate fits and gradients,
+    which swap roles after each step, the step sizes, and the two scratch
+    arrays of the one loss-and-gradient kernel that bdr_loss_smoothed and
+    bdr_loss_smoothed_grad run too. Every step updates them in place.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
+    if obs.ndim == 0 or obs.shape[-1] < 2:
+        raise ValueError("observations need at least 2 positions")
     single = obs.ndim == 1
     full = np.atleast_2d(obs) / grid.stride
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
@@ -129,22 +178,30 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     # rows are independent; small chunks keep the iteration working set in
     # cache, which is worth ~1.6x on long batches
     chunk = 128
+    shape = (min(chunk, full.shape[0]),) + full.shape[1:]
+    bufs = [np.empty(shape) for _ in range(7)]
     for start in range(0, full.shape[0], chunk):
         o = full[start:start + chunk]
-        d = o.copy()
-        loss, g = _smoothed_loss_and_grad(o, d, 1.0, alpha, delta)
-        step = np.full(o.shape[0], cfg.step)
+        n = o.shape[0]
+        # step holds each row's step size repeated along the row, so the
+        # step multiply runs over contiguous memory instead of broadcasting
+        d, cand, g, cand_g, step, *w = (b[:n] for b in bufs)
+        d[...] = o
+        step[...] = cfg.step
+        loss = _smoothed_loss_and_grad(o, d, 1.0, alpha, delta, g, w)[0]
         for _ in range(cfg.iterations):
-            cand = d - step[:, None] * g
-            cand_loss, cand_g = _smoothed_loss_and_grad(o, cand, 1.0, alpha, delta)
-            # rejected rows keep their previous state
+            np.subtract(d, np.multiply(step, g, out=cand), out=cand)
+            cand_loss = _smoothed_loss_and_grad(o, cand, 1.0, alpha, delta,
+                                                cand_g, w)[0]
+            # rejected rows keep their previous state and halve their step
             bad = ~(cand_loss <= loss)
-            cand[bad] = d[bad]
-            cand_g[bad] = g[bad]
-            cand_loss[bad] = loss[bad]
-            step[bad] *= 0.5
-            d, g, loss = cand, cand_g, cand_loss
-        out[start:start + chunk] = d
+            if bad.any():
+                cand[bad] = d[bad]
+                cand_g[bad] = g[bad]
+                cand_loss[bad] = loss[bad]
+                step[bad] *= 0.5
+            d, cand, g, cand_g, loss = cand, d, cand_g, g, cand_loss
+        out[start:start + n] = d
     out *= grid.stride
     return out[0] if single else out
 

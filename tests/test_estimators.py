@@ -64,6 +64,19 @@ def test_gradient_matches_finite_differences():
     assert checked > 50
 
 
+def test_smoothed_loss_broadcasts_one_prediction_over_targets():
+    rng = np.random.default_rng(1)
+    cfg = BDRLossConfig(alpha=0.7)
+    targets = rng.normal(0, 3, (5, 40))
+    dh = rng.normal(0, 3, 40)
+    loss = bdr_loss_smoothed(targets, dh, 2.0, cfg)
+    grad = bdr_loss_smoothed_grad(targets, dh, 2.0, cfg)
+    assert loss.shape == (5,) and grad.shape == (5, 40)
+    for k, d in enumerate(targets):
+        assert loss[k] == bdr_loss_smoothed(d, dh, 2.0, cfg)
+        assert np.array_equal(grad[k], bdr_loss_smoothed_grad(d, dh, 2.0, cfg))
+
+
 # --- fitter -----------------------------------------------------------------
 
 def test_fit_noiseless_is_fixed_point():
@@ -95,13 +108,46 @@ def test_fit_improves_over_raw_observations():
 
 
 def test_fit_loss_monotone_batch_matches_single():
+    # stride 2 makes obs / 2 and fit / 2 exact, so the loss below is the
+    # fitter's own grid-unit loss; 300 rows span three 128-row chunks
     grid = TimeGrid(stride=2.0, num_positions=40)
     rng = np.random.default_rng(5)
-    obs = rng.normal(0, 1, (3, 40)).cumsum(axis=1)
-    batch = fit_distance(obs, grid)
-    for k in range(3):
-        single = fit_distance(obs[k], grid)
-        assert np.allclose(batch[k], single)
+    obs = rng.normal(0, 4, (300, 40)).cumsum(axis=1)
+    fits = [fit_distance(obs, grid, FitConfig(iterations=k))
+            for k in (0, 10, 50, 300)]
+    assert np.array_equal(fits[0], obs)
+    losses = np.array([bdr_loss_smoothed(obs / 2.0, f / 2.0) for f in fits])
+    assert np.all(np.diff(losses, axis=0) <= 0.0)
+    assert np.all(losses[-1] < losses[0])
+    batch = fits[-1]  # the default 300 steps
+    for k in (0, 1, 2, 127, 128, 255, 256, 299):
+        assert np.array_equal(batch[k], fit_distance(obs[k], grid))
+    assert np.array_equal(fit_distance(obs[:3], grid), batch[:3])
+
+
+@pytest.mark.parametrize("kwargs", [{"alpha": -0.1}, {"alpha": np.nan},
+                                    {"alpha": np.inf}, {"huber_delta": 0.0},
+                                    {"huber_delta": -0.01},
+                                    {"huber_delta": np.nan},
+                                    {"huber_delta": np.inf}])
+def test_loss_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        BDRLossConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"step": 0.0}, {"step": -1.0},
+                                    {"step": np.nan}, {"step": np.inf},
+                                    {"iterations": -5}, {"iterations": 2.5},
+                                    {"iterations": True}])
+def test_fit_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        FitConfig(**kwargs)
+
+
+def test_fit_configs_accept_edge_values():
+    assert BDRLossConfig(alpha=0.0).alpha == 0.0
+    assert FitConfig(iterations=0).iterations == 0
+    assert FitConfig(iterations=np.int64(3)).iterations == 3
 
 
 def test_fit_rejects_non_finite():
@@ -110,6 +156,13 @@ def test_fit_rejects_non_finite():
     obs[3] = np.nan
     with pytest.raises(ValueError):
         fit_distance(obs, grid)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3, 1), (2, 0)])
+def test_fit_rejects_fewer_than_two_positions(shape):
+    grid = TimeGrid(stride=1.0, num_positions=10)
+    with pytest.raises(ValueError, match="at least 2 positions"):
+        fit_distance(np.zeros(shape), grid)
 
 
 def test_fit_offset_equivariance():

@@ -2,10 +2,11 @@
 
 The references are the earlier implementations: a bootstrap that draws and
 evaluates one resample at a time on the raw per-group data, a fitter whose
-Huber term and accept step use np.where over whole arrays, the finite-sample
-check with its own seeding and fitting loop, the AR(1) recursions that
-indexed numpy arrays step by step, and the classification-peak loop that
-smoothed, searched and refined one trial at a time.
+Huber term and accept step use np.where over whole fresh arrays on every
+step, the finite-sample check with its own seeding and fitting loop, the
+AR(1) recursions that indexed numpy arrays step by step, and the
+classification-peak loop that smoothed, searched and refined one trial at
+a time.
 """
 
 from dataclasses import replace
@@ -67,20 +68,23 @@ def _reference_loss_and_grad(o, d, alpha, delta):
 
 
 def reference_fit(observations, grid, cfg):
+    """The fit and the number of row-steps the loop rejected."""
     o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
     d = o.copy()
     loss, g = _reference_loss_and_grad(o, d, alpha, delta)
     step = np.full(o.shape[0], cfg.step)
+    rejected = 0
     for _ in range(cfg.iterations):
         cand = d - step[:, None] * g
         cand_loss, cand_g = _reference_loss_and_grad(o, cand, alpha, delta)
         ok = cand_loss <= loss
+        rejected += int(np.count_nonzero(~ok))
         d = np.where(ok[:, None], cand, d)
         g = np.where(ok[:, None], cand_g, g)
         loss = np.where(ok, cand_loss, loss)
         step = np.where(ok, step, 0.5 * step)
-    return d * grid.stride
+    return d * grid.stride, rejected
 
 
 @pytest.mark.parametrize("n", [5, 10, 50, 500])
@@ -123,22 +127,39 @@ def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
     assert rep.ci_high == pytest.approx(hi, rel=1e-12)
 
 
-def _noisy_rows(T, rho, stride, rows, seed):
+def _noisy_rows(T, noise, stride, rows, seed):
     grid = TimeGrid(stride=stride, num_positions=T)
-    noise = sample_noise_matrix(NoiseSpec(rho=rho), (seed, 1), rows, T)
+    noise = sample_noise_matrix(noise, (seed, 1), rows, T)
     truth = (T // 2 + np.random.default_rng(seed).uniform(size=rows)) * stride
     clean = grid.times()[None, :] - truth[:, None]
     return grid, clean + stride * noise
 
 
-@pytest.mark.parametrize("T,rho,stride,rows", [(200, 0.0, 2.0, 160),
-                                               (800, 0.6, 1.0, 40)])
-def test_fit_matches_reference(T, rho, stride, rows):
-    grid, obs = _noisy_rows(T, rho, stride, rows, seed=T)
+SHORT_ROWS = 50  # rows this short reject steps at the default step size
+
+
+def _check_fit_against_reference(T, noise, stride, rows):
+    grid, obs = _noisy_rows(T, noise, stride, rows, seed=T)
     cfg = FitConfig(loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA))
-    got = fit_distance(obs, grid, cfg)
-    want = reference_fit(obs, grid, cfg)
-    assert np.max(np.abs(got - want)) <= 1e-9
+    want, rejected = reference_fit(obs, grid, cfg)
+    # The reference's Huber term rounds differently inside the band, but the
+    # loss only decides which steps are accepted, and the gradient and step
+    # arithmetic are the same, so the fits agree bit for bit.
+    assert np.array_equal(fit_distance(obs, grid, cfg), want)
+    if T <= SHORT_ROWS:
+        assert rejected > 0  # the step-rejection branch ran
+
+
+@pytest.mark.parametrize("T,rho,stride,rows", [(200, 0.0, 2.0, 160),
+                                               (800, 0.6, 1.0, 40),
+                                               (50, 0.0, 1.0, 25),
+                                               (50, 0.6, 1.0, 25)])
+def test_fit_matches_reference(T, rho, stride, rows):
+    _check_fit_against_reference(T, NoiseSpec(rho=rho), stride, rows)
+
+
+def test_student_t_fit_matches_reference():
+    _check_fit_against_reference(50, NoiseSpec(family="student_t"), 1.0, 25)
 
 
 def reference_finite_sample(base_spec, lengths):

@@ -1,0 +1,159 @@
+"""Turn paired perfbench runs of a parent and a change into a BENCH_<n>.json.
+
+    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_7.json \
+        --what "one line on the change" --claim sweep:wall_s
+
+PARENT_DIR and CHANGE_DIR each hold the `result-<workload>-seed<S>-trace0.json`
+files that `perfbench/run.py --trace 0` wrote (its `perfbench/out/`), one
+side each, run with the same seeds and --seconds. The record gives, per
+workload and end-to-end metric, each side's median and quartiles over the
+runs and `change_wins`, the number of seed pairs in which the change is
+strictly better.
+
+It refuses to write anything when a side mixes source hashes or holds a run
+that is not correct, when a seed has no partner, when both sides ran the
+same sources, or when the runs differ in machine or run length. It prints
+whether the claim holds by the benchmark's rule: the change wins at least
+nine tenths of the pairs, and the medians differ by more than the parent's
+quartile spread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE_KEYS = ("nproc", "python", "numpy", "platform")
+PROTOCOL = "parent and change alternated per seed, first side swapped each pair"
+
+
+class RecordError(Exception):
+    """The runs cannot make one honest record."""
+
+
+def load_side(directory: Path, side: str) -> dict:
+    """{(workload, seed): run} of one side's untraced results."""
+    runs = {}
+    for path in sorted(directory.glob("result-*-trace0.json")):
+        run = json.loads(path.read_text(encoding="utf-8"))
+        if not run["result"]["correct"]:
+            raise RecordError(f"{side}: {path.name} is not correct")
+        runs[run["workload"], run["machine"]["seed"]] = run
+    if not runs:
+        raise RecordError(f"{side}: no result-*-trace0.json in {directory}")
+    hashes = {r["machine"]["source_sha256"] for r in runs.values()}
+    if len(hashes) != 1:
+        raise RecordError(f"{side}: runs of several sources {sorted(hashes)}")
+    return runs
+
+
+def one_value(runs, key, what: str):
+    values = {json.dumps(key(r), sort_keys=True) for r in runs}
+    if len(values) != 1:
+        raise RecordError(f"runs differ in {what}: {sorted(values)}")
+    return key(runs[0])
+
+
+def quartiles(values) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def build(parent: dict, change: dict, what: str, claim: tuple) -> dict:
+    if set(parent) != set(change):
+        raise RecordError("unpaired runs (workload, seed): "
+                          f"{sorted(set(parent) ^ set(change))}")
+    first = next(iter(parent.values()))["machine"]
+    last = next(iter(change.values()))["machine"]
+    if first["source_sha256"] == last["source_sha256"]:
+        raise RecordError("parent and change ran the same sources")
+    runs = list(parent.values()) + list(change.values())
+    machine = one_value(runs, lambda r: {k: r["machine"][k]
+                                         for k in MACHINE_KEYS}, "machine")
+    seconds = one_value(runs, lambda r: r["seconds"], "--seconds")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    order = [w["name"] for w in spec["workloads"]]
+    workloads = {}
+    for name in sorted({w for w, _ in parent}, key=order.index):
+        seeds = sorted(s for w, s in parent if w == name)
+        pairs = [(parent[name, s], change[name, s]) for s in seeds]
+        metrics = {}
+        for metric, sense in better.items():
+            values = [(p["result"]["metrics"][metric]["value"],
+                       c["result"]["metrics"][metric]["value"])
+                      for p, c in pairs]
+            sign = 1.0 if sense == "lower" else -1.0
+            metrics[metric] = {
+                "unit": pairs[0][0]["result"]["metrics"][metric]["unit"],
+                "better": sense,
+                "parent": quartiles([p for p, _ in values]),
+                "change": quartiles([c for _, c in values]),
+                "change_wins": sum(sign * (c - p) < 0 for p, c in values)}
+        workloads[name] = {"seeds": seeds, "pairs": len(seeds),
+                           "all_correct": True, "metrics": metrics}
+    workload, metric = claim
+    if metric not in workloads.get(workload, {}).get("metrics", {}):
+        raise RecordError(f"no runs for the claimed {workload} {metric}")
+    return {
+        "what": what,
+        "parent_commit": first.get("git_commit"),
+        "command": ("python3 perfbench/run.py --workload W --seed S "
+                    f"--seconds {seconds:g} --trace 0"),
+        "protocol": PROTOCOL,
+        "claimed": {"workload": workload, "metric": metric},
+        "machine": machine,
+        "source_sha256": {
+            "parent": first["source_sha256"],
+            "change": last["source_sha256"]},
+        "workloads": workloads,
+    }
+
+
+def claim_holds(record: dict) -> bool:
+    """The benchmark's rule for a claimed gain, on the record's numbers."""
+    claim = record["claimed"]
+    w = record["workloads"][claim["workload"]]
+    m = w["metrics"][claim["metric"]]
+    spread = m["parent"]["q3"] - m["parent"]["q1"]
+    gain = m["parent"]["median"] - m["change"]["median"]
+    if m["better"] == "higher":
+        gain = -gain
+    return m["change_wins"] >= 0.9 * w["pairs"] and gain > spread
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--what", required=True)
+    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    args = ap.parse_args(argv)
+    workload, _, metric = args.claim.partition(":")
+    try:
+        record = build(load_side(args.parent, "parent"),
+                       load_side(args.change, "change"), args.what,
+                       (workload, metric))
+    except RecordError as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 1
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for name, w in record["workloads"].items():
+        for metric_name, m in w["metrics"].items():
+            print(f"{name} {metric_name}: parent {m['parent']['median']:.6g} "
+                  f"change {m['change']['median']:.6g} {m['unit']} "
+                  f"(change wins {m['change_wins']}/{w['pairs']})")
+    print(f"claim {args.claim}: "
+          f"{'holds' if claim_holds(record) else 'does not hold'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
