@@ -93,6 +93,8 @@ def cmd_synth(args) -> int:
     if args.series == "distance":
         values = make_distance_field(grid, boundaries)
     elif args.series == "features":
+        if len(boundaries) != 1:
+            raise UsageError("--series features takes exactly one boundary")
         values = make_kernel_features(grid, boundaries[0], args.kappa)
     else:  # noisy observations of the distance field
         if args.seed is None:
@@ -112,6 +114,9 @@ def cmd_synth(args) -> int:
 def cmd_scaling(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required")
+    if not (np.isfinite(args.band_low) and np.isfinite(args.band_high)
+            and args.band_low <= args.band_high):
+        raise UsageError("--band-low and --band-high must be finite and ordered")
     kappas = [float(v) for v in args.kappas.split(",")]
     strides = [float(v) for v in args.strides.split(",")]
     noise = _noise_from(args)

@@ -1,4 +1,4 @@
-"""Distance-field regression loss/fitter, zero-crossing extraction, peak baseline."""
+"""Distance-field regression loss/fitter, zero-crossing extraction, peak-search helpers."""
 
 from __future__ import annotations
 
@@ -45,28 +45,8 @@ class FitConfig:
             raise ValueError("iterations must be an integer >= 0")
 
 
-@dataclass(frozen=True)
-class ExtractConfig:
-    """Zero-crossing extraction settings.
-
-    theta_grad is the forward-difference threshold in grid units (i.e. the
-    raw difference is compared against theta_grad * stride). nms_window is
-    the suppression radius in grid positions.
-    """
-
-    theta_grad: float = 0.5
-    nms_window: float = 5.0
-
-
-@dataclass(frozen=True)
-class PeakConfig:
-    """Classification-peak settings: optional odd moving-average window."""
-
-    smoothing_window: int = 1
-
-    def __post_init__(self):
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing_window must be odd and >= 1")
+EXTRACT_THETA_GRAD = 0.5
+EXTRACT_NMS_WINDOW = 5.0
 
 
 def bdr_loss(target, prediction, stride: float = 1.0,
@@ -226,13 +206,13 @@ def nms_1d(candidates, window: float) -> list:
     return sorted(float(pos[i]) for i in accepted)
 
 
-def extract_boundaries(prediction, grid: TimeGrid,
-                       cfg: ExtractConfig = ExtractConfig()) -> np.ndarray:
+def extract_boundaries(prediction, grid: TimeGrid) -> np.ndarray:
     """Zero crossings of the fitted series, refined by linear interpolation.
 
-    Sign changes are kept when the forward difference exceeds the threshold;
-    1D non-maximum suppression keeps the strongest candidate per window, ties
-    going to the earlier one. Returns boundary positions in frames, sorted
+    Sign changes are kept when the forward difference exceeds
+    EXTRACT_THETA_GRAD strides; 1D non-maximum suppression keeps the
+    strongest candidate within EXTRACT_NMS_WINDOW grid positions, ties going
+    to the earlier one. Returns boundary positions in frames, sorted
     ascending.
     """
     d = np.asarray(prediction, dtype=float)
@@ -242,12 +222,12 @@ def extract_boundaries(prediction, grid: TimeGrid,
     # boundary
     cross = np.nonzero((s[:-1] != s[1:]) & (d[:-1] < d[1:]))[0]
     fwd = d[cross + 1] - d[cross]
-    keep = np.abs(fwd) > cfg.theta_grad * grid.stride
+    keep = np.abs(fwd) > EXTRACT_THETA_GRAD * grid.stride
     cross, fwd = cross[keep], fwd[keep]
     if cross.size == 0:
         return np.empty(0)
     pos = cross + (-d[cross]) / fwd  # grid positions, sub-sample refined
-    kept = nms_1d(zip(pos, np.abs(fwd)), cfg.nms_window)
+    kept = nms_1d(zip(pos, np.abs(fwd)), EXTRACT_NMS_WINDOW)
     return np.asarray(kept) * grid.stride
 
 
@@ -275,29 +255,11 @@ def moving_average(series, window: int) -> np.ndarray:
 def quadratic_peak_offset(ym, y0, yp):
     """Sub-sample offset of the vertex through three points, clipped to ±0.5.
 
-    Elementwise over arrays; a float for scalar inputs. The offset is 0
-    where the curvature term is below 1e-12 in magnitude.
+    Elementwise over arrays. The offset is 0 where the curvature term is
+    below 1e-12 in magnitude.
     """
     ym, y0, yp = (np.asarray(v, dtype=float) for v in (ym, y0, yp))
     den = ym - 2.0 * y0 + yp
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.where(np.abs(den) < 1e-12, 0.0,
-                       np.clip(0.5 * (ym - yp) / den, -0.5, 0.5))
-    return float(off) if off.ndim == 0 else off
-
-
-def classification_peak(series, grid: TimeGrid,
-                        cfg: PeakConfig = PeakConfig()) -> float:
-    """Argmax of the (optionally smoothed) series with quadratic refinement.
-
-    Returns the estimated peak location in frames; ties go to the earliest
-    maximum. Raises on an all-equal series, which has no unique peak.
-    """
-    p = np.asarray(series, dtype=float)
-    if np.all(p == p[0]):
-        raise ValueError("no unique peak")
-    ps = moving_average(p, cfg.smoothing_window)
-    i = int(np.argmax(ps))
-    i = min(max(i, 1), p.shape[-1] - 2)
-    off = quadratic_peak_offset(ps[i - 1], ps[i], ps[i + 1])
-    return (i + off) * grid.stride
+        return np.where(np.abs(den) < 1e-12, 0.0,
+                        np.clip(0.5 * (ym - yp) / den, -0.5, 0.5))

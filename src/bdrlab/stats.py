@@ -9,8 +9,8 @@ Aggregation is always in trial order. The stream labels are 0 for the
 boundary phase, 1 for the distance noise and 2 for the classification noise.
 
 run_trials runs both estimators on one condition: the distance side fits
-with SWEEP_FIT and extracts with the default ExtractConfig, the
-classification side searches the plateau window of each truth.
+with SWEEP_FIT and extracts its zero crossings, the classification side
+searches the plateau window of each truth.
 
 scaling_sweep shares streams 0 and 1 across its cells (common random
 numbers): the distance side never reads kappa and runs in grid units, so one
@@ -49,6 +49,9 @@ CLS_SMOOTH_FACTOR = 1.5
 # (rows, T) temporaries; batching every trial at once would hold several
 # copies of the whole noise matrix.
 CLS_CHUNK_ROWS = 64
+# variance_ratio's CI: consecutive trials per bootstrap block, and resamples.
+BOOTSTRAP_BLOCK = 20
+BOOTSTRAP_RESAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -213,9 +216,10 @@ def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
-def _block_totals(errors: np.ndarray, nblocks: int, block_size: int) -> list:
+def _block_totals(errors: np.ndarray, nblocks: int) -> list:
     """Per-block [sum of squares, count] over the finite errors."""
-    blocks = (errors[i * block_size:(i + 1) * block_size] for i in range(nblocks))
+    blocks = (errors[i * BOOTSTRAP_BLOCK:(i + 1) * BOOTSTRAP_BLOCK]
+              for i in range(nblocks))
     return [[np.sum(b[np.isfinite(b)] ** 2), np.isfinite(b).sum()] for b in blocks]
 
 
@@ -226,11 +230,10 @@ def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
         return np.where(denom > 0, sums[:, 0] / sums[:, 1] / denom, np.nan)
 
 
-def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
-                   num_resamples: int = 2000, seed: int = 0) -> VarianceReport:
+def variance_ratio(errors_bdr, errors_cls, seed: int = 0) -> VarianceReport:
     """Variances about the truth (MSE form), their ratio, and a bootstrap CI.
 
-    The CI resamples blocks of `block_size` consecutive trials jointly for
+    The CI resamples blocks of BOOTSTRAP_BLOCK consecutive trials jointly for
     both estimators, playing the role of exchangeable groups.
     """
     eb = np.asarray(errors_bdr, dtype=float)
@@ -241,11 +244,11 @@ def variance_ratio(errors_bdr, errors_cls, block_size: int = 20,
     if not vc > 0:
         raise ValueError("degenerate denominator")
     ratio = vb / vc
-    nblocks = max(len(eb), len(ec)) // block_size
+    nblocks = max(len(eb), len(ec)) // BOOTSTRAP_BLOCK
     if nblocks >= 2:
-        totals = np.hstack([_block_totals(eb, nblocks, block_size),
-                            _block_totals(ec, nblocks, block_size)])
-        lo, hi = blocked_bootstrap(totals, num_resamples, seed, _ratio_of_mse)
+        totals = np.hstack([_block_totals(eb, nblocks), _block_totals(ec, nblocks)])
+        lo, hi = blocked_bootstrap(totals, BOOTSTRAP_RESAMPLES, seed,
+                                   _ratio_of_mse)
     else:
         lo = hi = ratio
     return VarianceReport(vb, vc, ratio, lo, hi)
@@ -274,6 +277,8 @@ def loglog_slope(x, y):
         raise ValueError("need at least 3 paired values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("values must be positive")
+    if np.all(x == x[0]):
+        raise ValueError("need at least 2 distinct x values")
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)

@@ -138,15 +138,3 @@ def sample_noise_matrix(spec: NoiseSpec, seed, rows: int, count: int) -> np.ndar
     else:
         eta = spec.scale * rng.standard_t(spec.nu, size=shape)
     return _apply_ar1(eta, spec.rho)
-
-
-def feature_gradient(series) -> np.ndarray:
-    """Centred-span differences x[i+1] - x[i-1], one-sided at the endpoints."""
-    x = np.asarray(series, dtype=float)
-    if x.shape[-1] < 3:
-        raise ValueError("series must have length >= 3")
-    g = np.empty_like(x)
-    g[..., 1:-1] = x[..., 2:] - x[..., :-2]
-    g[..., 0] = x[..., 1] - x[..., 0]
-    g[..., -1] = x[..., -1] - x[..., -2]
-    return g

@@ -127,10 +127,14 @@ def test_scaling_rerun_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-# the last case is a grid too short for the peak search's window
+# the fifth case is a grid too short for the peak search's window, the
+# last two a gate band that no slope can be checked against
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
                                   ["--kappas", "1,0"], ["--strides", "1,inf"],
-                                  ["--num-positions", "2"]])
+                                  ["--num-positions", "2"],
+                                  ["--gate", "--band-low", "nan"],
+                                  ["--gate", "--band-low", "1.3",
+                                   "--band-high", "0.8"]])
 def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []
@@ -147,6 +151,17 @@ def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert fits == []
+
+
+@pytest.mark.parametrize("kappas, strides", [("2,2,2", "2"), ("1,1,1", "1")])
+def test_scaling_one_distinct_x_exits_usage(tmp_path, capsys, kappas, strides):
+    # every cell has the same dt^2/kappa, so the log-log fit has no slope
+    assert run(["scaling", "--kappas", kappas, "--strides", strides,
+                "--trials", "20", "--num-positions", "60", "--seed", "1",
+                "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "distinct" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _calib_samples(tmp_path, argv, cfg):
@@ -269,6 +284,13 @@ def test_synth_non_finite_input_exits_usage(tmp_path, capsys, flags):
     assert run(["synth", "--seed", "1", "--num-positions", "6", *flags,
                 "--out", str(tmp_path / "s.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_synth_features_takes_one_boundary(tmp_path, capsys):
+    assert run(["synth", "--series", "features", "--boundaries", "25,75",
+                "--out", str(tmp_path / "s.csv")]) == 1
+    assert "one boundary" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

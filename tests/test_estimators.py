@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.estimators import (BDRLossConfig, ExtractConfig, FitConfig,
-                               PeakConfig, bdr_loss, bdr_loss_smoothed,
-                               bdr_loss_smoothed_grad, classification_peak,
+from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss,
+                               bdr_loss_smoothed, bdr_loss_smoothed_grad,
                                extract_boundaries, fit_distance,
                                moving_average, nms_1d, quadratic_peak_offset)
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
@@ -232,35 +231,7 @@ def test_nms_spacing_property(cands):
         assert b - a > 5
 
 
-# --- classification peak ----------------------------------------------------
-
-def test_peak_noiseless_kernel():
-    grid = TimeGrid(stride=1.0, num_positions=60)
-    phi = make_kernel_features(grid, 25.0, 2.0)
-    assert classification_peak(phi, grid) == pytest.approx(25.0, abs=1e-9)
-
-
-def test_peak_three_point_vertex():
-    grid = TimeGrid(stride=1.0, num_positions=3)
-    assert classification_peak([0.0, 1.0, 0.0], grid) == pytest.approx(1.0)
-
-
-def test_peak_symmetric_five_points():
-    grid = TimeGrid(stride=1.0, num_positions=5)
-    out = classification_peak([0.0, 0.8, 1.0, 0.8, 0.0], grid)
-    assert out == pytest.approx(2.0)
-
-
-def test_peak_all_equal_raises():
-    grid = TimeGrid(stride=1.0, num_positions=5)
-    with pytest.raises(ValueError, match="no unique peak"):
-        classification_peak(np.ones(5), grid)
-
-
-def test_peak_smoothing_window_must_be_odd():
-    with pytest.raises(ValueError):
-        PeakConfig(smoothing_window=4)
-
+# --- classification-peak helpers --------------------------------------------
 
 def test_moving_average_simple():
     out = moving_average(np.array([0.0, 3.0, 0.0, 0.0]), 3)
@@ -294,4 +265,3 @@ def test_quadratic_peak_offset_elementwise_over_arrays():
     assert got.shape == (500,)
     assert np.array_equal(got, want)
     assert np.all(got[:50] == 0.0)
-    assert type(quadratic_peak_offset(0.2, 1.0, 0.4)) is float

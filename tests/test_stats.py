@@ -146,6 +146,15 @@ def test_loglog_slope_exact_power_laws():
         loglog_slope([1.0, -1.0, 2.0], [1.0, 1.0, 1.0])
 
 
+def test_loglog_slope_needs_two_distinct_x():
+    # a rank-1 fit would report a slope with r^2 = 1
+    for x in ([2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="distinct"):
+            loglog_slope(x, [1.0, 2.0, 3.0, 4.0][:len(x)])
+    s, _, r2 = loglog_slope([2.0, 2.0, 4.0], [1.0, 1.0, 2.0])
+    assert s == pytest.approx(1.0) and r2 == pytest.approx(1.0)
+
+
 def test_width_stratified_bins():
     rows = [(1.0, 2.0, 0.9), (3.0, 2.0, 0.5), (5.0, 2.0, 0.4), (9.0, 2.0, 0.2)]
     out = width_stratified_R(rows)

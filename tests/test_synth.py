@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.synth import (NoiseSpec, TimeGrid, feature_gradient,
-                          make_distance_field, make_kernel_features,
-                          sample_noise, sample_noise_matrix)
+from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
+                          make_kernel_features, sample_noise,
+                          sample_noise_matrix)
 
 
 def test_grid_times_and_duration():
@@ -150,24 +150,3 @@ def test_noise_matrix_rows_are_a_prefix_of_a_longer_draw():
             assert np.array_equal(sample_noise_matrix(spec, (9, 1), rows, 50),
                                   full[:rows])
         assert np.array_equal(sample_noise(spec, 50, (9, 1)), full[0])
-
-
-def test_feature_gradient_ramp_and_constant():
-    assert np.all(feature_gradient(np.full(10, 3.0)) == 0.0)
-    g = feature_gradient(np.arange(10.0))
-    assert np.all(g[1:-1] == 2.0)
-    assert g[0] == 1.0 and g[-1] == 1.0
-
-
-def test_feature_gradient_kernel_shape():
-    grid = TimeGrid(stride=1.0, num_positions=60)
-    phi = make_kernel_features(grid, 25.0, 2.0)
-    g = feature_gradient(phi)
-    assert g[25] == pytest.approx(0.0, abs=1e-12)
-    # derivative magnitude peaks near center +/- kappa
-    assert np.argmax(np.abs(g[:25])) in (22, 23, 24)
-
-
-def test_feature_gradient_too_short():
-    with pytest.raises(ValueError):
-        feature_gradient([1.0, 2.0])

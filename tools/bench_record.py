@@ -1,21 +1,23 @@
 """Turn paired perfbench runs of a parent and a change into a BENCH_<n>.json.
 
     python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_7.json \
-        --what "one line on the change" --claim sweep:wall_s
+        --what "one line on the change" [--claim sweep:wall_s]
 
 PARENT_DIR and CHANGE_DIR each hold the `result-<workload>-seed<S>-trace0.json`
 files that `perfbench/run.py --trace 0` wrote (its `perfbench/out/`), one
 side each, run with the same seeds and --seconds. The record gives, per
 workload and end-to-end metric, each side's median and quartiles over the
-runs and `change_wins`, the number of seed pairs in which the change is
-strictly better.
+runs, `change_wins`, the number of seed pairs in which the change is
+strictly better, and the metric's `bound` from BENCHMARK.json. Without
+--claim the record's "claimed" is null.
 
 It refuses to write anything when a side mixes source hashes or holds a run
 that is not correct, when a seed has no partner, when both sides ran the
-same sources, or when the runs differ in machine or run length. It prints
-whether the claim holds by the benchmark's rule: the change wins at least
-nine tenths of the pairs, and the medians differ by more than the parent's
-quartile spread.
+same sources, or when the runs differ in machine or run length. It prints,
+per workload and metric, whether the change's median is within the bound of
+the parent's, and whether the claim, if one is made, holds by the
+benchmark's rule: the change wins at least nine tenths of the pairs, and the
+medians differ by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def build(parent: dict, change: dict, what: str, claim: tuple) -> dict:
+def build(parent: dict, change: dict, what: str, claim) -> dict:
+    """The record of paired runs; `claim` is (workload, metric) or None."""
     if set(parent) != set(change):
         raise RecordError("unpaired runs (workload, seed): "
                           f"{sorted(set(parent) ^ set(change))}")
@@ -78,14 +81,15 @@ def build(parent: dict, change: dict, what: str, claim: tuple) -> dict:
                                          for k in MACHINE_KEYS}, "machine")
     seconds = one_value(runs, lambda r: r["seconds"], "--seconds")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metric_spec = {m["name"]: m for m in spec["end_to_end"]}
     order = [w["name"] for w in spec["workloads"]]
     workloads = {}
     for name in sorted({w for w, _ in parent}, key=order.index):
         seeds = sorted(s for w, s in parent if w == name)
         pairs = [(parent[name, s], change[name, s]) for s in seeds]
         metrics = {}
-        for metric, sense in better.items():
+        for metric, m in metric_spec.items():
+            sense = m["better"]
             values = [(p["result"]["metrics"][metric]["value"],
                        c["result"]["metrics"][metric]["value"])
                       for p, c in pairs]
@@ -93,21 +97,24 @@ def build(parent: dict, change: dict, what: str, claim: tuple) -> dict:
             metrics[metric] = {
                 "unit": pairs[0][0]["result"]["metrics"][metric]["unit"],
                 "better": sense,
+                "bound": m["bound"],
                 "parent": quartiles([p for p, _ in values]),
                 "change": quartiles([c for _, c in values]),
                 "change_wins": sum(sign * (c - p) < 0 for p, c in values)}
         workloads[name] = {"seeds": seeds, "pairs": len(seeds),
                            "all_correct": True, "metrics": metrics}
-    workload, metric = claim
-    if metric not in workloads.get(workload, {}).get("metrics", {}):
-        raise RecordError(f"no runs for the claimed {workload} {metric}")
+    if claim is not None:
+        workload, metric = claim
+        if metric not in workloads.get(workload, {}).get("metrics", {}):
+            raise RecordError(f"no runs for the claimed {workload} {metric}")
+        claim = {"workload": workload, "metric": metric}
     return {
         "what": what,
         "parent_commit": first.get("git_commit"),
         "command": ("python3 perfbench/run.py --workload W --seed S "
                     f"--seconds {seconds:g} --trace 0"),
         "protocol": PROTOCOL,
-        "claimed": {"workload": workload, "metric": metric},
+        "claimed": claim,
         "machine": machine,
         "source_sha256": {
             "parent": first["source_sha256"],
@@ -128,19 +135,27 @@ def claim_holds(record: dict) -> bool:
     return m["change_wins"] >= 0.9 * w["pairs"] and gain > spread
 
 
+def within_bound(m: dict) -> bool:
+    """The change's median is no worse than the parent's by more than the
+    metric's relative bound."""
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    if m["better"] == "lower":
+        return change <= parent * (1 + m["bound"])
+    return change >= parent * (1 - m["bound"])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", required=True)
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     args = ap.parse_args(argv)
-    workload, _, metric = args.claim.partition(":")
+    claim = tuple(args.claim.partition(":")[::2]) if args.claim else None
     try:
         record = build(load_side(args.parent, "parent"),
-                       load_side(args.change, "change"), args.what,
-                       (workload, metric))
+                       load_side(args.change, "change"), args.what, claim)
     except RecordError as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
@@ -149,9 +164,12 @@ def main(argv=None) -> int:
         for metric_name, m in w["metrics"].items():
             print(f"{name} {metric_name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} {m['unit']} "
-                  f"(change wins {m['change_wins']}/{w['pairs']})")
-    print(f"claim {args.claim}: "
-          f"{'holds' if claim_holds(record) else 'does not hold'}")
+                  f"(change wins {m['change_wins']}/{w['pairs']}; "
+                  f"{'within' if within_bound(m) else 'WORSE than'} "
+                  f"bound {m['bound']:g})")
+    if claim is not None:
+        print(f"claim {args.claim}: "
+              f"{'holds' if claim_holds(record) else 'does not hold'}")
     return 0
 
 
