@@ -19,42 +19,23 @@ class HysteresisConfig:
             raise ValueError(f"unknown hysteresis mode: {self.mode}")
 
 
-@dataclass(frozen=True)
-class PruneConfig:
-    keep_ratio: float = 0.8
-    guard_radius: float = 12.0
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_ratio <= 1.0:
-            raise ValueError("keep_ratio must be in (0, 1]")
-        if self.guard_radius < 0:
-            raise ValueError("guard_radius must be >= 0")
-
-
-@dataclass(frozen=True)
-class FlopsModel:
-    """Analytic inference-cost model; all costs in GFLOPs."""
-
-    backbone_g: float = 124.0
-    shallow_layers: int = 2
-    deep_layers: int = 7
-    per_layer_full_g: float = 12.33
-    heads_g: float = 5.0
-    predictors_g: float = 0.12
-    attention_fraction: float = 0.6
-    keep_ratio: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 <= self.attention_fraction <= 1.0:
-            raise ValueError("attention_fraction must be in [0, 1]")
-        if not 0.0 <= self.keep_ratio <= 1.0:
-            raise ValueError("keep_ratio must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    lambda_c: float = 0.05
-    lambda_p: float = 0.01
+# Analytic inference-cost model, all costs in GFLOPs: a backbone, a shallow
+# stack that always runs, a deep stack that runs with probability tau, heads
+# and the tau/uncertainty predictors. Token pruning scales each stack layer
+# quadratically in the keep ratio for its attention share, linearly for the
+# rest.
+BACKBONE_G = 124.0
+SHALLOW_LAYERS = 2
+DEEP_LAYERS = 7
+PER_LAYER_FULL_G = 12.33
+HEADS_G = 5.0
+PREDICTORS_G = 0.12
+ATTENTION_FRACTION = 0.6
+# Pruning keeps every position within this many frames of a predicted boundary.
+GUARD_RADIUS = 12.0
+# Weights of the compute (mean tau) and prune (mean keep mask) penalties.
+LAMBDA_C = 0.05
+LAMBDA_P = 0.01
 
 
 def blend_residual(shallow, deep, tau) -> np.ndarray:
@@ -121,16 +102,20 @@ def calibrate_tau_offset(uncertainty, scale: float, target_mean: float,
     return 0.5 * (lo + hi)
 
 
-def prune_mask(importance, cfg: PruneConfig, predicted_boundaries, grid) -> np.ndarray:
+def prune_mask(importance, keep_ratio: float, predicted_boundaries,
+               grid) -> np.ndarray:
     """Top-k keep mask with a hard guard band around predicted boundaries.
 
     Keeps the floor(keep_ratio * T) highest-importance positions (ties to the
-    earlier position), then force-keeps everything within guard_radius frames
-    of any predicted boundary, so the kept count may exceed the quota.
+    earlier position), keep_ratio in (0, 1], then force-keeps everything
+    within GUARD_RADIUS frames of any predicted boundary, so the kept count
+    may exceed the quota.
     """
+    if not 0.0 < keep_ratio <= 1.0:
+        raise ValueError("keep_ratio must be in (0, 1]")
     imp = np.asarray(importance, dtype=float)
     T = imp.shape[-1]
-    k = int(np.floor(cfg.keep_ratio * T))
+    k = int(np.floor(keep_ratio * T))
     mask = np.zeros(T, dtype=bool)
     if k > 0:
         # stable sort on (-importance, index) keeps earlier positions on ties
@@ -138,15 +123,15 @@ def prune_mask(importance, cfg: PruneConfig, predicted_boundaries, grid) -> np.n
         mask[order[:k]] = True
     t = grid.times()
     for b in np.asarray(predicted_boundaries, dtype=float).ravel():
-        mask[np.abs(t - b) <= cfg.guard_radius] = True
+        mask[np.abs(t - b) <= GUARD_RADIUS] = True
     return mask
 
 
-def sparsity_penalties(tau, keep_mask, cfg: PenaltyConfig = PenaltyConfig()):
-    """Compute and prune penalties: lambda_c * mean(tau), lambda_p * mean(w)."""
+def sparsity_penalties(tau, keep_mask):
+    """Compute and prune penalties: LAMBDA_C * mean(tau), LAMBDA_P * mean(w)."""
     t = np.asarray(tau, dtype=float)
     w = np.asarray(keep_mask, dtype=float)
-    return cfg.lambda_c * float(np.mean(t)), cfg.lambda_p * float(np.mean(w))
+    return LAMBDA_C * float(np.mean(t)), LAMBDA_P * float(np.mean(w))
 
 
 def expected_tau(buckets) -> float:
@@ -158,21 +143,22 @@ def expected_tau(buckets) -> float:
     return float(np.sum(counts * taus) / np.sum(counts))
 
 
-def per_layer_pruned_cost(model: FlopsModel) -> float:
-    """Per-layer cost after token pruning: quadratic in the keep ratio for the
-    attention share, linear for the rest."""
-    k = model.keep_ratio
-    return model.per_layer_full_g * (model.attention_fraction * k**2
-                                     + (1.0 - model.attention_fraction) * k)
+def per_layer_pruned_cost(keep_ratio: float) -> float:
+    """Per-layer cost after token pruning, keep_ratio in [0, 1]: quadratic in
+    the keep ratio for the attention share, linear for the rest."""
+    if not 0.0 <= keep_ratio <= 1.0:
+        raise ValueError("keep_ratio must be in [0, 1]")
+    return PER_LAYER_FULL_G * (ATTENTION_FRACTION * keep_ratio**2
+                               + (1.0 - ATTENTION_FRACTION) * keep_ratio)
 
 
-def total_flops(model: FlopsModel, exp_tau: float) -> float:
+def total_flops(keep_ratio: float, exp_tau: float) -> float:
     """Backbone + shallow stack + expected deep stack + heads + predictors."""
     if not 0.0 <= exp_tau <= 1.0:
         raise ValueError("expected tau must be in [0, 1]")
-    plp = per_layer_pruned_cost(model)
-    return (model.backbone_g
-            + model.shallow_layers * plp
-            + exp_tau * model.deep_layers * plp
-            + model.heads_g
-            + model.predictors_g)
+    plp = per_layer_pruned_cost(keep_ratio)
+    return (BACKBONE_G
+            + SHALLOW_LAYERS * plp
+            + exp_tau * DEEP_LAYERS * plp
+            + HEADS_G
+            + PREDICTORS_G)

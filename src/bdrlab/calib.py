@@ -10,7 +10,9 @@ import numpy as np
 @dataclass(frozen=True)
 class CalibrationConfig:
     num_bins: int = 10
-    one_sigma_quantile: float = 0.9945  # standard normal: P(|Z| <= z) = 0.6827
+    # P(|Z| <= 0.9945) = 0.680 for a standard normal Z, the coverage r_ece
+    # targets (z = 1 gives 0.6827)
+    one_sigma_quantile: float = 0.9945
 
     def __post_init__(self):
         if self.num_bins < 2:

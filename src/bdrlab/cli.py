@@ -19,12 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .atr import (HysteresisConfig, apply_hysteresis, flip_rate, FlopsModel,
-                  per_layer_pruned_cost, total_flops)
+from .atr import (BACKBONE_G, DEEP_LAYERS, HEADS_G, PREDICTORS_G,
+                  SHALLOW_LAYERS, HysteresisConfig, apply_hysteresis,
+                  flip_rate, per_layer_pruned_cost, total_flops)
 from .calib import CalibrationConfig, r_ece
 from .stats import scaling_sweep, WIDTH_BIN_LABELS
 from .synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
-                    make_kernel_features, sample_noise)
+                    make_kernel_features, sample_noise_matrix)
 
 GATE_FAIL = 2
 IO_ERROR = 3
@@ -64,20 +65,24 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+# Parsed values left out of the config hash: where and how the output is
+# written, the config file (its values are already in the parsed flags), and
+# the handler function, whose repr changes from run to run.
+UNHASHED = ("out", "format", "config", "func")
 
 
-def _metadata(effective: dict) -> dict:
-    return {"seed": effective.get("seed"),
-            "config_hash": _config_hash(effective),
+def _metadata(args) -> dict:
+    """The seed, a hash of the parsed values bar UNHASHED, the tool version."""
+    cfg = {k: v for k, v in vars(args).items() if k not in UNHASHED}
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    return {"seed": args.seed,
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16],
             "tool_version": __version__}
 
 
-def _emit(args, header, rows, effective):
+def _emit(args, header, rows):
     if args.format == "json":
-        _write_json(args.out, header, rows, _metadata(effective))
+        _write_json(args.out, header, rows, _metadata(args))
     else:
         _write_csv(args.out, header, rows)
 
@@ -100,14 +105,12 @@ def cmd_synth(args) -> int:
         if args.seed is None:
             raise UsageError("--seed is required for noisy generation")
         clean = make_distance_field(grid, boundaries)
-        eps = sample_noise(_noise_from(args), grid.num_positions, args.seed)
+        eps = sample_noise_matrix(_noise_from(args), args.seed, 1,
+                                  grid.num_positions)[0]
         values = clean + grid.stride * eps
     t = grid.times()
     rows = [(i, t[i], float(values[i])) for i in range(grid.num_positions)]
-    effective = {"seed": args.seed, "series": args.series,
-                 "stride": args.stride, "num_positions": args.num_positions,
-                 "boundaries": boundaries}
-    _emit(args, ("position", "time_frames", "value"), rows, effective)
+    _emit(args, ("position", "time_frames", "value"), rows)
     return 0
 
 
@@ -132,11 +135,7 @@ def cmd_scaling(args) -> int:
     for label, mean in zip(WIDTH_BIN_LABELS, bins):
         rows.append((f"bin:{label}", "", "", "", "",
                      mean if mean is not None else "", "", "", ""))
-    effective = {"seed": args.seed, "kappas": kappas, "strides": strides,
-                 "trials": args.trials, "num_positions": args.num_positions,
-                 "noise": vars(args)["noise_family"], "scale": args.noise_scale,
-                 "rho": args.rho}
-    _emit(args, header, rows, effective)
+    _emit(args, header, rows)
     if args.gate and not (args.band_low <= slope <= args.band_high):
         return GATE_FAIL
     return 0
@@ -152,15 +151,11 @@ def cmd_flops(args) -> int:
               "total_g")
     rows = []
     for tau, keep in points:
-        model = FlopsModel(keep_ratio=keep)
-        plp = per_layer_pruned_cost(model)
-        rows.append((tau, keep, model.backbone_g,
-                     model.shallow_layers * plp,
-                     tau * model.deep_layers * plp,
-                     model.heads_g, model.predictors_g, plp,
-                     total_flops(model, tau)))
-    effective = {"seed": None, "points": args.points}
-    _emit(args, header, rows, effective)
+        plp = per_layer_pruned_cost(keep)
+        rows.append((tau, keep, BACKBONE_G, SHALLOW_LAYERS * plp,
+                     tau * DEEP_LAYERS * plp, HEADS_G, PREDICTORS_G, plp,
+                     total_flops(keep, tau)))
+    _emit(args, header, rows)
     return 0
 
 
@@ -207,10 +202,7 @@ def cmd_calib(args) -> int:
     header = ("bin", "count", "mean_sigma_sq", "coverage")
     out_rows = [(i, c, ms, cov) for i, (c, ms, cov) in enumerate(rows)]
     out_rows.append(("r_ece", "", "", value))
-    effective = {"seed": args.seed, "scenario": args.scenario,
-                 "samples": args.samples, "bins": args.bins,
-                 "input": args.input}
-    _emit(args, header, out_rows, effective)
+    _emit(args, header, out_rows)
     return 0
 
 
@@ -242,10 +234,7 @@ def cmd_atr_sim(args) -> int:
         stab = apply_hysteresis(tau, cfg)
         rows.append((mode, args.gamma, raw_flip, flip_rate(stab),
                      float(np.mean(tau)), float(np.mean(stab))))
-    effective = {"seed": args.seed, "length": args.length,
-                 "trace_rho": args.trace_rho, "gain": args.gain,
-                 "gamma": args.gamma}
-    _emit(args, header, rows, effective)
+    _emit(args, header, rows)
     return 0
 
 

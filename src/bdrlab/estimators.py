@@ -186,18 +186,17 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     return out[0] if single else out
 
 
-def nms_1d(candidates, window: float) -> list:
-    """Greedy 1D non-maximum suppression.
+def nms_1d(positions, scores, window: float) -> list:
+    """Greedy 1D non-maximum suppression over candidate positions and scores.
 
-    candidates: iterable of (position, score). Accept by descending score
-    (ties to the earlier position), suppressing anything within `window` of
-    an accepted position. Returns accepted positions sorted ascending.
+    Accept by descending score (ties to the earlier position), suppressing
+    anything within `window` of an accepted position. Returns accepted
+    positions sorted ascending.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    cand = list(candidates)
-    pos = np.array([p for p, _ in cand], dtype=float)
-    score = np.array([s for _, s in cand], dtype=float)
+    pos = np.asarray(positions, dtype=float)
+    score = np.asarray(scores, dtype=float)
     order = np.lexsort((pos, -score))
     accepted = []
     for i in order:
@@ -227,7 +226,7 @@ def extract_boundaries(prediction, grid: TimeGrid) -> np.ndarray:
     if cross.size == 0:
         return np.empty(0)
     pos = cross + (-d[cross]) / fwd  # grid positions, sub-sample refined
-    kept = nms_1d(zip(pos, np.abs(fwd)), EXTRACT_NMS_WINDOW)
+    kept = nms_1d(pos, np.abs(fwd), EXTRACT_NMS_WINDOW)
     return np.asarray(kept) * grid.stride
 
 

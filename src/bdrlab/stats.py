@@ -64,7 +64,6 @@ class ExperimentSpec:
     noise: NoiseSpec
     num_trials: int
     master_seed: int
-    jitter: bool = True  # add a per-trial sub-stride offset to the boundary
 
     def __post_init__(self):
         if self.grid.num_positions < 3:
@@ -95,16 +94,12 @@ class VarianceReport:
     ci_high: float
 
 
-def _phases(spec: ExperimentSpec) -> np.ndarray:
-    if not spec.jitter:
-        return np.zeros(spec.num_trials)
-    rng = np.random.default_rng((spec.master_seed, 0))
-    return rng.uniform(0.0, 1.0, spec.num_trials)
-
-
 def _truths(spec: ExperimentSpec) -> np.ndarray:
-    """Per-trial boundary positions: the spec's boundary + phase x stride."""
-    return spec.boundary + _phases(spec) * spec.grid.stride
+    """Per-trial boundary positions: the spec's boundary + phase x stride,
+    each phase uniform in [0, 1) from stream 0."""
+    phases = np.random.default_rng((spec.master_seed, 0)).uniform(
+        0.0, 1.0, spec.num_trials)
+    return spec.boundary + phases * spec.grid.stride
 
 
 def _noise_rows(spec: ExperimentSpec, label: int) -> np.ndarray:
@@ -323,7 +318,9 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     stride-1 value and every cell reports the same failures. Cell i draws
     its classification noise (stream 2) and its bootstrap from
     master_seed + i, so the classification side stays independent per cell.
-    Every cell's spec is built, and so validated, before any fitting.
+    Every cell's spec is built, and so validated, and the cells are checked
+    for two distinct dt^2/kappa, which the slope fit needs, before any
+    fitting.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
@@ -341,6 +338,8 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         noise=noise, num_trials=num_trials,
         master_seed=master_seed + cell_index)
         for cell_index, (kappa, dt) in enumerate(conds)]
+    if len({dt**2 / kappa for kappa, dt in conds}) < 2:
+        raise ValueError("need at least 2 distinct dt^2/kappa values")
     unit = replace(specs[0], master_seed=master_seed,
                    grid=TimeGrid(stride=1.0, num_positions=num_positions),
                    boundary=float(num_positions // 2))

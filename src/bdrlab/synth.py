@@ -114,15 +114,6 @@ def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def sample_noise(spec: NoiseSpec, count: int, seed) -> np.ndarray:
-    """Draw `count` correlated noise values; deterministic given seed.
-
-    `seed` is anything np.random.default_rng accepts. The values are the one
-    row sample_noise_matrix draws for that seed.
-    """
-    return sample_noise_matrix(spec, seed, 1, count)[0]
-
-
 def sample_noise_matrix(spec: NoiseSpec, seed, rows: int, count: int) -> np.ndarray:
     """`rows` independent noise rows of `count` values, drawn row-major in one
     call by np.random.default_rng(seed) before AR(1) runs along each row.

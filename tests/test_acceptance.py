@@ -10,10 +10,9 @@ them.
 import numpy as np
 import pytest
 
-from bdrlab.atr import (FlopsModel, HysteresisConfig, apply_hysteresis,
-                        blend_residual, expected_tau, flip_rate,
-                        per_layer_pruned_cost, prune_mask, PruneConfig,
-                        total_flops)
+from bdrlab.atr import (HysteresisConfig, apply_hysteresis, blend_residual,
+                        expected_tau, flip_rate, per_layer_pruned_cost,
+                        prune_mask, total_flops)
 from bdrlab.calib import heteroscedastic_loss, r_ece
 from bdrlab.cli import main as cli_main, tau_scenario
 from bdrlab.estimators import (BDRLossConfig, bdr_loss_smoothed,
@@ -91,9 +90,8 @@ def test_correlation_robustness():
 
 
 def test_cost_model_arithmetic():
-    model = FlopsModel()
-    assert per_layer_pruned_cost(model) == pytest.approx(8.68, abs=0.01)
-    assert total_flops(model, 0.16) == pytest.approx(156.2, abs=0.5)
+    assert per_layer_pruned_cost(0.8) == pytest.approx(8.68, abs=0.01)
+    assert total_flops(0.8, 0.16) == pytest.approx(156.2, abs=0.5)
     buckets = [(1247, 0.24), (2103, 0.16), (891, 0.09), (327, 0.05)]
     assert expected_tau(buckets) == pytest.approx(0.160, abs=5e-4)
 
@@ -131,8 +129,7 @@ def test_pruning_guard_retention():
         for _ in range(50):
             bounds = rng.uniform(0, 199, size=rng.integers(1, 5))
             imp = rng.normal(size=200)
-            mask = prune_mask(imp, PruneConfig(keep_ratio=keep,
-                                               guard_radius=12.0), bounds, grid)
+            mask = prune_mask(imp, keep, bounds, grid)
             for b in bounds:
                 assert np.all(mask[np.abs(t - b) <= 12.0])
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.atr import (FlopsModel, HysteresisConfig, PenaltyConfig,
-                        PruneConfig, apply_hysteresis, blend_residual,
+from bdrlab.atr import (HysteresisConfig, apply_hysteresis, blend_residual,
                         calibrate_tau_offset, expected_tau, flip_rate,
                         per_layer_pruned_cost, prune_mask, sparsity_penalties,
                         surrogate_tau, total_flops)
@@ -143,13 +142,13 @@ def test_calibrated_offset_hits_target_mean():
 
 def test_prune_keep_all():
     g = TimeGrid(stride=1.0, num_positions=10)
-    m = prune_mask(np.arange(10.0), PruneConfig(keep_ratio=1.0), [], g)
+    m = prune_mask(np.arange(10.0), 1.0, [], g)
     assert np.all(m)
 
 
 def test_prune_equal_importance_earliest_ties():
     g = TimeGrid(stride=1.0, num_positions=10)
-    m = prune_mask(np.ones(10), PruneConfig(keep_ratio=0.8), [], g)
+    m = prune_mask(np.ones(10), 0.8, [], g)
     assert np.array_equal(np.nonzero(m)[0], np.arange(8))
 
 
@@ -157,7 +156,7 @@ def test_prune_guard_overrides_importance():
     g = TimeGrid(stride=1.0, num_positions=100)
     imp = np.zeros(100)
     imp[:50] = 1.0  # low importance everywhere near the boundary
-    m = prune_mask(imp, PruneConfig(keep_ratio=0.5, guard_radius=12.0), [50.0], g)
+    m = prune_mask(imp, 0.5, [50.0], g)
     assert np.all(m[38:63])
 
 
@@ -167,8 +166,7 @@ def test_prune_guard_overrides_importance():
 def test_prune_guard_exhaustive(bounds, keep, seed):
     g = TimeGrid(stride=1.0, num_positions=100)
     imp = np.random.default_rng(seed).normal(size=100)
-    m = prune_mask(imp, PruneConfig(keep_ratio=keep, guard_radius=12.0),
-                   bounds, g)
+    m = prune_mask(imp, keep, bounds, g)
     assert np.count_nonzero(m) >= int(np.floor(keep * 100))
     t = g.times()
     for b in bounds:
@@ -176,11 +174,11 @@ def test_prune_guard_exhaustive(bounds, keep, seed):
 
 
 def test_sparsity_penalties():
-    cfg = PenaltyConfig(lambda_c=0.05, lambda_p=0.01)
-    assert sparsity_penalties(np.zeros(5), np.ones(5), cfg) == (0.0, 0.01)
-    c, _ = sparsity_penalties(np.ones(5), np.ones(5), cfg)
+    # lambda_c = 0.05, lambda_p = 0.01
+    assert sparsity_penalties(np.zeros(5), np.ones(5)) == (0.0, 0.01)
+    c, _ = sparsity_penalties(np.ones(5), np.ones(5))
     assert c == pytest.approx(0.05)
-    c, _ = sparsity_penalties(np.full(5, 0.16), np.ones(5), cfg)
+    c, _ = sparsity_penalties(np.full(5, 0.16), np.ones(5))
     assert c == pytest.approx(0.008)
 
 
@@ -199,37 +197,40 @@ def test_expected_tau_rejects_nonpositive_counts():
 
 
 def test_per_layer_pruned_cost():
-    m = FlopsModel()
-    assert per_layer_pruned_cost(m) == pytest.approx(8.68, abs=0.01)
-    assert per_layer_pruned_cost(FlopsModel(keep_ratio=1.0)) == pytest.approx(12.33)
-    assert per_layer_pruned_cost(FlopsModel(keep_ratio=0.0)) == 0.0
+    assert per_layer_pruned_cost(0.8) == pytest.approx(8.68, abs=0.01)
+    assert per_layer_pruned_cost(1.0) == pytest.approx(12.33)
+    assert per_layer_pruned_cost(0.0) == 0.0
 
 
 def test_total_flops():
-    m = FlopsModel()
-    assert total_flops(m, 0.16) == pytest.approx(156.2, abs=0.5)
-    assert total_flops(m, 0.0) == pytest.approx(146.5, abs=0.1)
-    full = FlopsModel(keep_ratio=1.0)
+    assert total_flops(0.8, 0.16) == pytest.approx(156.2, abs=0.5)
+    assert total_flops(0.8, 0.0) == pytest.approx(146.5, abs=0.1)
     nine_layer = 124.0 + 9 * 12.33 + 5.0 + 0.12
-    assert total_flops(full, 1.0) == pytest.approx(nine_layer)
+    assert total_flops(1.0, 1.0) == pytest.approx(nine_layer)
 
 
 def test_total_flops_monotone():
-    m = FlopsModel()
     taus = np.linspace(0, 1, 11)
-    vals = [total_flops(m, t) for t in taus]
+    vals = [total_flops(0.8, t) for t in taus]
     assert np.all(np.diff(vals) > 0)
     keeps = np.linspace(0.1, 1.0, 10)
-    vals = [total_flops(FlopsModel(keep_ratio=k), 0.16) for k in keeps]
+    vals = [total_flops(k, 0.16) for k in keeps]
     assert np.all(np.diff(vals) > 0)
 
 
 def test_total_flops_tau_range():
     with pytest.raises(ValueError):
-        total_flops(FlopsModel(), 1.5)
+        total_flops(0.8, 1.5)
 
 
 @pytest.mark.parametrize("keep", [-1.0, -1e-9, 1.0 + 1e-9, 2.0, float("nan")])
 def test_flops_model_rejects_keep_ratio_outside_unit_interval(keep):
     with pytest.raises(ValueError, match="keep_ratio"):
-        FlopsModel(keep_ratio=keep)
+        per_layer_pruned_cost(keep)
+    with pytest.raises(ValueError, match="keep_ratio"):
+        total_flops(keep, 0.16)
+    # pruning needs a positive quota, so it also refuses a keep ratio of 0
+    g = TimeGrid(stride=1.0, num_positions=10)
+    for bad in (keep, 0.0):
+        with pytest.raises(ValueError, match="keep_ratio"):
+            prune_mask(np.ones(10), bad, [], g)

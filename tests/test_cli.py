@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bdrlab.cli import main, tau_scenario
+from bdrlab.cli import _metadata, build_parser, main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
 from bdrlab.estimators import fit_distance
 
@@ -127,6 +127,15 @@ def test_scaling_rerun_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _record_fits(monkeypatch, fits):
+    """Append the arguments of every distance fit the sweep runs to `fits`."""
+    def recording_fit(*args):
+        fits.append(args)
+        return fit_distance(*args)
+
+    monkeypatch.setattr("bdrlab.stats.fit_distance", recording_fit)
+
+
 # the fifth case is a grid too short for the peak search's window, the
 # last two a gate band that no slope can be checked against
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
@@ -139,11 +148,7 @@ def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []
 
-    def recording_fit(*args):
-        fits.append(args)
-        return fit_distance(*args)
-
-    monkeypatch.setattr("bdrlab.stats.fit_distance", recording_fit)
+    _record_fits(monkeypatch, fits)
     argv = ["scaling", "--kappas", "1,2", "--strides", "1,2", "--trials", "20",
             "--num-positions", "60", "--seed", "1",
             "--out", str(tmp_path / "s.csv"), *axis]
@@ -154,14 +159,61 @@ def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("kappas, strides", [("2,2,2", "2"), ("1,1,1", "1")])
-def test_scaling_one_distinct_x_exits_usage(tmp_path, capsys, kappas, strides):
-    # every cell has the same dt^2/kappa, so the log-log fit has no slope
+def test_scaling_one_distinct_x_exits_usage(tmp_path, monkeypatch, capsys,
+                                            kappas, strides):
+    # every cell has the same dt^2/kappa, so the log-log fit has no slope;
+    # the sweep refuses the cells before it fits anything
+    fits = []
+    _record_fits(monkeypatch, fits)
     assert run(["scaling", "--kappas", kappas, "--strides", strides,
                 "--trials", "20", "--num-positions", "60", "--seed", "1",
                 "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "distinct" in err
     assert not (tmp_path / "s.csv").exists()
+    assert fits == []
+
+
+def _config_hash(tmp_path, argv, out="h.json"):
+    """config_hash of a run's JSON output."""
+    path = tmp_path / out
+    assert run([*argv, "--format", "json", "--out", str(path)]) == 0
+    return json.loads(path.read_text())["metadata"]["config_hash"]
+
+
+SMALL_SWEEP = ["scaling", "--kappas", "1,2", "--strides", "1,2",
+               "--trials", "20", "--num-positions", "60", "--seed", "1"]
+
+
+@pytest.mark.parametrize("base, flag, values", [
+    (["synth", "--series", "noisy", "--seed", "4"], "--noise-scale",
+     ("0.5", "2.0")),
+    (SMALL_SWEEP + ["--noise-family", "student_t"], "--nu", ("3", "30")),
+])
+def test_config_hash_differs_with_noise_settings(tmp_path, base, flag, values):
+    a, b = (_config_hash(tmp_path, [*base, flag, v]) for v in values)
+    assert a != b
+
+
+def test_config_hash_same_for_config_file_and_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise_scale": 2.0, "seed": 4}))
+    from_file = _config_hash(tmp_path, ["synth", "--series", "noisy",
+                                        "--config", str(cfg)])
+    from_flags = _config_hash(tmp_path, ["synth", "--series", "noisy",
+                                         "--seed", "4", "--noise-scale", "2"])
+    assert from_file == from_flags
+
+
+def test_config_hash_ignores_output_path_and_format(tmp_path):
+    argv = ["calib", "--seed", "3", "--samples", "200"]
+    assert (_config_hash(tmp_path, argv, "a.json")
+            == _config_hash(tmp_path, argv, "b.json"))
+    # a CSV run writes no metadata, so its parsed arguments are compared
+    parser = build_parser()
+    csv = parser.parse_args([*argv, "--out", "a.csv"])
+    js = parser.parse_args([*argv, "--format", "json", "--out", "b.json"])
+    assert _metadata(csv) == _metadata(js)
 
 
 def _calib_samples(tmp_path, argv, cfg):

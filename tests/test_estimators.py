@@ -7,7 +7,7 @@ from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss,
                                extract_boundaries, fit_distance,
                                moving_average, nms_1d, quadratic_peak_offset)
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
-                          make_kernel_features, sample_noise)
+                          make_kernel_features, sample_noise_matrix)
 
 
 # --- loss -------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_fit_improves_over_raw_observations():
     cfg = FitConfig(loss=BDRLossConfig(alpha=4.0))
     wins = 0
     for seed in range(100):
-        obs = clean + sample_noise(NoiseSpec(scale=0.5), 100, seed)
+        obs = clean + sample_noise_matrix(NoiseSpec(scale=0.5), seed, 1, 100)[0]
         fitted = fit_distance(obs, grid, cfg)
         if bdr_loss(clean, fitted) < bdr_loss(clean, obs):
             wins += 1
@@ -167,7 +167,7 @@ def test_fit_rejects_fewer_than_two_positions(shape):
 def test_fit_offset_equivariance():
     grid = TimeGrid(stride=1.0, num_positions=60)
     clean = make_distance_field(grid, [30.0])
-    obs = clean + sample_noise(NoiseSpec(scale=0.3), 60, 9)
+    obs = clean + sample_noise_matrix(NoiseSpec(scale=0.3), 9, 1, 60)[0]
     f0 = fit_distance(obs, grid)
     f1 = fit_distance(obs + 2.0, grid)
     assert np.max(np.abs((f1 - f0) - 2.0)) < 0.05
@@ -212,21 +212,24 @@ def test_extraction_stride_scaling():
 
 
 def test_nms_suppression_and_ties():
-    assert nms_1d([(10, 2.0), (12, 1.0)], 5) == [10.0]
-    assert nms_1d([(10, 2.0), (20, 1.0)], 5) == [10.0, 20.0]
-    assert nms_1d([(12, 2.0), (10, 2.0)], 5) == [10.0]  # tie -> earlier
+    assert nms_1d([10, 12], [2.0, 1.0], 5) == [10.0]
+    assert nms_1d([10, 20], [2.0, 1.0], 5) == [10.0, 20.0]
+    assert nms_1d([12, 10], [2.0, 2.0], 5) == [10.0]  # tie -> earlier
+    # arrays work as well as lists; accepted positions come back ascending
+    kept = nms_1d(np.array([10.0, 16.0]), np.array([1.0, 2.0]), 5)
+    assert kept == [10.0, 16.0]
 
 
 def test_nms_window_validation():
     with pytest.raises(ValueError):
-        nms_1d([(0, 1.0)], 0)
+        nms_1d([0], [1.0], 0)
 
 
 @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0.1, 5)),
                 min_size=1, max_size=15))
 @settings(max_examples=100, deadline=None)
 def test_nms_spacing_property(cands):
-    kept = nms_1d(cands, 5)
+    kept = nms_1d([p for p, _ in cands], [s for _, s in cands], 5)
     for a, b in zip(kept, kept[1:]):
         assert b - a > 5
 

@@ -21,8 +21,7 @@ from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           _cls_errors, _noise_rows, _truths, blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
-from bdrlab.synth import (NoiseSpec, TimeGrid, sample_noise,
-                          sample_noise_matrix)
+from bdrlab.synth import NoiseSpec, TimeGrid, sample_noise_matrix
 
 
 def reference_bootstrap(groups, num_resamples, seed, statistic=None):
@@ -233,7 +232,7 @@ def test_tau_scenario_matches_reference_loop(seed, rho):
 @pytest.mark.parametrize("family", ["laplace", "student_t"])
 def test_sample_noise_matches_reference(seed, rho, family):
     spec = NoiseSpec(family=family, scale=0.7, rho=rho)
-    assert np.array_equal(sample_noise(spec, 2000, seed),
+    assert np.array_equal(sample_noise_matrix(spec, seed, 1, 2000)[0],
                           reference_sample_noise(spec, 2000, seed))
 
 

@@ -36,11 +36,16 @@ def test_spec_validation():
 
 
 def test_run_trials_zero_noise_on_grid_is_exact():
-    spec = _spec(noise=NoiseSpec(family="gaussian", scale=0.0), jitter=False)
+    spec = _spec(noise=NoiseSpec(family="gaussian", scale=0.0))
     errs = run_trials(spec)
-    assert np.allclose(errs.bdr, 0.0, atol=1e-9)
-    assert np.allclose(errs.cls, 0.0, atol=1e-9)
+    # the fit and the zero crossing recover every sub-stride phase exactly
+    assert np.array_equal(errs.bdr, np.zeros(spec.num_trials))
     assert errs.bdr_failures == 0
+    # the peak search is exact when the truth lies on a grid sample
+    on_grid = spec.boundary + np.arange(-5.0, 5.0)
+    noise = np.zeros((len(on_grid), spec.grid.num_positions))
+    assert np.allclose(stats._cls_errors(spec, on_grid, noise), 0.0,
+                       atol=1e-9)
 
 
 def test_run_trials_deterministic():
@@ -181,8 +186,7 @@ def test_pooled_estimate_recovers_boundary_exactly_without_noise():
 
 
 def test_finite_sample_degenerate_sentinel():
-    spec = _spec(noise=NoiseSpec(family="gaussian", scale=0.0), jitter=False,
-                 num_trials=20)
+    spec = _spec(noise=NoiseSpec(family="gaussian", scale=0.0), num_trials=20)
     out, variances = finite_sample_variance_check(spec, [50, 100, 200])
     assert out == "degenerate"
     assert all(v == 0 for v in variances.values())

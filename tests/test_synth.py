@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
-                          make_kernel_features, sample_noise,
-                          sample_noise_matrix)
+                          make_kernel_features, sample_noise_matrix)
+
+
+def noise_row(spec, count, seed):
+    """One noise row of `count` values: the first row of the seed's stream."""
+    return sample_noise_matrix(spec, seed, 1, count)[0]
 
 
 def test_grid_times_and_duration():
@@ -109,12 +113,12 @@ def test_noise_spec_validation():
 
 
 def test_laplace_variance():
-    x = sample_noise(NoiseSpec(family="laplace", scale=1.0), 10**6, 7)
+    x = noise_row(NoiseSpec(family="laplace", scale=1.0), 10**6, 7)
     assert np.var(x) == pytest.approx(2.0, rel=0.02)
 
 
 def test_ar1_lag1_autocorrelation():
-    x = sample_noise(NoiseSpec(scale=1.0, rho=0.9), 10**6, 3)
+    x = noise_row(NoiseSpec(scale=1.0, rho=0.9), 10**6, 3)
     r = np.corrcoef(x[:-1], x[1:])[0, 1]
     assert r == pytest.approx(0.9, abs=0.02)
 
@@ -122,21 +126,21 @@ def test_ar1_lag1_autocorrelation():
 @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6, 0.9])
 @pytest.mark.parametrize("family", ["laplace", "gaussian"])
 def test_ar1_preserves_marginal_variance(family, rho):
-    base = np.var(sample_noise(NoiseSpec(family=family, scale=1.0), 10**5, 11))
-    corr = np.var(sample_noise(NoiseSpec(family=family, scale=1.0, rho=rho),
-                               10**5, 11))
+    base = np.var(noise_row(NoiseSpec(family=family, scale=1.0), 10**5, 11))
+    corr = np.var(noise_row(NoiseSpec(family=family, scale=1.0, rho=rho),
+                            10**5, 11))
     assert corr == pytest.approx(base, rel=0.03)
 
 
 def test_zero_scale_gaussian_is_all_zero():
-    x = sample_noise(NoiseSpec(family="gaussian", scale=0.0), 100, 5)
+    x = noise_row(NoiseSpec(family="gaussian", scale=0.0), 100, 5)
     assert np.all(x == 0.0)
 
 
 def test_noise_determinism():
     spec = NoiseSpec(family="student_t", scale=0.7, rho=0.4)
-    a = sample_noise(spec, 500, 123)
-    b = sample_noise(spec, 500, 123)
+    a = sample_noise_matrix(spec, 123, 3, 500)
+    b = sample_noise_matrix(spec, 123, 3, 500)
     assert np.array_equal(a, b)
 
 
@@ -149,4 +153,3 @@ def test_noise_matrix_rows_are_a_prefix_of_a_longer_draw():
         for rows in (1, 3, 6):
             assert np.array_equal(sample_noise_matrix(spec, (9, 1), rows, 50),
                                   full[:rows])
-        assert np.array_equal(sample_noise(spec, 50, (9, 1)), full[0])
