@@ -55,20 +55,29 @@ def apply_hysteresis(tau, cfg: HysteresisConfig = HysteresisConfig()) -> np.ndar
     already-stabilised previous value is replaced by it. deadzone_half snaps
     values within gamma of 0.5 to exactly 0.5.
     """
-    t = np.asarray(tau, dtype=float).copy()
+    t = np.array(tau, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("tau trace must be 1-D")
     if cfg.mode == "deadzone_half":
         t[np.abs(t - 0.5) <= cfg.gamma] = 0.5
         return t
-    for i in range(1, t.shape[-1]):
-        if abs(t[i] - t[i - 1]) < cfg.gamma:
-            t[i] = t[i - 1]
+    # a memoryview scan, as in synth._apply_ar1
+    x, gamma = memoryview(t), cfg.gamma
+    held = x[0] if len(x) else 0.0
+    for i, v in enumerate(x[1:], 1):
+        if abs(v - held) < gamma:
+            x[i] = held
+        else:
+            held = v
     return t
 
 
 def flip_rate(tau) -> float:
     """Fraction of adjacent pairs whose side of 0.5 differs (0.5 counts as high)."""
     t = np.asarray(tau, dtype=float)
-    if t.shape[-1] < 2:
+    if t.ndim != 1:
+        raise ValueError("tau trace must be 1-D")
+    if t.shape[0] < 2:
         raise ValueError("trace must have length >= 2")
     side = t >= 0.5
     return float(np.mean(side[1:] != side[:-1]))

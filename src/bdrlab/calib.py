@@ -61,15 +61,28 @@ def r_ece(errors, sigmas, cfg: CalibrationConfig = CalibrationConfig(),
     n = e.shape[-1]
     if n < cfg.num_bins:
         raise ValueError("need at least num_bins samples")
-    order = np.argsort(s**2, kind="stable")
-    e, s = e[order], s[order]
     hit = np.abs(e) <= cfg.one_sigma_quantile * s
+    var = s**2
+    order = np.argsort(var)
+    var = var[order]
+    bins = equal_mass_bins(n, cfg.num_bins)
+    # Ties in sigma^2 are ordered by index, as a stable sort would order
+    # them. Inside a bin the order changes neither the coverage count nor the
+    # equal sigma^2 values, so only a run of ties that crosses a bin edge is
+    # put back in index order.
+    for idx in bins[1:]:
+        edge = idx[0]
+        if var[edge - 1] == var[edge]:
+            lo = np.searchsorted(var, var[edge], side="left")
+            hi = np.searchsorted(var, var[edge], side="right")
+            order[lo:hi] = np.sort(order[lo:hi])
+    hit = hit[order]
     total = 0.0
     rows = []
-    for idx in equal_mass_bins(n, cfg.num_bins):
+    for idx in bins:
         cov = float(np.mean(hit[idx]))
         total += len(idx) / n * abs(cov - 0.68)
-        rows.append((len(idx), float(np.mean(s[idx] ** 2)), cov))
+        rows.append((len(idx), float(np.mean(var[idx])), cov))
     if return_bins:
         return total, rows
     return total

@@ -94,17 +94,16 @@ def _noise_from(args) -> NoiseSpec:
 
 def cmd_synth(args) -> int:
     grid = TimeGrid(stride=args.stride, num_positions=args.num_positions)
-    boundaries = [float(b) for b in args.boundaries.split(",")]
     if args.series == "distance":
-        values = make_distance_field(grid, boundaries)
+        values = make_distance_field(grid, args.boundaries)
     elif args.series == "features":
-        if len(boundaries) != 1:
+        if len(args.boundaries) != 1:
             raise UsageError("--series features takes exactly one boundary")
-        values = make_kernel_features(grid, boundaries[0], args.kappa)
+        values = make_kernel_features(grid, args.boundaries[0], args.kappa)
     else:  # noisy observations of the distance field
         if args.seed is None:
             raise UsageError("--seed is required for noisy generation")
-        clean = make_distance_field(grid, boundaries)
+        clean = make_distance_field(grid, args.boundaries)
         eps = sample_noise_matrix(_noise_from(args), args.seed, 1,
                                   grid.num_positions)[0]
         values = clean + grid.stride * eps
@@ -120,11 +119,9 @@ def cmd_scaling(args) -> int:
     if not (np.isfinite(args.band_low) and np.isfinite(args.band_high)
             and args.band_low <= args.band_high):
         raise UsageError("--band-low and --band-high must be finite and ordered")
-    kappas = [float(v) for v in args.kappas.split(",")]
-    strides = [float(v) for v in args.strides.split(",")]
-    noise = _noise_from(args)
     cells, slope, intercept, r2, bins = scaling_sweep(
-        kappas, strides, args.num_positions, noise, args.trials, args.seed)
+        args.kappas, args.strides, args.num_positions, _noise_from(args),
+        args.trials, args.seed)
     header = ("kappa", "stride", "x_dt2_over_kappa", "var_bdr", "var_cls",
               "R", "ci_low", "ci_high", "failures")
     rows = [(c["kappa"], c["stride"], c["x"], c["var_bdr"], c["var_cls"],
@@ -142,15 +139,11 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    points = []
-    for part in args.points.split(","):
-        tau_s, keep_s = part.split(":")
-        points.append((float(tau_s), float(keep_s)))
     header = ("expected_tau", "keep_ratio", "backbone_g", "shallow_g",
               "deep_g", "heads_g", "predictors_g", "per_layer_pruned_g",
               "total_g")
     rows = []
-    for tau, keep in points:
+    for tau, keep in args.points:
         plp = per_layer_pruned_cost(keep)
         rows.append((tau, keep, BACKBONE_G, SHALLOW_LAYERS * plp,
                      tau * DEEP_LAYERS * plp, HEADS_G, PREDICTORS_G, plp,
@@ -163,11 +156,9 @@ def _calib_scenario(name: str, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     sigma = np.exp(rng.uniform(np.log(0.2), np.log(5.0), samples))
     errors = rng.normal(0.0, sigma)
-    if name == "well_calibrated":
-        return errors, sigma
     if name == "sigma_x2":
-        return errors, 2.0 * sigma
-    raise UsageError(f"unknown scenario: {name}")
+        sigma = 2.0 * sigma
+    return errors, sigma
 
 
 def _read_error_sigma_csv(path):
@@ -238,6 +229,20 @@ def cmd_atr_sim(args) -> int:
     return 0
 
 
+def _floats(text: str) -> list:
+    """A comma list of numbers, such as --kappas 1,2,4,8."""
+    return [float(v) for v in text.split(",")]
+
+
+def _flops_points(text: str) -> list:
+    """A comma list of expected_tau:keep_ratio pairs."""
+    points = []
+    for part in text.split(","):
+        tau, keep = part.split(":")
+        points.append((float(tau), float(keep)))
+    return points
+
+
 def _add_common(p):
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -265,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="distance")
     p.add_argument("--num-positions", type=int, default=100)
     p.add_argument("--stride", type=float, default=1.0)
-    p.add_argument("--boundaries", default="25")
+    p.add_argument("--boundaries", type=_floats, default="25")
     p.add_argument("--kappa", type=float, default=2.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("scaling", help="variance-ratio scaling sweep")
     _add_common(p)
     _add_noise(p)
-    p.add_argument("--kappas", default="1,2,4,8")
-    p.add_argument("--strides", default="1,2,4,8")
+    p.add_argument("--kappas", type=_floats, default="1,2,4,8")
+    p.add_argument("--strides", type=_floats, default="1,2,4,8")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--num-positions", type=int, default=200)
     p.add_argument("--gate", action="store_true",
@@ -284,13 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="itemised analytic cost table")
     _add_common(p)
-    p.add_argument("--points", default="0.16:0.8",
+    p.add_argument("--points", type=_flops_points, default="0.16:0.8",
                    help="comma list of expected_tau:keep_ratio pairs")
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("calib", help="regression calibration report")
     _add_common(p)
-    p.add_argument("--scenario", default="well_calibrated")
+    p.add_argument("--scenario", choices=("well_calibrated", "sigma_x2"),
+                   default="well_calibrated")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--input", default=None,

@@ -106,6 +106,16 @@ def test_flip_rate_length_check():
         flip_rate(np.array([0.5]))
 
 
+@pytest.mark.parametrize("shape", [(), (2, 3), (1, 4)])
+def test_hysteresis_and_flip_rate_take_1d_traces(shape):
+    x = np.full(shape, 0.4)
+    for mode in ("hold_previous", "deadzone_half"):
+        with pytest.raises(ValueError, match="must be 1-D"):
+            apply_hysteresis(x, HysteresisConfig(mode=mode))
+    with pytest.raises(ValueError, match="must be 1-D"):
+        flip_rate(x)
+
+
 def test_hysteresis_config_validation():
     with pytest.raises(ValueError):
         HysteresisConfig(gamma=-0.1)

@@ -195,6 +195,18 @@ def test_config_hash_differs_with_noise_settings(tmp_path, base, flag, values):
     assert a != b
 
 
+@pytest.mark.parametrize("argv, flag, spellings", [
+    (SMALL_SWEEP, "--kappas", ("1,2", "1.0,2.0")),
+    (SMALL_SWEEP, "--strides", ("1,2", "1.,2e0")),
+    (["synth"], "--boundaries", ("25,40", "25.0,40.00")),
+    (["flops"], "--points", ("0.16:0.8,1:1", ".16:.80,1.0:1e0")),
+])
+def test_config_hash_same_for_number_spellings(tmp_path, argv, flag,
+                                               spellings):
+    a, b = (_config_hash(tmp_path, [*argv, flag, v]) for v in spellings)
+    assert a == b
+
+
 def test_config_hash_same_for_config_file_and_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise_scale": 2.0, "seed": 4}))
@@ -281,6 +293,19 @@ def test_config_values_are_checked_like_flags(tmp_path):
                 "--trials", "20", "--num-positions", "60", "--seed", "1",
                 "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         assert run(argv) == 1, bad
+
+
+def test_calib_unknown_scenario_exits_usage_before_sampling(tmp_path,
+                                                           monkeypatch):
+    drawn = []
+    monkeypatch.setattr("bdrlab.cli._calib_scenario",
+                        lambda *args: drawn.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "sigma_x3"}))
+    out = tmp_path / "c.csv"
+    for how in (["--scenario", "sigma_x3"], ["--config", str(cfg)]):
+        assert run(["calib", "--seed", "1", *how, "--out", str(out)]) == 1
+    assert drawn == [] and not out.exists()
 
 
 def test_atr_sim_scenario_report(tmp_path):

@@ -4,9 +4,10 @@ The references are the earlier implementations: a bootstrap that draws and
 evaluates one resample at a time on the raw per-group data, a fitter whose
 Huber term and accept step use np.where over whole fresh arrays on every
 step, the finite-sample check with its own seeding and fitting loop, the
-AR(1) recursions that indexed numpy arrays step by step, and the
-classification-peak loop that smoothed, searched and refined one trial at
-a time.
+AR(1) recursions that indexed numpy arrays step by step, the classification
+peak loop that smoothed, searched and refined one trial at a time, the
+hold_previous hysteresis loop that indexed the numpy array, and r_ece with
+a stable argsort that gathered both errors and sigmas.
 """
 
 from dataclasses import replace
@@ -14,6 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bdrlab.atr import HysteresisConfig, apply_hysteresis
+from bdrlab.calib import CalibrationConfig, equal_mass_bins, r_ece
 from bdrlab.cli import tau_scenario
 from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
@@ -319,3 +322,88 @@ def test_sweep_cell_cls_errors_match_reference(noise, seed):
         moved += _check_cls_against_reference(spec, _truths(unit) * dt,
                                               _noise_rows(spec, 2))
     assert moved <= MOVED_LIMIT * 16 * n
+
+
+def reference_hold_previous(tau, gamma):
+    t = np.asarray(tau, dtype=float).copy()
+    for i in range(1, t.shape[-1]):
+        if abs(t[i] - t[i - 1]) < gamma:
+            t[i] = t[i - 1]
+    return t
+
+
+def _check_hold_previous(tau, gamma):
+    got = apply_hysteresis(tau, HysteresisConfig(gamma=gamma))
+    assert got.tobytes() == reference_hold_previous(tau, gamma).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 9, 44])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.1, 0.3])
+def test_hold_previous_matches_reference_loop(seed, gamma):
+    rng = np.random.default_rng(seed)
+    _check_hold_previous(rng.uniform(0.0, 1.0, 2000), gamma)
+    _check_hold_previous(np.round(rng.uniform(0.0, 1.0, 2000), 1), gamma)
+    _check_hold_previous(tau_scenario(2000, 0.84, 0.2, seed), gamma)
+
+
+def test_hold_previous_steps_of_exactly_gamma_match_reference():
+    # quarters are exact in binary, so each step is exactly gamma or not
+    tau = np.array([0.0, 0.25, 0.5, 0.25, 0.375, 0.5, 0.75, 0.5, 0.625])
+    _check_hold_previous(tau, 0.25)
+    assert np.array_equal(apply_hysteresis(tau, HysteresisConfig(gamma=0.25)),
+                          [0.0, 0.25, 0.5, 0.25, 0.25, 0.5, 0.75, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("tau", [[], [0.3], [0.3, 0.32], [0.3, 0.9]])
+def test_hold_previous_short_traces_match_reference(tau):
+    for gamma in (0.0, 0.05):
+        _check_hold_previous(tau, gamma)
+
+
+def reference_r_ece(errors, sigmas, num_bins):
+    e = np.asarray(errors, dtype=float)
+    s = np.asarray(sigmas, dtype=float)
+    n = e.shape[-1]
+    order = np.argsort(s**2, kind="stable")
+    e, s = e[order], s[order]
+    hit = np.abs(e) <= CalibrationConfig().one_sigma_quantile * s
+    total = 0.0
+    rows = []
+    for idx in equal_mass_bins(n, num_bins):
+        cov = float(np.mean(hit[idx]))
+        total += len(idx) / n * abs(cov - 0.68)
+        rows.append((len(idx), float(np.mean(s[idx] ** 2)), cov))
+    return total, rows
+
+
+def _r_ece_bins(errors, sigmas, num_bins):
+    return r_ece(errors, sigmas, CalibrationConfig(num_bins=num_bins),
+                 return_bins=True)
+
+
+@pytest.mark.parametrize("num_bins", [2, 10, 37])
+@pytest.mark.parametrize("decimals", [0, 1, 2, None])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_r_ece_matches_stable_sort_reference(num_bins, decimals, seed):
+    # sigmas rounded to a few decimals tie often, and runs of equal sigma^2
+    # cross bin edges
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(num_bins, 3000))
+    s = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+    if decimals is not None:
+        s = np.maximum(np.round(s, decimals), 10.0**-decimals)
+    e = rng.normal(0.0, s)
+    assert _r_ece_bins(e, s, num_bins) == reference_r_ece(e, s, num_bins)
+
+
+def test_r_ece_tie_run_across_a_bin_edge_keeps_index_order():
+    # 200 each of sigma 1, 2 and 3 in shuffled order: the sigma = 2 run takes
+    # sorted places 200-399 and crosses the edge at 300 between two bins.
+    # The first 100 of the run by index are hits and the last 100 misses,
+    # so each bin's coverage depends on which 100 of the run come first.
+    s = np.random.default_rng(5).permutation(np.repeat([1.0, 2.0, 3.0], 200))
+    e = np.zeros(600)
+    e[np.flatnonzero(s == 2.0)[100:]] = 10.0
+    total, rows = _r_ece_bins(e, s, 2)
+    assert (total, rows) == reference_r_ece(e, s, 2)
+    assert [cov for _, _, cov in rows] == [1.0, 200 / 300]
