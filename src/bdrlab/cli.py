@@ -69,11 +69,16 @@ def _write_text(path, text):
 # written, the config file (its values are already in the parsed flags), and
 # the handler function, whose repr changes from run to run.
 UNHASHED = ("out", "format", "config", "func")
+# Commands that draw nothing: they accept --seed like every command, but it
+# cannot change their output, so it stays out of their hash.
+UNSEEDED = ("flops",)
 
 
 def _metadata(args) -> dict:
-    """The seed, a hash of the parsed values bar UNHASHED, the tool version."""
-    cfg = {k: v for k, v in vars(args).items() if k not in UNHASHED}
+    """The seed, a hash of the parsed values bar UNHASHED (and the seed of
+    an UNSEEDED command), the tool version."""
+    skip = UNHASHED + (("seed",) if args.command in UNSEEDED else ())
+    cfg = {k: v for k, v in vars(args).items() if k not in skip}
     blob = json.dumps(cfg, sort_keys=True).encode()
     return {"seed": args.seed,
             "config_hash": hashlib.sha256(blob).hexdigest()[:16],

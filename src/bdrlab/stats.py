@@ -19,8 +19,11 @@ the bootstrap stay per cell. cls_variance_kappa_slope draws streams 0 and 2
 once per call and reuses them for every kappa.
 
 The classification side is batched: features, smoothing, the windowed
-argmax and the quadratic refinement each run once per chunk of at most
-CLS_CHUNK_ROWS trials, which bounds its working memory.
+argmax and the quadratic refinement each run once per chunk of trials, and
+only on the band of columns the chunk's readout can reach (its search
+windows, one neighbour each side and their smoothing support). A chunk
+holds as many trials as fit CLS_CHUNK_VALUES band values, which bounds its
+working memory.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ SWEEP_FIT_ALPHA = 4.0
 SWEEP_FIT = FitConfig(loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA))
 CLS_WINDOW_FACTOR = 3.0
 CLS_SMOOTH_FACTOR = 1.5
-# Trials per batched pass of the classification side. Each pass holds a few
-# (rows, T) temporaries; batching every trial at once would hold several
-# copies of the whole noise matrix.
-CLS_CHUNK_ROWS = 64
+# Values (trials x band columns) per batched pass of the classification
+# side. Each pass holds a few temporaries of this size; batching every
+# trial at once would hold several copies of the whole noise matrix.
+CLS_CHUNK_VALUES = 64 * 200
 # variance_ratio's CI: consecutive trials per bootstrap block, and resamples.
 BOOTSTRAP_BLOCK = 20
 BOOTSTRAP_RESAMPLES = 2000
@@ -145,31 +148,50 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
     plus CLS_WINDOW_FACTOR times the part of kappa that resolves beyond half
     a stride, or the nearest interior sample if that holds none. Quadratic
     refinement is only meaningful when the window holds at least three
-    samples. Trials run in chunks of CLS_CHUNK_ROWS rows.
+    samples.
+
+    Each chunk computes only the band [a, b) of columns its readout reads:
+    smoothed column j (width m, h = m // 2) sums inputs j - h .. j + m-1-h,
+    and the readout uses columns lo-1 .. hi, so a = min(lo) - 1 - h and
+    b = max(hi) + 1 + (m-1-h), cut to [0, T). Those columns get the same
+    float operations, in the same order, on the same inputs as on full
+    rows, and a band cut at a sequence edge gets the same zero padding, so
+    the errors are those of the full rows bit for bit. A chunk holds
+    CLS_CHUNK_VALUES // w trials, w being one row's band width plus one
+    column for truths that spread within a stride, as those of run_trials,
+    scaling_sweep and cls_variance_kappa_slope do; truths that spread wider
+    widen the chunk's band with them.
     """
     grid, kappa = spec.grid, spec.kappa
     stride, T = grid.stride, grid.num_positions
     m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    h = m // 2
     r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
-    cols = np.arange(T)
+    # widest window (floor(2r / stride) + 1 columns), its two neighbours,
+    # m - 1 columns of smoothing support and one of spread
+    width = min(T, int(2 * r / stride) + m + 3)
+    chunk = max(1, CLS_CHUNK_VALUES // width)
     errors = np.empty(len(truths))
-    for start in range(0, len(truths), CLS_CHUNK_ROWS):
-        rows = slice(start, start + CLS_CHUNK_ROWS)
+    for start in range(0, len(truths), chunk):
+        rows = slice(start, start + chunk)
         truth = truths[rows]
-        ps = make_kernel_features(grid, truth, kappa)
-        ps += noise[rows]
-        ps = moving_average(np.clip(ps, 0.0, 1.0, out=ps), m)
         lo = np.maximum(np.ceil((truth - r) / stride), 1)
         hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
         empty = hi <= lo
         lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
         hi[empty] = lo[empty] + 1
+        a = max(0, int(lo.min()) - 1 - h)
+        b = min(T, int(hi.max()) + 1 + (m - 1 - h))
+        ps = make_kernel_features(grid, truth, kappa, cols=slice(a, b))
+        ps += noise[rows, a:b]
+        ps = moving_average(np.clip(ps, 0.0, 1.0, out=ps), m)
+        cols = np.arange(a, b)
         inside = (cols >= lo[:, None]) & (cols < hi[:, None])
         i = np.argmax(np.where(inside, ps, -np.inf), axis=1)
         k = np.arange(len(i))
         off = quadratic_peak_offset(ps[k, i - 1], ps[k, i], ps[k, i + 1])
         off[hi - lo < 3] = 0.0
-        errors[rows] = (i + off) * stride - truth
+        errors[rows] = (i + a + off) * stride - truth
     return errors
 
 

@@ -74,18 +74,20 @@ def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
     return t - b[idx]
 
 
-def make_kernel_features(grid: TimeGrid, center, kappa: float) -> np.ndarray:
+def make_kernel_features(grid: TimeGrid, center, kappa: float,
+                         cols: slice = slice(None)) -> np.ndarray:
     """Gaussian bump exp(-(t-center)^2 / (2 kappa^2)), peak 1 at the center.
 
     A scalar center gives one row of T values; an array of centers gives
-    one row per center.
+    one row per center. `cols` keeps only those grid columns; they equal
+    the same columns of the full rows bit for bit.
     """
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be finite and positive")
     c = np.asarray(center, dtype=float)[..., None]
     if not np.all(np.isfinite(c)):
         raise ValueError("centers must be finite")
-    t = grid.times()
+    t = grid.times()[cols]
     return np.exp(-((t - c) ** 2) / (2.0 * kappa**2))
 
 

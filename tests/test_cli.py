@@ -207,6 +207,17 @@ def test_config_hash_same_for_number_spellings(tmp_path, argv, flag,
     assert a == b
 
 
+@pytest.mark.parametrize("argv, hashes_seed", [
+    (["flops"], False),
+    (["atr-sim", "--length", "200"], True),
+    (["calib", "--samples", "200"], True),
+])
+def test_config_hash_covers_the_seed_only_where_it_is_used(tmp_path, argv,
+                                                           hashes_seed):
+    a, b = (_config_hash(tmp_path, [*argv, "--seed", v]) for v in ("3", "4"))
+    assert (a != b) == hashes_seed
+
+
 def test_config_hash_same_for_config_file_and_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise_scale": 2.0, "seed": 4}))

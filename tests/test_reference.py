@@ -6,6 +6,7 @@ Huber term and accept step use np.where over whole fresh arrays on every
 step, the finite-sample check with its own seeding and fitting loop, the
 AR(1) recursions that indexed numpy arrays step by step, the classification
 peak loop that smoothed, searched and refined one trial at a time, the
+batched classification side that computed every column of each row, the
 hold_previous hysteresis loop that indexed the numpy array, and r_ece with
 a stable argsort that gathered both errors and sigmas.
 """
@@ -15,16 +16,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bdrlab import stats
 from bdrlab.atr import HysteresisConfig, apply_hysteresis
 from bdrlab.calib import CalibrationConfig, equal_mass_bins, r_ece
 from bdrlab.cli import tau_scenario
-from bdrlab.estimators import BDRLossConfig, FitConfig, fit_distance
+from bdrlab.estimators import (BDRLossConfig, FitConfig, fit_distance,
+                               moving_average, quadratic_peak_offset)
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
                           _cls_errors, _noise_rows, _truths, blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
-from bdrlab.synth import NoiseSpec, TimeGrid, sample_noise_matrix
+from bdrlab.synth import (NoiseSpec, TimeGrid, make_kernel_features,
+                          sample_noise_matrix)
 
 
 def reference_bootstrap(groups, num_resamples, seed, statistic=None):
@@ -322,6 +326,116 @@ def test_sweep_cell_cls_errors_match_reference(noise, seed):
         moved += _check_cls_against_reference(spec, _truths(unit) * dt,
                                               _noise_rows(spec, 2))
     assert moved <= MOVED_LIMIT * 16 * n
+
+
+def reference_full_width_cls_errors(spec, truths, noise):
+    """The batched classification side that built, smoothed and searched
+    all T columns of each row, in chunks of 64 trials."""
+    grid, kappa = spec.grid, spec.kappa
+    stride, T = grid.stride, grid.num_positions
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+    cols = np.arange(T)
+    errors = np.empty(len(truths))
+    for start in range(0, len(truths), 64):
+        rows = slice(start, start + 64)
+        truth = truths[rows]
+        ps = make_kernel_features(grid, truth, kappa)
+        ps += noise[rows]
+        ps = moving_average(np.clip(ps, 0.0, 1.0, out=ps), m)
+        lo = np.maximum(np.ceil((truth - r) / stride), 1)
+        hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
+        empty = hi <= lo
+        lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
+        hi[empty] = lo[empty] + 1
+        inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+        i = np.argmax(np.where(inside, ps, -np.inf), axis=1)
+        k = np.arange(len(i))
+        off = quadratic_peak_offset(ps[k, i - 1], ps[k, i], ps[k, i + 1])
+        off[hi - lo < 3] = 0.0
+        errors[rows] = (i + off) * stride - truth
+    return errors
+
+
+ALL_CLS_NOISES = dict(CLS_NOISES, student_t=NoiseSpec(family="student_t"))
+CLS_KAPPAS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 30.0)
+
+
+def _band_width(spec):
+    """One row's band as _cls_errors documents it: window, two neighbours,
+    the smoothing support and one column of spread, at most T."""
+    stride, kappa = spec.grid.stride, spec.kappa
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+    return min(spec.grid.num_positions, int(2 * r / stride) + 1 + 2 + m - 1 + 1)
+
+
+def _check_cls_against_full_width(spec, truths, noise):
+    assert np.array_equal(_cls_errors(spec, truths, noise),
+                          reference_full_width_cls_errors(spec, truths, noise))
+
+
+@pytest.mark.parametrize("noise", ALL_CLS_NOISES)
+@pytest.mark.parametrize("seed", [21, 1000])
+def test_sweep_cells_match_full_width_reference(noise, seed):
+    T, n = 200, 400
+    unit = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
+                          kappa=1.0, boundary=float(T // 2),
+                          noise=ALL_CLS_NOISES[noise], num_trials=n,
+                          master_seed=seed)
+    for cell, (kappa, dt) in enumerate(
+            (k, dt) for k in (1.0, 2.0, 4.0, 8.0) for dt in (1.0, 2.0, 4.0, 8.0)):
+        spec = replace(unit, grid=TimeGrid(stride=dt, num_positions=T),
+                       kappa=kappa, boundary=(T // 2) * dt,
+                       master_seed=seed + cell)
+        _check_cls_against_full_width(spec, _truths(unit) * dt,
+                                      _noise_rows(spec, 2))
+
+
+@pytest.mark.parametrize("noise", ALL_CLS_NOISES)
+@pytest.mark.parametrize("kappa", CLS_KAPPAS)
+def test_kappas_match_full_width_reference(noise, kappa):
+    spec = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
+                          kappa=kappa, boundary=100.0,
+                          noise=ALL_CLS_NOISES[noise], num_trials=1000,
+                          master_seed=70)
+    _check_cls_against_full_width(spec, _truths(spec), _noise_rows(spec, 2))
+
+
+def _spy_chunk_rows(monkeypatch):
+    rows = []
+    features = stats.make_kernel_features
+    monkeypatch.setattr(stats, "make_kernel_features",
+                        lambda grid, c, kappa, cols: rows.append(len(c))
+                        or features(grid, c, kappa, cols))
+    return rows
+
+
+@pytest.mark.parametrize("noise", ALL_CLS_NOISES)
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("truths", ["first column", "last column",
+                                    "whole grid"])
+def test_edges_and_spread_match_full_width_reference(monkeypatch, noise,
+                                                     chunk, truths):
+    # windows cut by column 0 or T - 1, where the band reaches the zero
+    # padding, and chunks whose truths spread over the whole grid, whose
+    # band is then every column; chunk rows 1, 7 or all trials
+    T, dt, n = 60, 2.0, 90
+    phases = np.random.default_rng(12).uniform(0.0, 1.0, n)
+    spread = {"first column": 0.25 + phases,
+              "last column": T - 1.75 + phases,
+              "whole grid": 0.05 + (T - 0.1) * phases}[truths] * dt
+    size, rows = chunk or n, _spy_chunk_rows(monkeypatch)
+    for kappa in CLS_KAPPAS:
+        spec = ExperimentSpec(grid=TimeGrid(stride=dt, num_positions=T),
+                              kappa=kappa * dt, boundary=T / 2 * dt,
+                              noise=ALL_CLS_NOISES[noise], num_trials=n,
+                              master_seed=int(4 * kappa))
+        rows.clear()
+        monkeypatch.setattr(stats, "CLS_CHUNK_VALUES",
+                            size * _band_width(spec))
+        _check_cls_against_full_width(spec, spread, _noise_rows(spec, 2))
+        assert rows == [min(size, n - s) for s in range(0, n, size)]
 
 
 def reference_hold_previous(tau, gamma):

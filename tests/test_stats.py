@@ -70,7 +70,8 @@ def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
     spec = _spec(kappa=4.0, num_trials=150, master_seed=5)
     truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
     want = stats._cls_errors(spec, truths, noise)
-    monkeypatch.setattr(stats, "CLS_CHUNK_ROWS", 7)
+    # kappa 4 at stride 1 has a 32-column band: 7 trials per chunk
+    monkeypatch.setattr(stats, "CLS_CHUNK_VALUES", 7 * 32)
     assert np.array_equal(stats._cls_errors(spec, truths, noise), want)
 
 

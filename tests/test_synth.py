@@ -89,6 +89,17 @@ def test_kernel_features_one_row_per_center():
     assert make_kernel_features(g, 25.0, 3.5).shape == (60,)
 
 
+@pytest.mark.parametrize("cols", [slice(0, 1), slice(0, 17), slice(23, 41),
+                                  slice(52, 60), slice(30, 30), slice(None)])
+def test_kernel_feature_columns_equal_the_full_rows(cols):
+    g = TimeGrid(stride=2.0, num_positions=60)
+    centers = np.random.default_rng(6).uniform(0.0, 120.0, 5)
+    for center, kappa in ((centers, 3.5), (centers[0], 0.3), (81.25, 12.0)):
+        full = make_kernel_features(g, center, kappa)
+        assert np.array_equal(make_kernel_features(g, center, kappa, cols),
+                              full[..., cols])
+
+
 def test_kernel_kappa_validation():
     g = TimeGrid(stride=1.0, num_positions=10)
     for kappa in (0.0, float("nan"), float("inf")):
