@@ -98,7 +98,9 @@ def surrogate_tau(uncertainty, scale: float, offset: float) -> np.ndarray:
 
 def calibrate_tau_offset(uncertainty, scale: float, target_mean: float,
                          tol: float = 1e-6) -> float:
-    """Bisect the offset so the mean of surrogate_tau hits target_mean."""
+    """Bisect the offset so mean(surrogate_tau) hits target_mean, in (0, 1)."""
+    if not 0.0 < target_mean < 1.0:
+        raise ValueError("target_mean must be in (0, 1)")
     lo, hi = -50.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -147,8 +149,8 @@ def expected_tau(buckets) -> float:
     """Count-weighted mean of per-bucket tau values."""
     counts = np.array([c for c, _ in buckets], dtype=float)
     taus = np.array([x for _, x in buckets], dtype=float)
-    if np.any(counts <= 0):
-        raise ValueError("bucket counts must be positive")
+    if counts.size == 0 or np.any(counts <= 0):
+        raise ValueError("need at least one bucket, every count positive")
     return float(np.sum(counts * taus) / np.sum(counts))
 
 

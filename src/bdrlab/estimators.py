@@ -30,19 +30,15 @@ class BDRLossConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Gradient-descent settings for fit_distance."""
+    """Loss settings for fit_distance; its step size and step count follow
+    from FIT_STEP and FIT_ITERATIONS."""
 
     loss: BDRLossConfig = BDRLossConfig()
-    step: float = 2.0
-    iterations: int = 300
 
-    def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and positive")
-        if (isinstance(self.iterations, bool)
-                or not isinstance(self.iterations, (int, np.integer))
-                or self.iterations < 0):
-            raise ValueError("iterations must be an integer >= 0")
+
+# Gradient descent in grid units: the largest step tried, and the step count.
+FIT_STEP = 2.0
+FIT_ITERATIONS = 300
 
 
 EXTRACT_THETA_GRAD = 0.5
@@ -132,17 +128,24 @@ def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
                                    cfg.huber_delta * stride)[1]
 
 
+def _curvature_bound(T: int, alpha: float, delta: float) -> float:
+    """Lipschitz constant of the grid-unit smoothed loss's gradient: the Huber
+    mean's curvature 1/(delta T) plus the hinge's 2 alpha/(T-1) ||D^T D||,
+    where D takes the increments and ||D^T D|| <= 4."""
+    return 1.0 / (delta * T) + 8.0 * alpha / (T - 1)
+
+
 def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> np.ndarray:
     """Fit a distance series to noisy observations by descending the smoothed loss.
 
     Works on a single series or a batch (trials stacked on the first axis).
-    Optimisation runs in grid units so behaviour is stride-independent; steps
-    that would increase a row's loss are rejected and that row's step size is
-    halved, which keeps the per-row loss monotone non-increasing.
+    Optimisation runs in grid units so behaviour is stride-independent. It
+    takes FIT_ITERATIONS steps of one size, FIT_STEP halved while at least
+    2/L for L = _curvature_bound, so by the descent lemma every step lowers
+    every row's loss in exact arithmetic (unless the row is at a minimum).
 
     Rows are fitted in chunks of 128. The work arrays are allocated once per
-    call, sized for one chunk: the current and candidate fits and gradients,
-    which swap roles after each step, the step sizes, and the two scratch
+    call, sized for one chunk: the fit, its gradient, and the two scratch
     arrays of the one loss-and-gradient kernel that bdr_loss_smoothed and
     bdr_loss_smoothed_grad run too. Every step updates them in place.
     """
@@ -154,33 +157,24 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     single = obs.ndim == 1
     full = np.atleast_2d(obs) / grid.stride
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
+    step, bound = FIT_STEP, _curvature_bound(full.shape[-1], alpha, delta)
+    while step * bound >= 2.0:
+        step *= 0.5
     out = np.empty_like(full)
     # rows are independent; small chunks keep the iteration working set in
     # cache, which is worth ~1.6x on long batches
     chunk = 128
     shape = (min(chunk, full.shape[0]),) + full.shape[1:]
-    bufs = [np.empty(shape) for _ in range(7)]
+    bufs = [np.empty(shape) for _ in range(4)]
     for start in range(0, full.shape[0], chunk):
         o = full[start:start + chunk]
         n = o.shape[0]
-        # step holds each row's step size repeated along the row, so the
-        # step multiply runs over contiguous memory instead of broadcasting
-        d, cand, g, cand_g, step, *w = (b[:n] for b in bufs)
+        d, g, *w = (b[:n] for b in bufs)
         d[...] = o
-        step[...] = cfg.step
-        loss = _smoothed_loss_and_grad(o, d, 1.0, alpha, delta, g, w)[0]
-        for _ in range(cfg.iterations):
-            np.subtract(d, np.multiply(step, g, out=cand), out=cand)
-            cand_loss = _smoothed_loss_and_grad(o, cand, 1.0, alpha, delta,
-                                                cand_g, w)[0]
-            # rejected rows keep their previous state and halve their step
-            bad = ~(cand_loss <= loss)
-            if bad.any():
-                cand[bad] = d[bad]
-                cand_g[bad] = g[bad]
-                cand_loss[bad] = loss[bad]
-                step[bad] *= 0.5
-            d, cand, g, cand_g, loss = cand, d, cand_g, g, cand_loss
+        for _ in range(FIT_ITERATIONS):
+            _smoothed_loss_and_grad(o, d, 1.0, alpha, delta, g, w)
+            g *= step
+            d -= g
         out[start:start + n] = d
     out *= grid.stride
     return out[0] if single else out

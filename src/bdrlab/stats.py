@@ -274,7 +274,7 @@ def variance_ratio(errors_bdr, errors_cls, seed: int = 0) -> VarianceReport:
 def holm_bonferroni(p_values):
     """Step-down multiple-comparison adjustment, clipped at 1."""
     p = np.asarray(p_values, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p-values must be in [0, 1]")
     n = p.size
     order = np.argsort(p, kind="stable")
@@ -292,8 +292,8 @@ def loglog_slope(x, y):
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("need at least 3 paired values")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("values must be positive")
+    if not np.all(np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)):
+        raise ValueError("values must be finite and positive")
     if np.all(x == x[0]):
         raise ValueError("need at least 2 distinct x values")
     lx, ly = np.log(x), np.log(y)
@@ -314,8 +314,8 @@ def width_stratified_R(results):
     """
     sums = [[] for _ in range(4)]
     for W, dt, R in results:
-        if W <= 0 or dt <= 0 or R <= 0:
-            raise ValueError("W, dt and R must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (W, dt, R)):
+            raise ValueError("W, dt and R must be finite and positive")
         q = W / dt
         b = 0 if q <= 1 else (1 if q <= 2 else (2 if q <= 3 else 3))
         sums[b].append(R)

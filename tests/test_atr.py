@@ -148,6 +148,14 @@ def test_calibrated_offset_hits_target_mean():
     assert np.mean(surrogate_tau(u, 0.8, off)) == pytest.approx(0.16, abs=1e-3)
 
 
+@pytest.mark.parametrize("target", [1.5, -0.2, 0.0, 1.0, np.nan])
+def test_calibrated_offset_rejects_unreachable_target(target):
+    # every tau lies in (0, 1); bisection would return a bracket edge
+    u = np.exp(np.random.default_rng(2).normal(0, 1, 100))
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_tau_offset(u, 1.0, target)
+
+
 # --- pruning ----------------------------------------------------------------
 
 def test_prune_keep_all():
@@ -204,6 +212,11 @@ def test_expected_tau_paper_buckets():
 def test_expected_tau_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
         expected_tau([(0, 0.5)])
+
+
+def test_expected_tau_rejects_no_buckets():
+    with pytest.raises(ValueError, match="bucket"):
+        expected_tau([])
 
 
 def test_per_layer_pruned_cost():

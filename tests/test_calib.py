@@ -80,6 +80,19 @@ def test_r_ece_validation():
         CalibrationConfig(num_bins=1)
 
 
+@pytest.mark.parametrize("num_bins", [2.5, 10.0, True, np.nan, "10"])
+def test_calibration_config_rejects_non_integer_bins(num_bins):
+    with pytest.raises(ValueError, match="integer"):
+        CalibrationConfig(num_bins=num_bins)
+
+
+def test_calibration_config_sets_only_the_bin_count():
+    assert CalibrationConfig(num_bins=np.int64(3)).num_bins == 3
+    assert CalibrationConfig().one_sigma_quantile == 0.9945
+    with pytest.raises(TypeError):
+        CalibrationConfig(one_sigma_quantile=np.nan)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_r_ece_rejects_non_finite_errors(bad):
     e = np.zeros(20)

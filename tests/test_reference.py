@@ -3,12 +3,14 @@
 The references are the earlier implementations: a bootstrap that draws and
 evaluates one resample at a time on the raw per-group data, a fitter whose
 Huber term and accept step use np.where over whole fresh arrays on every
-step, the finite-sample check with its own seeding and fitting loop, the
-AR(1) recursions that indexed numpy arrays step by step, the classification
-peak loop that smoothed, searched and refined one trial at a time, the
-batched classification side that computed every column of each row, the
-hold_previous hysteresis loop that indexed the numpy array, and r_ece with
-a stable argsort that gathered both errors and sigmas.
+step and which rejected and halved steps per row, the same loop with the
+one step the curvature bound allows, the finite-sample check with its own
+seeding and fitting loop, the AR(1) recursions that indexed numpy arrays
+step by step, the classification peak loop that smoothed, searched and
+refined one trial at a time, the batched classification side that computed
+every column of each row, the hold_previous hysteresis loop that indexed the
+numpy array, and r_ece with a stable argsort that gathered both errors and
+sigmas.
 """
 
 from dataclasses import replace
@@ -73,15 +75,17 @@ def _reference_loss_and_grad(o, d, alpha, delta):
     return loss, g
 
 
-def reference_fit(observations, grid, cfg):
-    """The fit and the number of row-steps the loop rejected."""
+def reference_fit(observations, grid, loss_cfg):
+    """The fit and the number of row-steps the loop rejected: the earlier
+    fitter, which tried step 2 on every row, rejected a step that raised
+    the row's loss and halved that row's step."""
     o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
-    alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
+    alpha, delta = loss_cfg.alpha, loss_cfg.huber_delta
     d = o.copy()
     loss, g = _reference_loss_and_grad(o, d, alpha, delta)
-    step = np.full(o.shape[0], cfg.step)
+    step = np.full(o.shape[0], 2.0)
     rejected = 0
-    for _ in range(cfg.iterations):
+    for _ in range(300):
         cand = d - step[:, None] * g
         cand_loss, cand_g = _reference_loss_and_grad(o, cand, alpha, delta)
         ok = cand_loss <= loss
@@ -91,6 +95,21 @@ def reference_fit(observations, grid, cfg):
         loss = np.where(ok, cand_loss, loss)
         step = np.where(ok, step, 0.5 * step)
     return d * grid.stride, rejected
+
+
+def reference_fixed_step_fit(observations, grid, loss_cfg):
+    """300 steps of one size: 2, halved while step * L >= 2 for the
+    gradient's Lipschitz bound L = 1/(delta T) + 8 alpha/(T - 1)."""
+    o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
+    alpha, delta = loss_cfg.alpha, loss_cfg.huber_delta
+    T = o.shape[-1]
+    step = 2.0
+    while step * (1.0 / (delta * T) + 8.0 * alpha / (T - 1)) >= 2.0:
+        step *= 0.5
+    d = o.copy()
+    for _ in range(300):
+        d = d - step * _reference_loss_and_grad(o, d, alpha, delta)[1]
+    return d * grid.stride
 
 
 @pytest.mark.parametrize("n", [5, 10, 50, 500])
@@ -141,31 +160,36 @@ def _noisy_rows(T, noise, stride, rows, seed):
     return grid, clean + stride * noise
 
 
-SHORT_ROWS = 50  # rows this short reject steps at the default step size
-
-
 def _check_fit_against_reference(T, noise, stride, rows):
     grid, obs = _noisy_rows(T, noise, stride, rows, seed=T)
-    cfg = FitConfig(loss=BDRLossConfig(alpha=SWEEP_FIT_ALPHA))
-    want, rejected = reference_fit(obs, grid, cfg)
+    loss = BDRLossConfig(alpha=SWEEP_FIT_ALPHA)
+    got = fit_distance(obs, grid, FitConfig(loss=loss))
     # The reference's Huber term rounds differently inside the band, but the
-    # loss only decides which steps are accepted, and the gradient and step
-    # arithmetic are the same, so the fits agree bit for bit.
-    assert np.array_equal(fit_distance(obs, grid, cfg), want)
-    if T <= SHORT_ROWS:
-        assert rejected > 0  # the step-rejection branch ran
+    # gradient and step arithmetic are the same, so the fits agree bit for bit.
+    assert np.array_equal(got, reference_fixed_step_fit(obs, grid, loss))
+    if T >= 133:
+        # at alpha 4 the bound keeps step 2 from T = 133 on, where the
+        # earlier reject-and-halve fitter rejected no step
+        want, rejected = reference_fit(obs, grid, loss)
+        assert rejected == 0
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("T,rho,stride,rows", [(200, 0.0, 2.0, 160),
                                                (800, 0.6, 1.0, 40),
+                                               (133, 0.0, 1.0, 40),
+                                               (133, 0.6, 1.0, 40),
                                                (50, 0.0, 1.0, 25),
-                                               (50, 0.6, 1.0, 25)])
+                                               (50, 0.6, 1.0, 25),
+                                               (132, 0.0, 1.0, 25),
+                                               (132, 0.6, 1.0, 25)])
 def test_fit_matches_reference(T, rho, stride, rows):
     _check_fit_against_reference(T, NoiseSpec(rho=rho), stride, rows)
 
 
 def test_student_t_fit_matches_reference():
-    _check_fit_against_reference(50, NoiseSpec(family="student_t"), 1.0, 25)
+    for T in (50, 132, 133):
+        _check_fit_against_reference(T, NoiseSpec(family="student_t"), 1.0, 25)
 
 
 def reference_finite_sample(base_spec, lengths):

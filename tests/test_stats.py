@@ -140,6 +140,11 @@ def test_holm_bonferroni():
         holm_bonferroni([1.2])
 
 
+def test_holm_bonferroni_rejects_nan():
+    with pytest.raises(ValueError):
+        holm_bonferroni([0.1, np.nan])
+
+
 def test_loglog_slope_exact_power_laws():
     x = np.array([1.0, 2.0, 4.0, 8.0])
     s, _, r2 = loglog_slope(x, x)
@@ -161,6 +166,14 @@ def test_loglog_slope_needs_two_distinct_x():
     assert s == pytest.approx(1.0) and r2 == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loglog_slope_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        loglog_slope([1.0, 2.0, 4.0], [1.0, bad, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        loglog_slope([1.0, bad, 4.0], [1.0, 2.0, 3.0])
+
+
 def test_width_stratified_bins():
     rows = [(1.0, 2.0, 0.9), (3.0, 2.0, 0.5), (5.0, 2.0, 0.4), (9.0, 2.0, 0.2)]
     out = width_stratified_R(rows)
@@ -169,6 +182,13 @@ def test_width_stratified_bins():
     assert out == [0.7, None, None, None]
     with pytest.raises(ValueError):
         width_stratified_R([(0.0, 1.0, 0.5)])
+
+
+@pytest.mark.parametrize("row", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0),
+                                 (1.0, 1.0, np.nan), (np.inf, 1.0, 1.0)])
+def test_width_stratified_rejects_non_finite(row):
+    with pytest.raises(ValueError, match="finite"):
+        width_stratified_R([row])
 
 
 def test_correlation_rho_zero_matches_baseline():
