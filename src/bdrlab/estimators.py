@@ -45,6 +45,14 @@ EXTRACT_THETA_GRAD = 0.5
 EXTRACT_NMS_WINDOW = 5.0
 
 
+def _check_positions(what: str, *arrays) -> None:
+    """Raise ValueError unless the arrays broadcast to a shape whose last axis
+    holds at least 2 positions."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    if len(shape) == 0 or shape[-1] < 2:
+        raise ValueError(f"{what} need at least 2 positions")
+
+
 def bdr_loss(target, prediction, stride: float = 1.0,
              cfg: BDRLossConfig = BDRLossConfig()) -> float:
     """Mean absolute error plus hinge-squared penalty on over-unit slopes.
@@ -56,6 +64,7 @@ def bdr_loss(target, prediction, stride: float = 1.0,
     dh = np.asarray(prediction, dtype=float)
     if d.shape != dh.shape:
         raise ValueError("target and prediction lengths differ")
+    _check_positions("target and prediction", d)
     T = d.shape[-1]
     data = np.mean(np.abs(d - dh), axis=-1)
     inc = np.diff(dh, axis=-1)
@@ -64,68 +73,84 @@ def bdr_loss(target, prediction, stride: float = 1.0,
     return data + penalty
 
 
-def _smoothed_loss_and_grad(target, prediction, stride: float, alpha: float,
-                            delta: float, grad=None, work=None):
-    """Huber-smoothed loss and its gradient in one pass (batched rows).
+def _smoothed_loss(target, prediction, stride: float, alpha: float,
+                   delta: float):
+    """Huber-smoothed loss of each row; prediction and target broadcast.
 
-    The Huber term is c*r - delta*c^2/2 with c = clip(r/delta, -1, 1), the
-    clipped residual the gradient needs anyway: r^2/(2 delta) inside the
-    band, |r| - delta/2 outside. The hinge uses the signed excess
-    q = inc - clip(inc, -stride, stride) of each increment: q^2 is the
-    squared excess and 2 alpha/(T-1) * q its gradient, exactly, because q is
-    the excess times sign(inc).
+    The Huber term is c*r - delta*c^2/2 with c = clip(r/delta, -1, 1):
+    r^2/(2 delta) inside the band, |r| - delta/2 outside. The hinge sums
+    q^2 for the signed excess q = inc - clip(inc, -stride, stride) of each
+    increment.
+    """
+    dh = np.asarray(prediction, dtype=float)
+    r = dh - target
+    T = r.shape[-1]
+    c = np.clip(r / delta, -1.0, 1.0)
+    data = np.add.reduce(c * r - 0.5 * delta * c * c, axis=-1) / T
+    inc = np.diff(dh, axis=-1)
+    q = inc - np.clip(inc, -stride, stride)
+    return data + alpha / (T - 1) * np.add.reduce(q * q, axis=-1)
+
+
+def _smoothed_grad(target, prediction, stride: float, alpha: float,
+                   delta: float, scale: float = 1.0, grad=None, work=None):
+    """`scale` times the gradient of _smoothed_loss (batched rows).
+
+    The Huber term's gradient is the clipped residual clip(r/delta, -1, 1)
+    over T. The hinge's is 2 alpha/(T-1) * q for the signed excess
+    q = inc - clip(inc, -stride, stride) of each increment, exactly, because
+    q is the excess times sign(inc). `scale` is folded into those two
+    constants; for a power of two, as the fitter's step is, that rounds
+    exactly like scaling the gradient afterwards.
 
     The gradient is written into `grad`, and `work` holds two scratch
-    arrays, so a caller that evaluates many times allocates nothing per
-    call. All three must be C-contiguous and of the prediction's shape: the
-    increments and the hinge gradient run over the flattened rows, with each
-    row's last column, the one that would straddle two rows, set to zero.
-    Without them the kernel allocates its own, of the shape that the
-    prediction and target broadcast to, so one prediction can be scored
-    against a batch of targets.
+    arrays, the increments and the hinge gradient, so a caller that
+    evaluates many times allocates nothing per call. All three must be
+    C-contiguous and of the prediction's shape: the increments and the hinge
+    gradient run over the flattened rows, with each row's last column, the
+    one that would straddle two rows, set to zero. The increments' last
+    entry is never written, so it must hold a finite value. Without them the
+    kernel allocates its own, of the shape that the prediction and target
+    broadcast to, so one prediction can be scored against a batch of
+    targets.
     """
     prediction = np.asarray(prediction, dtype=float)
     if work is None:
         shape = np.broadcast_shapes(prediction.shape, np.shape(target))
         prediction = np.broadcast_to(prediction, shape)
         grad = np.empty(shape)
-        work = np.empty(shape), np.empty(shape)
-    r, q = work
+        work = np.zeros(shape), np.empty(shape)
+    inc, q = work
     T = prediction.shape[-1]
-    np.subtract(prediction, target, out=r)
-    c = np.clip(np.divide(r, delta, out=grad), -1.0, 1.0, out=grad)
-    np.multiply(c, r, out=r)
-    h = np.multiply(0.5 * delta, c, out=q)
-    h *= c
-    r -= h
-    data = np.add.reduce(r, axis=-1) / T
-    inc = r  # the Huber terms are summed: r now takes the increments
+    np.subtract(prediction, target, out=grad)
+    grad /= delta
+    np.clip(grad, -1.0, 1.0, out=grad)
+    grad /= T / scale
     flat_p, flat_inc, flat_q, flat_g = (
         a.reshape(-1) for a in (prediction, inc, q, grad))
     np.subtract(flat_p[1:], flat_p[:-1], out=flat_inc[:-1])
     np.subtract(inc, np.clip(inc, -stride, stride, out=q), out=q)
     q[..., -1] = 0.0
-    sq = np.multiply(q, q, out=inc)
-    loss = data + alpha / (T - 1) * np.add.reduce(sq[..., :-1], axis=-1)
-    c /= T  # the clipped residual becomes the gradient in place
-    q *= 2.0 * alpha / (T - 1)
+    q *= 2.0 * alpha / (T - 1) * scale
     flat_g[:-1] -= flat_q[:-1]
     flat_g[1:] += flat_q[:-1]
-    return loss, grad
+    return grad
 
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
                       cfg: BDRLossConfig = BDRLossConfig()):
     """Huber-smoothed variant of bdr_loss used by the fitter (same minimiser)."""
-    return _smoothed_loss_and_grad(target, prediction, stride, cfg.alpha,
-                                   cfg.huber_delta * stride)[0]
+    _check_positions("target and prediction", target, prediction)
+    return _smoothed_loss(target, prediction, stride, cfg.alpha,
+                          cfg.huber_delta * stride)
 
 
 def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
                            cfg: BDRLossConfig = BDRLossConfig()) -> np.ndarray:
     """Analytic gradient of bdr_loss_smoothed with respect to the prediction."""
-    return _smoothed_loss_and_grad(target, prediction, stride, cfg.alpha,
-                                   cfg.huber_delta * stride)[1]
+    _check_positions("target and prediction", target, prediction)
+    return _smoothed_grad(target, prediction, stride, cfg.alpha,
+                          cfg.huber_delta * stride)
 
 
 def _curvature_bound(T: int, alpha: float, delta: float) -> float:
@@ -143,17 +168,19 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     takes FIT_ITERATIONS steps of one size, FIT_STEP halved while at least
     2/L for L = _curvature_bound, so by the descent lemma every step lowers
     every row's loss in exact arithmetic (unless the row is at a minimum).
+    The loss itself is never evaluated: each step is the step-scaled
+    gradient of _smoothed_grad, the kernel bdr_loss_smoothed_grad runs too,
+    subtracted from the fit. The step is a power of two, so folding it into
+    the gradient's constants gives the same bits as scaling afterwards.
 
     Rows are fitted in chunks of 128. The work arrays are allocated once per
-    call, sized for one chunk: the fit, its gradient, and the two scratch
-    arrays of the one loss-and-gradient kernel that bdr_loss_smoothed and
-    bdr_loss_smoothed_grad run too. Every step updates them in place.
+    call, sized for one chunk: the fit, its gradient, and the kernel's two
+    scratch arrays. Every step updates them in place.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
-    if obs.ndim == 0 or obs.shape[-1] < 2:
-        raise ValueError("observations need at least 2 positions")
+    _check_positions("observations", obs)
     single = obs.ndim == 1
     full = np.atleast_2d(obs) / grid.stride
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
@@ -165,16 +192,16 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     # cache, which is worth ~1.6x on long batches
     chunk = 128
     shape = (min(chunk, full.shape[0]),) + full.shape[1:]
-    bufs = [np.empty(shape) for _ in range(4)]
+    # fit, gradient, increments, hinge gradient; the increments' last entry
+    # is never written, and zeros keep it finite
+    bufs = [np.empty(shape), np.empty(shape), np.zeros(shape), np.empty(shape)]
     for start in range(0, full.shape[0], chunk):
         o = full[start:start + chunk]
         n = o.shape[0]
         d, g, *w = (b[:n] for b in bufs)
         d[...] = o
         for _ in range(FIT_ITERATIONS):
-            _smoothed_loss_and_grad(o, d, 1.0, alpha, delta, g, w)
-            g *= step
-            d -= g
+            d -= _smoothed_grad(o, d, 1.0, alpha, delta, step, g, w)
         out[start:start + n] = d
     out *= grid.stride
     return out[0] if single else out

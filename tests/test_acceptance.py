@@ -2,7 +2,7 @@
 
 The Monte-Carlo checks share one full-scale sweep (10^4 trials per cell),
 computed once per session, and carry the `slow` marker: they take about
-80 s on a 2-core VM (Python 3.11, numpy 2.4), the shared sweep 11 s of
+47 s on a 2-core VM (Python 3.11, numpy 2.4), the shared sweep 6 s of
 that, and the rest of the file under 2 s. `pytest -m "not slow"` skips
 them.
 """

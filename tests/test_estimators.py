@@ -162,14 +162,15 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
     grid = TimeGrid(stride=1.0, num_positions=T)
     obs = (grid.times() - T / 2
            + sample_noise_matrix(NoiseSpec(rho=rho), T, 100, T))
-    kernel, losses = estimators._smoothed_loss_and_grad, []
+    grad, losses = estimators._smoothed_grad, []
 
-    def spy(*args):
-        loss, grad = kernel(*args)
-        losses.append(loss)
-        return loss, grad
+    def spy(target, prediction, *args):
+        # the grid-unit loss of the fit before the step, scored on a copy
+        losses.append(bdr_loss_smoothed(target, prediction.copy(), 1.0,
+                                        cfg.loss))
+        return grad(target, prediction, *args)
 
-    monkeypatch.setattr(estimators, "_smoothed_loss_and_grad", spy)
+    monkeypatch.setattr(estimators, "_smoothed_grad", spy)
     fit_distance(obs, grid, cfg)
     losses = np.array(losses)  # (steps, rows): the loss before each step
     assert losses.shape == (300, 100)
@@ -179,6 +180,14 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
     eps = np.finfo(float).eps
     assert np.all(np.diff(losses, axis=0) <= 4 * T * eps * losses[:-1])
     assert np.all(losses[-1] < losses[0])
+
+
+@pytest.mark.parametrize("loss", [bdr_loss, bdr_loss_smoothed,
+                                  bdr_loss_smoothed_grad])
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (3, 1), (2, 0)])
+def test_losses_reject_fewer_than_two_positions(loss, shape):
+    with pytest.raises(ValueError, match="at least 2 positions"):
+        loss(np.zeros(shape), np.zeros(shape))
 
 
 @pytest.mark.parametrize("kwargs", [{"alpha": -0.1}, {"alpha": np.nan},

@@ -1,10 +1,12 @@
 """Rewritten code paths against straightforward references.
 
 The references are the earlier implementations: a bootstrap that draws and
-evaluates one resample at a time on the raw per-group data, a fitter whose
-Huber term and accept step use np.where over whole fresh arrays on every
-step and which rejected and halved steps per row, the same loop with the
-one step the curvature bound allows, the finite-sample check with its own
+evaluates one resample at a time on the raw per-group data, the fused
+kernel that computed the smoothed loss and its gradient in one pass over
+two scratch arrays, a fitter whose Huber term and accept step use np.where
+over whole fresh arrays on every step and which rejected and halved steps
+per row, the same loop with the one step the curvature bound allows,
+scaling each gradient by the step separately, the finite-sample check with its own
 seeding and fitting loop, the AR(1) recursions that indexed numpy arrays
 step by step, the classification peak loop that smoothed, searched and
 refined one trial at a time, the batched classification side that computed
@@ -22,7 +24,8 @@ from bdrlab import stats
 from bdrlab.atr import HysteresisConfig, apply_hysteresis
 from bdrlab.calib import CalibrationConfig, equal_mass_bins, r_ece
 from bdrlab.cli import tau_scenario
-from bdrlab.estimators import (BDRLossConfig, FitConfig, fit_distance,
+from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss_smoothed,
+                               bdr_loss_smoothed_grad, fit_distance,
                                moving_average, quadratic_peak_offset)
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
@@ -58,6 +61,73 @@ def reference_ratio_ci(eb, ec, block_size=20, num_resamples=2000, seed=0):
         return float(np.mean(b**2) / denom) if denom > 0 else np.nan
 
     return reference_bootstrap(pairs, num_resamples, seed, stat)
+
+
+def reference_smoothed_loss_and_grad(target, prediction, stride, alpha,
+                                     delta):
+    """The fused kernel: the Huber terms c*r - delta*c^2/2 summed in one
+    scratch array, which then takes the increments over the flattened rows,
+    the hinge excess in the other, the clipped residual turned into the
+    gradient in place."""
+    prediction = np.asarray(prediction, dtype=float)
+    shape = np.broadcast_shapes(prediction.shape, np.shape(target))
+    prediction = np.broadcast_to(prediction, shape)
+    grad, r, q = np.empty(shape), np.empty(shape), np.empty(shape)
+    T = prediction.shape[-1]
+    np.subtract(prediction, target, out=r)
+    c = np.clip(np.divide(r, delta, out=grad), -1.0, 1.0, out=grad)
+    np.multiply(c, r, out=r)
+    h = np.multiply(0.5 * delta, c, out=q)
+    h *= c
+    r -= h
+    data = np.add.reduce(r, axis=-1) / T
+    inc = r
+    flat_p, flat_inc, flat_q, flat_g = (
+        a.reshape(-1) for a in (prediction, inc, q, grad))
+    np.subtract(flat_p[1:], flat_p[:-1], out=flat_inc[:-1])
+    np.subtract(inc, np.clip(inc, -stride, stride, out=q), out=q)
+    q[..., -1] = 0.0
+    sq = np.multiply(q, q, out=inc)
+    loss = data + alpha / (T - 1) * np.add.reduce(sq[..., :-1], axis=-1)
+    c /= T
+    q *= 2.0 * alpha / (T - 1)
+    flat_g[:-1] -= flat_q[:-1]
+    flat_g[1:] += flat_q[:-1]
+    return loss, grad
+
+
+def _loss_inputs(layout, stride, seed):
+    """Targets and predictions whose residuals fall inside and outside the
+    Huber band and whose increments fall below and above the stride."""
+    rng = np.random.default_rng(seed)
+    n, T = 6, 37
+    target = rng.normal(0.0, 1.2 * stride, (n, 2 * T)).cumsum(axis=1)
+    scale = np.array([0.002, 0.005, 0.3, 1.0, 2.0, 5.0])[:, None] * stride
+    pred = target + scale * rng.normal(0.0, 1.0, (n, 2 * T))
+    if layout == "strided":
+        return target[:, ::2], pred[:, ::2]
+    target, pred = target[:, :T].copy(), pred[:, :T].copy()
+    if layout == "1-D":
+        return target[2], pred[2]
+    if layout == "broadcast":
+        return target, pred[0]
+    return target, pred
+
+
+@pytest.mark.parametrize("layout", ["2-D", "strided", "1-D", "broadcast"])
+@pytest.mark.parametrize("stride", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 4.0])
+def test_smoothed_loss_and_grad_match_fused_reference(layout, stride, alpha):
+    cfg = BDRLossConfig(alpha=alpha)
+    for seed in range(3):
+        target, pred = _loss_inputs(layout, stride, seed)
+        loss, grad = reference_smoothed_loss_and_grad(
+            target, pred, stride, alpha, cfg.huber_delta * stride)
+        got_loss = bdr_loss_smoothed(target, pred, stride, cfg)
+        got_grad = bdr_loss_smoothed_grad(target, pred, stride, cfg)
+        assert np.shape(got_loss) == np.shape(loss)
+        assert np.array_equal(got_loss, loss)
+        assert np.array_equal(got_grad, grad)
 
 
 def _reference_loss_and_grad(o, d, alpha, delta):
@@ -160,14 +230,17 @@ def _noisy_rows(T, noise, stride, rows, seed):
     return grid, clean + stride * noise
 
 
-def _check_fit_against_reference(T, noise, stride, rows):
+def _check_fit_against_reference(T, noise, stride, rows,
+                                 alpha=SWEEP_FIT_ALPHA):
     grid, obs = _noisy_rows(T, noise, stride, rows, seed=T)
-    loss = BDRLossConfig(alpha=SWEEP_FIT_ALPHA)
+    loss = BDRLossConfig(alpha=alpha)
     got = fit_distance(obs, grid, FitConfig(loss=loss))
-    # The reference's Huber term rounds differently inside the band, but the
-    # gradient and step arithmetic are the same, so the fits agree bit for bit.
+    # The reference's Huber term rounds differently inside the band, and it
+    # scales each gradient by the step after computing it, where the fitter
+    # folds the power-of-two step into the gradient's constants; the rounding
+    # is the same, so the fits agree bit for bit.
     assert np.array_equal(got, reference_fixed_step_fit(obs, grid, loss))
-    if T >= 133:
+    if T >= 133 and alpha == SWEEP_FIT_ALPHA:
         # at alpha 4 the bound keeps step 2 from T = 133 on, where the
         # earlier reject-and-halve fitter rejected no step
         want, rejected = reference_fit(obs, grid, loss)
@@ -175,16 +248,23 @@ def _check_fit_against_reference(T, noise, stride, rows):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("T,rho,stride,rows", [(200, 0.0, 2.0, 160),
-                                               (800, 0.6, 1.0, 40),
-                                               (133, 0.0, 1.0, 40),
-                                               (133, 0.6, 1.0, 40),
-                                               (50, 0.0, 1.0, 25),
-                                               (50, 0.6, 1.0, 25),
-                                               (132, 0.0, 1.0, 25),
-                                               (132, 0.6, 1.0, 25)])
-def test_fit_matches_reference(T, rho, stride, rows):
-    _check_fit_against_reference(T, NoiseSpec(rho=rho), stride, rows)
+# (T, rho, stride, rows, alpha); 300 rows cross two 128-row chunk edges
+FIT_CASES = [(200, 0.0, 2.0, 160, 4.0), (800, 0.6, 1.0, 40, 4.0),
+             (133, 0.0, 1.0, 40, 4.0), (133, 0.6, 1.0, 40, 4.0),
+             (50, 0.0, 1.0, 25, 4.0), (50, 0.6, 1.0, 25, 4.0),
+             (132, 0.0, 1.0, 25, 4.0), (132, 0.6, 1.0, 25, 4.0),
+             (133, 0.6, 1.0, 300, 4.0), (200, 0.0, 4.0, 40, 4.0),
+             (50, 0.0, 1.0, 25, 0.0), (200, 0.6, 1.0, 40, 0.0),
+             (50, 0.6, 2.0, 25, 0.1), (400, 0.0, 4.0, 40, 0.1)]
+
+
+@pytest.mark.parametrize(
+    "T,rho,stride,rows,alpha", FIT_CASES,
+    ids=["-".join(map(str, case[:4]))
+         + ("" if case[4] == SWEEP_FIT_ALPHA else f"-alpha{case[4]}")
+         for case in FIT_CASES])
+def test_fit_matches_reference(T, rho, stride, rows, alpha):
+    _check_fit_against_reference(T, NoiseSpec(rho=rho), stride, rows, alpha)
 
 
 def test_student_t_fit_matches_reference():
