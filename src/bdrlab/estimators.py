@@ -92,9 +92,11 @@ def _smoothed_loss(target, prediction, stride: float, alpha: float,
     return data + alpha / (T - 1) * np.add.reduce(q * q, axis=-1)
 
 
-def _smoothed_grad(target, prediction, stride: float, alpha: float,
-                   delta: float, scale: float = 1.0, grad=None, work=None):
-    """`scale` times the gradient of _smoothed_loss (batched rows).
+def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
+                          delta: float, scale: float, grad, inc, q):
+    """A zero-argument step that writes `scale` times the gradient of
+    _smoothed_loss (batched rows) at the current `prediction` into `grad`
+    and returns it.
 
     The Huber term's gradient is the clipped residual clip(r/delta, -1, 1)
     over T. The hinge's is 2 alpha/(T-1) * q for the signed excess
@@ -103,38 +105,46 @@ def _smoothed_grad(target, prediction, stride: float, alpha: float,
     constants; for a power of two, as the fitter's step is, that rounds
     exactly like scaling the gradient afterwards.
 
-    The gradient is written into `grad`, and `work` holds two scratch
-    arrays, the increments and the hinge gradient, so a caller that
-    evaluates many times allocates nothing per call. All three must be
-    C-contiguous and of the prediction's shape: the increments and the hinge
-    gradient run over the flattened rows, with each row's last column, the
-    one that would straddle two rows, set to zero. The increments' last
-    entry is never written, so it must hold a finite value. Without them the
-    kernel allocates its own, of the shape that the prediction and target
-    broadcast to, so one prediction can be scored against a batch of
-    targets.
+    Everything that does not change between steps is made here, once: the
+    flat views, their slices and the two constants. The step itself makes
+    only ufunc calls that write into `grad` and the two scratch arrays `inc`
+    (increments) and `q` (hinge gradient), so a caller that steps many
+    times, reading the prediction afresh each time, allocates nothing per
+    step. The prediction and the three arrays must be C-contiguous and of
+    one shape, and the target must broadcast to it: the increments and the
+    hinge gradient run over the flattened rows, with each row's last column,
+    the one that would straddle two rows, set to zero. The increments' last
+    entry is never written, so it must hold a finite value.
     """
-    prediction = np.asarray(prediction, dtype=float)
-    if work is None:
-        shape = np.broadcast_shapes(prediction.shape, np.shape(target))
-        prediction = np.broadcast_to(prediction, shape)
-        grad = np.empty(shape)
-        work = np.zeros(shape), np.empty(shape)
-    inc, q = work
+    arrays = prediction, inc, q, grad
+    # a reshape of any other array copies, and the step would read or write
+    # the copy instead of the caller's buffer
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError("kernel arrays must be C-contiguous")
+    flat_p, flat_inc, flat_q, flat_g = (a.reshape(-1) for a in arrays)
+    p_next, p_prev, inc_head = flat_p[1:], flat_p[:-1], flat_inc[:-1]
+    q_head, q_last = flat_q[:-1], q[..., -1]
+    g_head, g_tail = flat_g[:-1], flat_g[1:]
     T = prediction.shape[-1]
-    np.subtract(prediction, target, out=grad)
-    grad /= delta
-    np.clip(grad, -1.0, 1.0, out=grad)
-    grad /= T / scale
-    flat_p, flat_inc, flat_q, flat_g = (
-        a.reshape(-1) for a in (prediction, inc, q, grad))
-    np.subtract(flat_p[1:], flat_p[:-1], out=flat_inc[:-1])
-    np.subtract(inc, np.clip(inc, -stride, stride, out=q), out=q)
-    q[..., -1] = 0.0
-    q *= 2.0 * alpha / (T - 1) * scale
-    flat_g[:-1] -= flat_q[:-1]
-    flat_g[1:] += flat_q[:-1]
-    return grad
+    huber_div = T / scale
+    hinge_mul = 2.0 * alpha / (T - 1) * scale
+    subtract, divide, multiply, add = np.subtract, np.divide, np.multiply, np.add
+    clip_grad, clip_inc = grad.clip, inc.clip
+
+    def step():
+        subtract(prediction, target, out=grad)
+        divide(grad, delta, out=grad)
+        clip_grad(-1.0, 1.0, out=grad)
+        divide(grad, huber_div, out=grad)
+        subtract(p_next, p_prev, out=inc_head)
+        subtract(inc, clip_inc(-stride, stride, out=q), out=q)
+        q_last[...] = 0.0
+        multiply(q, hinge_mul, out=q)
+        subtract(g_head, q_head, out=g_head)
+        add(g_tail, q_head, out=g_tail)
+        return grad
+
+    return step
 
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
@@ -149,8 +159,16 @@ def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
                            cfg: BDRLossConfig = BDRLossConfig()) -> np.ndarray:
     """Analytic gradient of bdr_loss_smoothed with respect to the prediction."""
     _check_positions("target and prediction", target, prediction)
-    return _smoothed_grad(target, prediction, stride, cfg.alpha,
-                          cfg.huber_delta * stride)
+    prediction = np.asarray(prediction, dtype=float)
+    shape = np.broadcast_shapes(prediction.shape, np.shape(target))
+    # one prediction scored against a batch of targets is broadcast, and a
+    # strided one copied, into the contiguous layout the kernel steps on
+    prediction = np.ascontiguousarray(np.broadcast_to(prediction, shape))
+    grad = _smoothed_grad_kernel(target, prediction, stride, cfg.alpha,
+                                 cfg.huber_delta * stride, 1.0,
+                                 np.empty(shape), np.zeros(shape),
+                                 np.empty(shape))
+    return grad()
 
 
 def _curvature_bound(T: int, alpha: float, delta: float) -> float:
@@ -169,13 +187,16 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     2/L for L = _curvature_bound, so by the descent lemma every step lowers
     every row's loss in exact arithmetic (unless the row is at a minimum).
     The loss itself is never evaluated: each step is the step-scaled
-    gradient of _smoothed_grad, the kernel bdr_loss_smoothed_grad runs too,
-    subtracted from the fit. The step is a power of two, so folding it into
-    the gradient's constants gives the same bits as scaling afterwards.
+    gradient of _smoothed_grad_kernel, the kernel bdr_loss_smoothed_grad
+    runs too, subtracted from the fit. The step is a power of two, so
+    folding it into the gradient's constants gives the same bits as scaling
+    afterwards.
 
     Rows are fitted in chunks of 128. The work arrays are allocated once per
     call, sized for one chunk: the fit, its gradient, and the kernel's two
-    scratch arrays. Every step updates them in place.
+    scratch arrays. The kernel is built once per chunk, on that chunk's rows
+    of them, so its views, slices and constants are made once, not on every
+    step; every step updates the arrays in place.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
@@ -198,10 +219,12 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     for start in range(0, full.shape[0], chunk):
         o = full[start:start + chunk]
         n = o.shape[0]
-        d, g, *w = (b[:n] for b in bufs)
+        d, *work = (b[:n] for b in bufs)
         d[...] = o
+        scaled_grad = _smoothed_grad_kernel(o, d, 1.0, alpha, delta, step,
+                                            *work)
         for _ in range(FIT_ITERATIONS):
-            d -= _smoothed_grad(o, d, 1.0, alpha, delta, step, g, w)
+            d -= scaled_grad()
         out[start:start + n] = d
     out *= grid.stride
     return out[0] if single else out

@@ -93,7 +93,12 @@ def make_kernel_features(grid: TimeGrid, center, kappa: float,
 
 def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
     """Variance-preserving AR(1) along the last axis:
-    x[0] = eta[0], x[i] = rho x[i-1] + sqrt(1 - rho^2) eta[i]."""
+    x[0] = eta[0], x[i] = rho x[i-1] + sqrt(1 - rho^2) eta[i].
+
+    A single series steps through Python floats; a batch of rows steps all
+    rows one column at a time with two in-place ufunc calls per column. A
+    series of no values comes back empty at any rho.
+    """
     if rho == 0.0:
         return eta
     rho = float(rho)
@@ -109,10 +114,16 @@ def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
         for i in range(1, len(x)):
             prev = x[i] = rho * prev + c * x[i]
         return out
-    out = np.empty_like(eta)
-    out[..., 0] = eta[..., 0]
-    for i in range(1, eta.shape[-1]):
-        out[..., i] = rho * out[..., i - 1] + c * eta[..., i]
+    # many series: scale every innovation in one pass, then step column by
+    # column in place, x[i] = rho x[i-1] + (c eta[i]); products and sums are
+    # commutative in floating point, so these are the recursion's bits
+    out = np.multiply(eta, c)
+    out[..., :1] = eta[..., :1]
+    tmp = np.empty(out.shape[:-1])
+    multiply, add = np.multiply, np.add
+    cols = np.moveaxis(out, -1, 0)
+    for prev, cur in zip(cols, cols[1:]):
+        add(multiply(prev, rho, out=tmp), cur, out=cur)
     return out
 
 

@@ -162,15 +162,21 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
     grid = TimeGrid(stride=1.0, num_positions=T)
     obs = (grid.times() - T / 2
            + sample_noise_matrix(NoiseSpec(rho=rho), T, 100, T))
-    grad, losses = estimators._smoothed_grad, []
+    build, losses = estimators._smoothed_grad_kernel, []
 
     def spy(target, prediction, *args):
-        # the grid-unit loss of the fit before the step, scored on a copy
-        losses.append(bdr_loss_smoothed(target, prediction.copy(), 1.0,
-                                        cfg.loss))
-        return grad(target, prediction, *args)
+        step = build(target, prediction, *args)
 
-    monkeypatch.setattr(estimators, "_smoothed_grad", spy)
+        def spied_step():
+            # the grid-unit loss of the fit before the step, scored on a
+            # copy of the prediction the kernel steps from
+            losses.append(bdr_loss_smoothed(target, prediction.copy(), 1.0,
+                                            cfg.loss))
+            return step()
+
+        return spied_step
+
+    monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
     fit_distance(obs, grid, cfg)
     losses = np.array(losses)  # (steps, rows): the loss before each step
     assert losses.shape == (300, 100)
@@ -180,6 +186,34 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
     eps = np.finfo(float).eps
     assert np.all(np.diff(losses, axis=0) <= 4 * T * eps * losses[:-1])
     assert np.all(losses[-1] < losses[0])
+
+
+@pytest.mark.parametrize("rows,chunks", [(1, [1]), (128, [128]),
+                                         (129, [128, 1]),
+                                         (300, [128, 128, 44])])
+def test_fit_builds_the_kernel_once_per_chunk(monkeypatch, rows, chunks):
+    build, built = estimators._smoothed_grad_kernel, []
+
+    def spy(target, prediction, *args):
+        built.append(len(prediction))
+        return build(target, prediction, *args)
+
+    monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
+    grid = TimeGrid(stride=1.0, num_positions=20)
+    fit_distance(np.zeros((rows, 20)), grid)
+    assert built == chunks
+
+
+def test_grad_kernel_rejects_arrays_it_cannot_step_in_place():
+    # a reshape of a strided array copies, so the kernel would read a stale
+    # prediction or write into a copy
+    a = np.zeros((4, 10))
+    for i in range(4):
+        arrays = [a.copy() for _ in range(4)]
+        arrays[i] = np.zeros((4, 20))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            estimators._smoothed_grad_kernel(a, arrays[0], 1.0, 0.1, 0.01,
+                                             1.0, *arrays[1:])
 
 
 @pytest.mark.parametrize("loss", [bdr_loss, bdr_loss_smoothed,

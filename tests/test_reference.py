@@ -6,13 +6,17 @@ kernel that computed the smoothed loss and its gradient in one pass over
 two scratch arrays, a fitter whose Huber term and accept step use np.where
 over whole fresh arrays on every step and which rejected and halved steps
 per row, the same loop with the one step the curvature bound allows,
-scaling each gradient by the step separately, the finite-sample check with its own
-seeding and fitting loop, the AR(1) recursions that indexed numpy arrays
-step by step, the classification peak loop that smoothed, searched and
-refined one trial at a time, the batched classification side that computed
-every column of each row, the hold_previous hysteresis loop that indexed the
-numpy array, and r_ece with a stable argsort that gathered both errors and
-sigmas.
+scaling each gradient by the step separately, the finite-sample check with
+its own seeding and fitting loop, the AR(1) recursions that indexed numpy
+arrays step by step (one series, and a batch of rows a column at a time),
+the classification peak loop that smoothed, searched and refined one trial
+at a time, the batched classification side that computed every column of
+each row, the hold_previous hysteresis loop that indexed the numpy array,
+and r_ece with a stable argsort that gathered both errors and sigmas.
+
+The fitter builds its gradient kernel's views once per 128-row chunk, so
+fits are compared on one series and on batches that fill a chunk exactly,
+cross chunk edges or end on a one-row chunk.
 """
 
 from dataclasses import replace
@@ -248,14 +252,17 @@ def _check_fit_against_reference(T, noise, stride, rows,
         assert np.array_equal(got, want)
 
 
-# (T, rho, stride, rows, alpha); 300 rows cross two 128-row chunk edges
+# (T, rho, stride, rows, alpha); 300 rows cross two 128-row chunk edges,
+# 128 rows fill one chunk exactly and 129 end on a one-row chunk
 FIT_CASES = [(200, 0.0, 2.0, 160, 4.0), (800, 0.6, 1.0, 40, 4.0),
              (133, 0.0, 1.0, 40, 4.0), (133, 0.6, 1.0, 40, 4.0),
              (50, 0.0, 1.0, 25, 4.0), (50, 0.6, 1.0, 25, 4.0),
              (132, 0.0, 1.0, 25, 4.0), (132, 0.6, 1.0, 25, 4.0),
              (133, 0.6, 1.0, 300, 4.0), (200, 0.0, 4.0, 40, 4.0),
              (50, 0.0, 1.0, 25, 0.0), (200, 0.6, 1.0, 40, 0.0),
-             (50, 0.6, 2.0, 25, 0.1), (400, 0.0, 4.0, 40, 0.1)]
+             (50, 0.6, 2.0, 25, 0.1), (400, 0.0, 4.0, 40, 0.1),
+             (50, 0.6, 1.0, 1, 4.0), (200, 0.0, 1.0, 128, 4.0),
+             (200, 0.6, 1.0, 129, 4.0)]
 
 
 @pytest.mark.parametrize(
@@ -265,6 +272,15 @@ FIT_CASES = [(200, 0.0, 2.0, 160, 4.0), (800, 0.6, 1.0, 40, 4.0),
          for case in FIT_CASES])
 def test_fit_matches_reference(T, rho, stride, rows, alpha):
     _check_fit_against_reference(T, NoiseSpec(rho=rho), stride, rows, alpha)
+
+
+@pytest.mark.parametrize("T", [50, 200])
+def test_one_series_fit_matches_reference(T):
+    grid, obs = _noisy_rows(T, NoiseSpec(rho=0.6), 1.0, 1, seed=T)
+    loss = BDRLossConfig(alpha=SWEEP_FIT_ALPHA)
+    got = fit_distance(obs[0], grid, FitConfig(loss=loss))
+    assert got.shape == (T,)
+    assert np.array_equal(got, reference_fixed_step_fit(obs[0], grid, loss)[0])
 
 
 def test_student_t_fit_matches_reference():
@@ -314,12 +330,15 @@ def reference_ar1_loop(eta, rho):
     return x
 
 
-def reference_sample_noise(spec, count, seed):
+def reference_sample_noise(spec, shape, seed):
+    """One draw of `shape`, then the AR(1) recursion column by column."""
     rng = np.random.default_rng(seed)
     if spec.family == "laplace":
-        eta = rng.laplace(0.0, spec.scale, size=count)
+        eta = rng.laplace(0.0, spec.scale, size=shape)
+    elif spec.family == "gaussian":
+        eta = rng.normal(0.0, spec.scale, size=shape)
     else:
-        eta = spec.scale * rng.standard_t(spec.nu, size=count)
+        eta = spec.scale * rng.standard_t(spec.nu, size=shape)
     if spec.rho == 0.0:
         return eta
     out = np.empty_like(eta)
@@ -340,11 +359,23 @@ def test_tau_scenario_matches_reference_loop(seed, rho):
 
 @pytest.mark.parametrize("seed", [1, 7, np.random.SeedSequence((3, 1, 4))])
 @pytest.mark.parametrize("rho", [0.0, 0.6, 0.84])
-@pytest.mark.parametrize("family", ["laplace", "student_t"])
+@pytest.mark.parametrize("family", ["laplace", "gaussian", "student_t"])
 def test_sample_noise_matches_reference(seed, rho, family):
     spec = NoiseSpec(family=family, scale=0.7, rho=rho)
     assert np.array_equal(sample_noise_matrix(spec, seed, 1, 2000)[0],
                           reference_sample_noise(spec, 2000, seed))
+
+
+@pytest.mark.parametrize("count", [2, 3, 800])
+@pytest.mark.parametrize("rows", [2, 25, 129])
+@pytest.mark.parametrize("rho", [0.0, 0.6, 0.84])
+@pytest.mark.parametrize("family", ["laplace", "gaussian", "student_t"])
+def test_noise_rows_match_reference(family, rho, rows, count):
+    # two rows or more take the batched column step, not the 1-D scan
+    spec = NoiseSpec(family=family, scale=0.7, rho=rho)
+    assert np.array_equal(sample_noise_matrix(spec, (rows, count), rows, count),
+                          reference_sample_noise(spec, (rows, count),
+                                                 (rows, count)))
 
 
 def reference_cls_errors(spec, truths, noise):

@@ -164,3 +164,10 @@ def test_noise_matrix_rows_are_a_prefix_of_a_longer_draw():
         for rows in (1, 3, 6):
             assert np.array_equal(sample_noise_matrix(spec, (9, 1), rows, 50),
                                   full[:rows])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+@pytest.mark.parametrize("rows", [0, 1, 2, 5])
+def test_noise_matrix_of_no_columns_is_empty(rows, rho):
+    spec = NoiseSpec(rho=rho)
+    assert sample_noise_matrix(spec, 4, rows, 0).shape == (rows, 0)
