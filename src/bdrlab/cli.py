@@ -192,6 +192,8 @@ def cmd_calib(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("--seed is required for synthetic scenarios")
+        if args.samples < 1:
+            raise UsageError("--samples must be at least 1")
         errors, sigmas = _calib_scenario(args.scenario, args.samples, args.seed)
     cfg = CalibrationConfig(num_bins=args.bins)
     value, rows = r_ece(errors, sigmas, cfg, return_bins=True)
@@ -220,6 +222,8 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
 def cmd_atr_sim(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required")
+    if args.length < 2:
+        raise UsageError("--length must be at least 2: flip rates need a pair")
     tau = tau_scenario(args.length, args.trace_rho, args.gain, args.seed)
     raw_flip = flip_rate(tau)
     header = ("mode", "gamma", "flip_rate_raw", "flip_rate_stabilized",

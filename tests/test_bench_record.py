@@ -11,22 +11,24 @@ _spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-METRICS = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())[
-    "end_to_end"]
+SPEC = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+METRICS = SPEC["end_to_end"]
 
 
 def write_run(directory: Path, seed: int, sha: str, wall_s: float,
-              workload: str = "sweep", correct: bool = True):
-    """One `result-*-trace0.json` whose metrics all read 1 except wall_s."""
+              workload: str = "sweep", correct: bool = True, trace: int = 0):
+    """One `result-*-trace<trace>.json` whose metrics all read 1 except the
+    first, wall_s untraced and cli.self_s traced, which reads `wall_s`."""
     directory.mkdir(exist_ok=True)
-    values = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in METRICS}
-    values["wall_s"]["value"] = wall_s
-    run = {"workload": workload, "trace": 0, "seconds": 25.0,
+    metrics = SPEC["per_layer" if trace else "end_to_end"]
+    values = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics}
+    values["cli.self_s" if trace else "wall_s"]["value"] = wall_s
+    run = {"workload": workload, "trace": trace, "seconds": 25.0,
            "machine": {"nproc": 2, "python": "3.11", "numpy": "2.4",
                        "platform": "linux", "seed": seed,
                        "git_commit": "abc", "source_sha256": sha},
            "result": {"correct": correct, "metrics": values}}
-    path = directory / f"result-{workload}-seed{seed}-trace0.json"
+    path = directory / f"result-{workload}-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(run))
 
 
@@ -41,7 +43,9 @@ def sides(tmp_path, parent_wall, change_wall):
 def record(parent, change, claim=("sweep", "wall_s")):
     return bench_record.build(bench_record.load_side(parent, "parent"),
                               bench_record.load_side(change, "change"),
-                              "test", claim)
+                              "test", claim,
+                              (bench_record.load_side(parent, "parent", 1),
+                               bench_record.load_side(change, "change", 1)))
 
 
 def test_refuses_mixed_source_hashes(tmp_path):
@@ -100,3 +104,71 @@ def test_no_claim_records_null_and_prints_each_bound(tmp_path, capsys):
     assert [ln.split(":")[0] for ln in lines if "WORSE than bound" in ln] == [
         "sweep wall_s"]
     assert not any("claim" in ln for ln in lines)
+
+
+def traced_sides(tmp_path, parent_self, change_self, workload="toolkit"):
+    """Untraced pairs as in sides(), plus traced pairs of `workload` whose
+    cli.self_s reads parent_self and change_self, seed 100 + i."""
+    parent, change = sides(tmp_path, [1.0] * 3, [0.5] * 3)
+    for i, (p, c) in enumerate(zip(parent_self, change_self)):
+        write_run(parent, 100 + i, "p0", p, workload, trace=1)
+        write_run(change, 100 + i, "c0", c, workload, trace=1)
+    return parent, change
+
+
+def test_traced_pairs_give_per_layer_quartiles_and_wins(tmp_path, capsys):
+    parent, change = traced_sides(tmp_path, [0.030, 0.032, 0.034],
+                                  [0.020, 0.035, 0.021])
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), "--out", str(out),
+                              "--what", "traced"]) == 0
+    traced = json.loads(out.read_text())["traced"]
+    assert traced["command"].endswith("--seconds 25 --trace 1")
+    toolkit = traced["workloads"]["toolkit"]
+    assert toolkit["seeds"] == [100, 101, 102] and toolkit["pairs"] == 3
+    assert set(toolkit["metrics"]) == {m["name"] for m in SPEC["per_layer"]}
+    self_s = toolkit["metrics"]["cli.self_s"]
+    assert self_s["parent"] == {"median": 0.032, "q1": 0.031, "q3": 0.033}
+    assert self_s["change"]["median"] == 0.021
+    assert self_s["change_wins"] == 2 and "bound" not in self_s
+    # a level metric is won by neither side
+    assert toolkit["metrics"]["atr.hysteresis_s"]["change_wins"] == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("traced toolkit cli.self_s:")]
+    assert printed == ["traced toolkit cli.self_s: parent 0.032 change 0.021 "
+                       "s (change wins 2/3)"]
+
+
+def test_no_traced_runs_record_null(tmp_path):
+    assert record(*sides(tmp_path, [1.0] * 2, [0.5] * 2))["traced"] is None
+
+
+def test_refuses_traced_runs_on_one_side_only(tmp_path):
+    parent, change = sides(tmp_path, [1.0] * 2, [0.5] * 2)
+    write_run(change, 100, "c0", 0.02, "toolkit", trace=1)
+    with pytest.raises(bench_record.RecordError, match="unpaired"):
+        record(parent, change)
+
+
+def test_refuses_an_unpaired_traced_seed(tmp_path):
+    parent, change = traced_sides(tmp_path, [0.03] * 2, [0.02] * 2)
+    write_run(change, 107, "c0", 0.02, "toolkit", trace=1)
+    with pytest.raises(bench_record.RecordError, match="unpaired"):
+        record(parent, change)
+
+
+def test_refuses_an_incorrect_traced_run(tmp_path):
+    parent, change = traced_sides(tmp_path, [0.03] * 2, [0.02] * 2)
+    write_run(parent, 101, "p0", 0.03, "toolkit", correct=False, trace=1)
+    with pytest.raises(bench_record.RecordError, match="not correct"):
+        record(parent, change)
+
+
+@pytest.mark.parametrize("shas, match", [(("p0", "p1"), "several sources"),
+                                         (("p1", "p1"), "other sources")])
+def test_refuses_traced_runs_of_other_sources(tmp_path, shas, match):
+    parent, change = traced_sides(tmp_path, [0.03] * 2, [0.02] * 2)
+    for seed, sha in zip((100, 101), shas):
+        write_run(parent, seed, sha, 0.03, "toolkit", trace=1)
+    with pytest.raises(bench_record.RecordError, match=match):
+        record(parent, change)

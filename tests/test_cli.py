@@ -375,6 +375,20 @@ def test_synth_non_finite_input_exits_usage(tmp_path, capsys, flags):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["atr-sim", "--length", "-5"], "--length"),
+    (["atr-sim", "--length", "1"], "--length"),
+    (["calib", "--samples", "-3"], "--samples"),
+    (["calib", "--samples", "0"], "--samples")])
+def test_negative_or_empty_sizes_exit_usage_naming_the_flag(tmp_path, capsys,
+                                                           argv, flag):
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
 def test_synth_features_takes_one_boundary(tmp_path, capsys):
     assert run(["synth", "--series", "features", "--boundaries", "25,75",
                 "--out", str(tmp_path / "s.csv")]) == 1

@@ -17,6 +17,16 @@ and r_ece with a stable argsort that gathered both errors and sigmas.
 The fitter builds its gradient kernel's views once per 128-row chunk, so
 fits are compared on one series and on batches that fill a chunk exactly,
 cross chunk edges or end on a one-row chunk.
+
+One AR(1) series and the hold_previous sweep run as synth._blocked_scan,
+which steps overlapping blocks of a long series together and redoes with
+the scalar loop every block whose warm-up ends on other bits than the block
+before it. They are compared byte for byte with the step-by-step loops at
+the lengths where that scan changes shape (its cutoff and a whole number of
+rows, each -1, +0 and +1) and over many blocks; a spy on the scalar loop
+shows which blocks were redone. Constant stretches force one mid-series
+block to be redone, signed zeros and hold_previous above the trace's range
+force every block, and NaN, infinities and overflow run through both.
 """
 
 from dataclasses import replace
@@ -24,8 +34,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bdrlab import stats
-from bdrlab.atr import HysteresisConfig, apply_hysteresis
+from bdrlab import atr, stats, synth
+from bdrlab.atr import HOLD_WARMUP, HysteresisConfig, apply_hysteresis
 from bdrlab.calib import CalibrationConfig, equal_mass_bins, r_ece
 from bdrlab.cli import tau_scenario
 from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss_smoothed,
@@ -36,7 +46,8 @@ from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           _cls_errors, _noise_rows, _truths, blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
-from bdrlab.synth import (NoiseSpec, TimeGrid, make_kernel_features,
+from bdrlab.synth import (SCAN_BLOCK, SCAN_MIN_ROWS, NoiseSpec, TimeGrid,
+                          _apply_ar1, _ar1_warmup, make_kernel_features,
                           sample_noise_matrix)
 
 
@@ -366,6 +377,15 @@ def test_sample_noise_matches_reference(seed, rho, family):
                           reference_sample_noise(spec, 2000, seed))
 
 
+@pytest.mark.parametrize("rho", [0.6, 0.84])
+@pytest.mark.parametrize("family", ["laplace", "gaussian", "student_t"])
+def test_one_long_noise_row_matches_reference(rho, family):
+    # one row of 25 000 values runs the blocked scan, not the scalar loop
+    spec = NoiseSpec(family=family, scale=0.7, rho=rho)
+    assert np.array_equal(sample_noise_matrix(spec, 9, 1, 25_000)[0],
+                          reference_sample_noise(spec, 25_000, 9))
+
+
 @pytest.mark.parametrize("count", [2, 3, 800])
 @pytest.mark.parametrize("rows", [2, 25, 129])
 @pytest.mark.parametrize("rho", [0.0, 0.6, 0.84])
@@ -376,6 +396,115 @@ def test_noise_rows_match_reference(family, rho, rows, count):
     assert np.array_equal(sample_noise_matrix(spec, (rows, count), rows, count),
                           reference_sample_noise(spec, (rows, count),
                                                  (rows, count)))
+
+
+# --- the blocked scan: one AR(1) series and hold_previous ------------------
+
+@pytest.fixture
+def scans(monkeypatch):
+    """(start, stop) of every call of the two scalar loops, in order."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(x, start, stop, **params):
+            calls.append((start, stop))
+            real(x, start, stop, **params)
+        monkeypatch.setattr(module, name, recorded)
+    spy(synth, "_ar1_scan")
+    spy(atr, "_hold_scan")
+    return calls
+
+
+def redone_rows(calls, n, warmup):
+    """The rows whose blocks the blocked scan redid, from the scalar loop's
+    calls; None when that loop ran the whole series instead."""
+    if calls == [(1, n)]:
+        return None
+    rows = (n - warmup) // SCAN_BLOCK
+    assert calls[-1] == (warmup + rows * SCAN_BLOCK, n)  # the tail
+    starts = [start - warmup for start, _ in calls[:-1]]
+    assert all(start % SCAN_BLOCK == 0 for start in starts)
+    assert all(stop - start == SCAN_BLOCK for start, stop in calls[:-1])
+    return [start // SCAN_BLOCK for start in starts]
+
+
+def edge_lengths(warmup):
+    """Series lengths at the blocked scan's edges: the cutoff below which the
+    scalar loop runs the whole series, and 40 whole rows, each -1, +0 and +1
+    (a tail of B-1, none and one value), then a length of many blocks."""
+    cutoff = warmup + SCAN_MIN_ROWS * SCAN_BLOCK
+    rows40 = warmup + 40 * SCAN_BLOCK
+    return [cutoff - 1, cutoff, cutoff + 1, rows40 - 1, rows40, rows40 + 1,
+            warmup + 100 * SCAN_BLOCK + 123]
+
+
+def check_ar1(eta, rho):
+    got = _apply_ar1(eta, rho)
+    # inf - inf and overflow, silent in the scan too
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = reference_ar1_loop(eta, rho)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.84, 0.3, -0.5, -0.84])
+@pytest.mark.parametrize("edge", range(7))
+def test_one_series_ar1_matches_reference_at_block_edges(scans, rho, edge):
+    n = edge_lengths(_ar1_warmup(rho))[edge]
+    check_ar1(np.random.default_rng(n).normal(0.0, 1.0, n), rho)
+    # the cutoff - 1 runs the scalar loop alone; every longer series is
+    # blocked, and these Gaussian series need no block redone
+    assert redone_rows(scans, n, _ar1_warmup(rho)) == (None if edge == 0 else [])
+
+
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+def test_ar1_warmup_longer_than_a_block_runs_the_scalar_loop(scans, rho):
+    assert _ar1_warmup(rho) > SCAN_BLOCK
+    n = 100 * SCAN_BLOCK
+    check_ar1(np.random.default_rng(1).normal(0.0, 1.0, n), rho)
+    assert scans == [(1, n)]
+
+
+def test_ar1_zero_stretch_redoes_the_one_block_it_covers(scans):
+    # a row that starts inside a stretch of zero innovations holds exactly 0
+    # through its warm-up, while the true series decays by rho^W but stays
+    # above 0
+    rho, row = 0.84, 20
+    W = _ar1_warmup(rho)
+    n = W + 40 * SCAN_BLOCK + 7
+    eta = np.random.default_rng(2).normal(0.0, 1.0, n)
+    eta[row * SCAN_BLOCK - 5:row * SCAN_BLOCK + W + 5] = 0.0
+    check_ar1(eta, rho)
+    assert redone_rows(scans, n, W) == [row]
+
+
+def test_ar1_signed_zeros_redo_every_block(scans):
+    # rho(+0) + (-0) = +0 but rho(-0) + (-0) = -0: rows guessed from -0 keep
+    # -0 while the series keeps +0, equal under == but not in bits
+    rho = 0.84
+    W = _ar1_warmup(rho)
+    n = W + 40 * SCAN_BLOCK + 7
+    eta = np.full(n, -0.0)
+    eta[0] = 0.0
+    check_ar1(eta, rho)
+    assert redone_rows(scans, n, W) == list(range(1, 40))
+
+
+@pytest.mark.parametrize("bad", [{10_000: np.nan}, {6_000: np.inf},
+                                 {6_000: -np.inf},
+                                 {6_000: np.inf, 14_000: -np.inf},
+                                 {10_000: np.inf, 10_001: -np.inf},
+                                 {10_000: 1.7e308, 10_001: 1.7e308,
+                                  10_002: 1.7e308},
+                                 {0: np.nan, -1: np.inf}])
+@pytest.mark.parametrize("rho", [0.84, -0.5])
+def test_one_series_ar1_with_non_finite_values_matches_reference(rho, bad):
+    n = _ar1_warmup(rho) + 40 * SCAN_BLOCK + 7
+    eta = np.random.default_rng(3).normal(0.0, 1.0, n)
+    for where, value in bad.items():
+        eta[where] = value
+    check_ar1(eta, rho)
 
 
 def reference_cls_errors(spec, truths, noise):
@@ -583,7 +712,10 @@ def reference_hold_previous(tau, gamma):
 
 def _check_hold_previous(tau, gamma):
     got = apply_hysteresis(tau, HysteresisConfig(gamma=gamma))
-    assert got.tobytes() == reference_hold_previous(tau, gamma).tobytes()
+    # inf - inf and overflow, silent in the scan too
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = reference_hold_previous(tau, gamma)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 9, 44])
@@ -606,6 +738,89 @@ def test_hold_previous_steps_of_exactly_gamma_match_reference():
 @pytest.mark.parametrize("tau", [[], [0.3], [0.3, 0.32], [0.3, 0.9]])
 def test_hold_previous_short_traces_match_reference(tau):
     for gamma in (0.0, 0.05):
+        _check_hold_previous(tau, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.1])
+@pytest.mark.parametrize("edge", range(7))
+def test_hold_previous_matches_reference_at_block_edges(scans, gamma, edge):
+    n = edge_lengths(HOLD_WARMUP)[edge]
+    tau = tau_scenario(n, 0.84, 0.2, edge)
+    scans.clear()
+    _check_hold_previous(tau, gamma)
+    redone = redone_rows(scans, n, HOLD_WARMUP)
+    assert (redone is None) == (edge == 0)
+    if gamma == 0.05:
+        assert redone in (None, [])
+
+
+def test_hold_previous_above_the_trace_range_redoes_every_block(scans):
+    # gamma 0.3 spans the whole trace, so every row holds its own first value
+    n = edge_lengths(HOLD_WARMUP)[-1]
+    tau = tau_scenario(n, 0.84, 0.2, 4)
+    scans.clear()
+    _check_hold_previous(tau, 0.3)
+    assert redone_rows(scans, n, HOLD_WARMUP) == list(range(1, 100))
+
+
+def test_hold_previous_constant_stretch_redoes_the_one_block_it_covers(scans):
+    # after a jump to 0.5 the trace holds 0.5 through a stretch of 0.52; a row
+    # that starts inside the stretch holds 0.52 through its whole warm-up
+    row, n = 20, HOLD_WARMUP + 40 * SCAN_BLOCK + 7
+    tau = np.random.default_rng(5).uniform(0.0, 1.0, n)
+    jump = row * SCAN_BLOCK - 6
+    tau[jump - 1:jump + 1] = 0.0, 0.5
+    tau[jump + 1:row * SCAN_BLOCK + HOLD_WARMUP + 5] = 0.52
+    _check_hold_previous(tau, 0.05)
+    assert redone_rows(scans, n, HOLD_WARMUP) == [row]
+
+
+def test_hold_previous_signed_zeros_redo_every_block(scans):
+    # the trace holds its first +0.0; rows guessed from -0.0 hold -0.0, equal
+    # under == but not in bits
+    n = HOLD_WARMUP + 40 * SCAN_BLOCK + 7
+    tau = np.full(n, -0.0)
+    tau[0] = 0.0
+    _check_hold_previous(tau, 0.05)
+    assert redone_rows(scans, n, HOLD_WARMUP) == list(range(1, 40))
+
+
+@pytest.mark.parametrize("bad", [{10_000: np.nan},
+                                 {6_000: np.inf, 14_000: -np.inf},
+                                 {10_000: np.inf, 10_001: np.inf},
+                                 {10_000: 1.7e308, 10_001: -1.7e308},
+                                 {0: np.nan, -1: np.inf}])
+@pytest.mark.parametrize("gamma", [0.05, 0.3])
+def test_hold_previous_with_non_finite_values_matches_reference(gamma, bad):
+    n = HOLD_WARMUP + 40 * SCAN_BLOCK + 7
+    tau = tau_scenario(n, 0.84, 0.2, 6)
+    for where, value in bad.items():
+        tau[where] = value
+    _check_hold_previous(tau, gamma)
+
+
+TOOLKIT_LENGTH = 250_000  # perfbench's toolkit atr-sim trace
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_toolkit_trace_redoes_no_block(scans, seed):
+    # every block redone would still be exact, but slower than the scalar
+    # loop alone; the benchmark's trace at the default gamma needs none
+    n = TOOLKIT_LENGTH
+    tau = tau_scenario(n, 0.84, 0.2, seed)
+    assert redone_rows(scans, n, _ar1_warmup(0.84)) == []
+    scans.clear()
+    apply_hysteresis(tau, HysteresisConfig(gamma=0.05))
+    assert redone_rows(scans, n, HOLD_WARMUP) == []
+
+
+def test_toolkit_trace_matches_reference():
+    n = TOOLKIT_LENGTH
+    eta = np.random.default_rng(7).normal(0.0, 1.0, n)
+    want = 1.0 / (1.0 + np.exp(-0.2 * reference_ar1_loop(eta, 0.84)))
+    tau = tau_scenario(n, 0.84, 0.2, 7)
+    assert tau.tobytes() == want.tobytes()
+    for gamma in (0.05, 0.3):
         _check_hold_previous(tau, gamma)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
+from bdrlab.synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
                           make_kernel_features, sample_noise_matrix)
 
 
@@ -171,3 +171,14 @@ def test_noise_matrix_rows_are_a_prefix_of_a_longer_draw():
 def test_noise_matrix_of_no_columns_is_empty(rows, rho):
     spec = NoiseSpec(rho=rho)
     assert sample_noise_matrix(spec, 4, rows, 0).shape == (rows, 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 50), (2, 1, 50), (1, 1, 50)])
+def test_ar1_runs_along_the_last_axis_of_any_shape(shape):
+    # a leading axis of length 1 does not join the rows under it into one
+    # series
+    eta = np.random.default_rng(8).normal(size=shape)
+    got = _apply_ar1(eta, 0.6)
+    assert got.shape == shape
+    for index in np.ndindex(shape[:-1]):
+        assert np.array_equal(got[index], _apply_ar1(eta[index], 0.6))

@@ -11,13 +11,19 @@ runs, `change_wins`, the number of seed pairs in which the change is
 strictly better, and the metric's `bound` from BENCHMARK.json. Without
 --claim the record's "claimed" is null.
 
+When both directories also hold `result-<workload>-seed<S>-trace1.json`
+files, the runs of `perfbench/run.py --trace 1`, the record's "traced" block
+gives the same per workload and per-layer metric, paired by (workload,
+seed); otherwise "traced" is null.
+
 It refuses to write anything when a side mixes source hashes or holds a run
-that is not correct, when a seed has no partner, when both sides ran the
-same sources, or when the runs differ in machine or run length. It prints,
-per workload and metric, whether the change's median is within the bound of
-the parent's, and whether the claim, if one is made, holds by the
-benchmark's rule: the change wins at least nine tenths of the pairs, and the
-medians differ by more than the parent's quartile spread.
+that is not correct, when a seed, traced or not, has no partner, when both
+sides ran the same sources, or when the runs differ in machine or run length.
+It prints, per workload and metric, whether the change's median is within
+the bound of the parent's, and whether the claim, if one is made, holds by
+the benchmark's rule: the change wins at least nine tenths of the pairs, and
+the medians differ by more than the parent's quartile spread. Traced metrics
+are printed with their medians and wins; they have no bound.
 """
 
 from __future__ import annotations
@@ -37,18 +43,19 @@ class RecordError(Exception):
     """The runs cannot make one honest record."""
 
 
-def load_side(directory: Path, side: str) -> dict:
-    """{(workload, seed): run} of one side's untraced results."""
+def load_side(directory: Path, side: str, trace: int = 0) -> dict:
+    """{(workload, seed): run} of one side's results of `--trace <trace>`.
+    Untraced results must exist; traced ones may not, giving {}."""
     runs = {}
-    for path in sorted(directory.glob("result-*-trace0.json")):
+    for path in sorted(directory.glob(f"result-*-trace{trace}.json")):
         run = json.loads(path.read_text(encoding="utf-8"))
         if not run["result"]["correct"]:
             raise RecordError(f"{side}: {path.name} is not correct")
         runs[run["workload"], run["machine"]["seed"]] = run
-    if not runs:
+    if not runs and not trace:
         raise RecordError(f"{side}: no result-*-trace0.json in {directory}")
     hashes = {r["machine"]["source_sha256"] for r in runs.values()}
-    if len(hashes) != 1:
+    if len(hashes) > 1:
         raise RecordError(f"{side}: runs of several sources {sorted(hashes)}")
     return runs
 
@@ -67,22 +74,12 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def build(parent: dict, change: dict, what: str, claim) -> dict:
-    """The record of paired runs; `claim` is (workload, metric) or None."""
+def summarise(parent: dict, change: dict, metric_spec: dict, order) -> dict:
+    """Per workload, the paired seeds and, per metric of `metric_spec`, each
+    side's median and quartiles and the pairs the change wins."""
     if set(parent) != set(change):
         raise RecordError("unpaired runs (workload, seed): "
                           f"{sorted(set(parent) ^ set(change))}")
-    first = next(iter(parent.values()))["machine"]
-    last = next(iter(change.values()))["machine"]
-    if first["source_sha256"] == last["source_sha256"]:
-        raise RecordError("parent and change ran the same sources")
-    runs = list(parent.values()) + list(change.values())
-    machine = one_value(runs, lambda r: {k: r["machine"][k]
-                                         for k in MACHINE_KEYS}, "machine")
-    seconds = one_value(runs, lambda r: r["seconds"], "--seconds")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metric_spec = {m["name"]: m for m in spec["end_to_end"]}
-    order = [w["name"] for w in spec["workloads"]]
     workloads = {}
     for name in sorted({w for w, _ in parent}, key=order.index):
         seeds = sorted(s for w, s in parent if w == name)
@@ -97,22 +94,47 @@ def build(parent: dict, change: dict, what: str, claim) -> dict:
             metrics[metric] = {
                 "unit": pairs[0][0]["result"]["metrics"][metric]["unit"],
                 "better": sense,
-                "bound": m["bound"],
+                **({"bound": m["bound"]} if "bound" in m else {}),
                 "parent": quartiles([p for p, _ in values]),
                 "change": quartiles([c for _, c in values]),
                 "change_wins": sum(sign * (c - p) < 0 for p, c in values)}
         workloads[name] = {"seeds": seeds, "pairs": len(seeds),
                            "all_correct": True, "metrics": metrics}
+    return workloads
+
+
+def build(parent: dict, change: dict, what: str, claim, traced) -> dict:
+    """The record of paired runs; `claim` is (workload, metric) or None,
+    `traced` the two sides' traced runs, each {} when there are none."""
+    first = next(iter(parent.values()))["machine"]
+    last = next(iter(change.values()))["machine"]
+    if first["source_sha256"] == last["source_sha256"]:
+        raise RecordError("parent and change ran the same sources")
+    for side, runs, machine in zip(("parent", "change"), traced, (first, last)):
+        hashes = {r["machine"]["source_sha256"] for r in runs.values()}
+        if hashes - {machine["source_sha256"]}:
+            raise RecordError(f"{side}: traced runs of other sources "
+                              f"{sorted(hashes)}")
+    runs = [*parent.values(), *change.values(), *traced[0].values(),
+            *traced[1].values()]
+    machine = one_value(runs, lambda r: {k: r["machine"][k]
+                                         for k in MACHINE_KEYS}, "machine")
+    seconds = one_value(runs, lambda r: r["seconds"], "--seconds")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    order = [w["name"] for w in spec["workloads"]]
+    workloads = summarise(parent, change,
+                          {m["name"]: m for m in spec["end_to_end"]}, order)
     if claim is not None:
         workload, metric = claim
         if metric not in workloads.get(workload, {}).get("metrics", {}):
             raise RecordError(f"no runs for the claimed {workload} {metric}")
         claim = {"workload": workload, "metric": metric}
+    command = ("python3 perfbench/run.py --workload W --seed S "
+               f"--seconds {seconds:g} --trace")
     return {
         "what": what,
         "parent_commit": first.get("git_commit"),
-        "command": ("python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {seconds:g} --trace 0"),
+        "command": f"{command} 0",
         "protocol": PROTOCOL,
         "claimed": claim,
         "machine": machine,
@@ -120,6 +142,11 @@ def build(parent: dict, change: dict, what: str, claim) -> dict:
             "parent": first["source_sha256"],
             "change": last["source_sha256"]},
         "workloads": workloads,
+        "traced": {
+            "command": f"{command} 1",
+            "workloads": summarise(*traced, {m["name"]: m for m in
+                                             spec["per_layer"]}, order),
+        } if traced[0] or traced[1] else None,
     }
 
 
@@ -155,7 +182,9 @@ def main(argv=None) -> int:
     claim = tuple(args.claim.partition(":")[::2]) if args.claim else None
     try:
         record = build(load_side(args.parent, "parent"),
-                       load_side(args.change, "change"), args.what, claim)
+                       load_side(args.change, "change"), args.what, claim,
+                       (load_side(args.parent, "parent", trace=1),
+                        load_side(args.change, "change", trace=1)))
     except RecordError as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
@@ -167,6 +196,13 @@ def main(argv=None) -> int:
                   f"(change wins {m['change_wins']}/{w['pairs']}; "
                   f"{'within' if within_bound(m) else 'WORSE than'} "
                   f"bound {m['bound']:g})")
+    traced = record["traced"]["workloads"] if record["traced"] else {}
+    for name, w in traced.items():
+        for metric_name, m in w["metrics"].items():
+            print(f"traced {name} {metric_name}: parent "
+                  f"{m['parent']['median']:.6g} change "
+                  f"{m['change']['median']:.6g} {m['unit']} "
+                  f"(change wins {m['change_wins']}/{w['pairs']})")
     if claim is not None:
         print(f"claim {args.claim}: "
               f"{'holds' if claim_holds(record) else 'does not hold'}")
