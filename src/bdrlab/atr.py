@@ -36,9 +36,6 @@ PREDICTORS_G = 0.12
 ATTENTION_FRACTION = 0.6
 # Pruning keeps every position within this many frames of a predicted boundary.
 GUARD_RADIUS = 12.0
-# Weights of the compute (mean tau) and prune (mean keep mask) penalties.
-LAMBDA_C = 0.05
-LAMBDA_P = 0.01
 
 
 def blend_residual(shallow, deep, tau) -> np.ndarray:
@@ -109,36 +106,6 @@ def flip_rate(tau) -> float:
     return float(np.mean(side[1:] != side[:-1]))
 
 
-def surrogate_tau(uncertainty, scale: float, offset: float) -> np.ndarray:
-    """tau = logistic(scale * log(sigma^2) + offset).
-
-    Stands in for a learned depth gate: monotone in the uncertainty when
-    scale > 0, bounded in (0, 1).
-    """
-    u = np.asarray(uncertainty, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("uncertainty values must be positive")
-    z = scale * np.log(u) + offset
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def calibrate_tau_offset(uncertainty, scale: float, target_mean: float,
-                         tol: float = 1e-6) -> float:
-    """Bisect the offset so mean(surrogate_tau) hits target_mean, in (0, 1)."""
-    if not 0.0 < target_mean < 1.0:
-        raise ValueError("target_mean must be in (0, 1)")
-    lo, hi = -50.0, 50.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(surrogate_tau(uncertainty, scale, mid))) < target_mean:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def prune_mask(importance, keep_ratio: float, predicted_boundaries,
                grid) -> np.ndarray:
     """Top-k keep mask with a hard guard band around predicted boundaries.
@@ -162,13 +129,6 @@ def prune_mask(importance, keep_ratio: float, predicted_boundaries,
     for b in np.asarray(predicted_boundaries, dtype=float).ravel():
         mask[np.abs(t - b) <= GUARD_RADIUS] = True
     return mask
-
-
-def sparsity_penalties(tau, keep_mask):
-    """Compute and prune penalties: LAMBDA_C * mean(tau), LAMBDA_P * mean(w)."""
-    t = np.asarray(tau, dtype=float)
-    w = np.asarray(keep_mask, dtype=float)
-    return LAMBDA_C * float(np.mean(t)), LAMBDA_P * float(np.mean(w))
 
 
 def expected_tau(buckets) -> float:

@@ -187,13 +187,18 @@ def _read_error_sigma_csv(path):
 
 
 def cmd_calib(args) -> int:
+    if args.bins < 2:
+        raise UsageError("--bins must be at least 2")
     if args.input:
         errors, sigmas = _read_error_sigma_csv(args.input)
+        if errors.size < args.bins:
+            raise UsageError(f"--input has {errors.size} data rows, fewer "
+                             f"than --bins {args.bins}")
     else:
         if args.seed is None:
             raise UsageError("--seed is required for synthetic scenarios")
-        if args.samples < 1:
-            raise UsageError("--samples must be at least 1")
+        if args.samples < args.bins:
+            raise UsageError(f"--samples must be at least --bins {args.bins}")
         errors, sigmas = _calib_scenario(args.scenario, args.samples, args.seed)
     cfg = CalibrationConfig(num_bins=args.bins)
     value, rows = r_ece(errors, sigmas, cfg, return_bins=True)
@@ -252,10 +257,18 @@ def _flops_points(text: str) -> list:
     return points
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return seed
+
+
 def _add_common(p):
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--config", default=None,
                    help="JSON config file; flags override its values")
 
@@ -332,7 +345,7 @@ def _config_value(action, key, value):
         raise UsageError(f"config key {key!r} must be a string or a number")
     try:
         value = action.type(str(value)) if action.type else str(value)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise UsageError(f"config key {key!r}: invalid value {value!r}")
     if action.choices is not None and value not in action.choices:
         raise UsageError(f"config key {key!r} must be one of {action.choices}")
@@ -373,11 +386,11 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse exits 2 on bad flags; remap
             return 0 if exc.code in (0, None) else USAGE_ERROR
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdrlab.atr import (HysteresisConfig, apply_hysteresis, blend_residual,
-                        calibrate_tau_offset, expected_tau, flip_rate,
-                        per_layer_pruned_cost, prune_mask, sparsity_penalties,
-                        surrogate_tau, total_flops)
+                        expected_tau, flip_rate, per_layer_pruned_cost,
+                        prune_mask, total_flops)
 from bdrlab.synth import TimeGrid
 
 traces = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60).map(np.array)
@@ -123,39 +122,6 @@ def test_hysteresis_config_validation():
         HysteresisConfig(mode="other")
 
 
-# --- tau surrogate ----------------------------------------------------------
-
-def test_surrogate_scale_zero_constant():
-    tau = surrogate_tau(np.array([0.1, 1.0, 10.0]), 0.0, 0.3)
-    assert np.allclose(tau, 1 / (1 + np.exp(-0.3)))
-
-
-def test_surrogate_monotone_in_uncertainty():
-    u = np.array([1.0, 2.0, 1.0])
-    tau = surrogate_tau(u, 0.7, 0.0)
-    assert tau[1] > tau[0]
-
-
-def test_surrogate_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        surrogate_tau(np.array([1.0, 0.0]), 1.0, 0.0)
-
-
-def test_calibrated_offset_hits_target_mean():
-    rng = np.random.default_rng(2)
-    u = np.exp(rng.normal(0, 1, 5000))
-    off = calibrate_tau_offset(u, 0.8, 0.16)
-    assert np.mean(surrogate_tau(u, 0.8, off)) == pytest.approx(0.16, abs=1e-3)
-
-
-@pytest.mark.parametrize("target", [1.5, -0.2, 0.0, 1.0, np.nan])
-def test_calibrated_offset_rejects_unreachable_target(target):
-    # every tau lies in (0, 1); bisection would return a bracket edge
-    u = np.exp(np.random.default_rng(2).normal(0, 1, 100))
-    with pytest.raises(ValueError, match="target_mean"):
-        calibrate_tau_offset(u, 1.0, target)
-
-
 # --- pruning ----------------------------------------------------------------
 
 def test_prune_keep_all():
@@ -189,15 +155,6 @@ def test_prune_guard_exhaustive(bounds, keep, seed):
     t = g.times()
     for b in bounds:
         assert np.all(m[np.abs(t - b) <= 12.0])
-
-
-def test_sparsity_penalties():
-    # lambda_c = 0.05, lambda_p = 0.01
-    assert sparsity_penalties(np.zeros(5), np.ones(5)) == (0.0, 0.01)
-    c, _ = sparsity_penalties(np.ones(5), np.ones(5))
-    assert c == pytest.approx(0.05)
-    c, _ = sparsity_penalties(np.full(5, 0.16), np.ones(5))
-    assert c == pytest.approx(0.008)
 
 
 # --- cost model -------------------------------------------------------------

@@ -106,6 +106,33 @@ def test_no_claim_records_null_and_prints_each_bound(tmp_path, capsys):
     assert not any("claim" in ln for ln in lines)
 
 
+WIDE = [0.6, 0.8, 1.0, 1.2, 1.4]  # quartiles 0.8-1.2: 0.4 of the median
+
+
+@pytest.mark.parametrize("parent_wall, change_wall, unresolved, verdict", [
+    (WIDE, WIDE[::-1], True, "unresolved"),       # level, spread past 0.25
+    (WIDE, [w - 0.1 for w in WIDE], True, "unresolved"),  # wins 5/5 pairs
+    (WIDE, [0.55] * 5, False, "within"),  # beats every parent run
+    (PARENT_WALL, PARENT_WALL[::-1], False, "within"),  # spread 0.02
+    (WIDE, [1.3] * 5, True, "WORSE than"),
+])
+def test_a_parent_spread_wider_than_the_bound_reads_unresolved(
+        tmp_path, capsys, parent_wall, change_wall, unresolved, verdict):
+    parent, change = sides(tmp_path, parent_wall, change_wall)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), "--out", str(out),
+                              "--what", "no gain"]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["sweep"]["metrics"]
+    assert metrics["wall_s"]["unresolved"] is unresolved
+    # every other metric reads 1 on every run: no spread
+    assert not any(m["unresolved"] for m in metrics.values()
+                   if m is not metrics["wall_s"])
+    lines = capsys.readouterr().out.splitlines()
+    assert f"; {verdict}" in next(ln for ln in lines
+                                  if ln.startswith("sweep wall_s:"))
+    assert sum("unresolved" in ln for ln in lines) == (verdict == "unresolved")
+
+
 def traced_sides(tmp_path, parent_self, change_self, workload="toolkit"):
     """Untraced pairs as in sides(), plus traced pairs of `workload` whose
     cli.self_s reads parent_self and change_self, seed 100 + i."""

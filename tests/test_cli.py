@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ def test_bad_config_trials_exits_usage(tmp_path, value):
 
 def test_config_values_are_checked_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for bad in ({"gate": "yes"}, {"gate": 1}, {"format": "xml"},
+    for bad in ({"gate": "yes"}, {"gate": 1}, {"format": "xml"}, {"seed": -1},
                 {"noise_family": "cauchy"}, {"band_low": "low"},
                 {"config": "other.json"}, {"func": 1}):
         cfg.write_text(json.dumps(bad))
@@ -379,13 +380,45 @@ def test_synth_non_finite_input_exits_usage(tmp_path, capsys, flags):
     (["atr-sim", "--length", "-5"], "--length"),
     (["atr-sim", "--length", "1"], "--length"),
     (["calib", "--samples", "-3"], "--samples"),
-    (["calib", "--samples", "0"], "--samples")])
-def test_negative_or_empty_sizes_exit_usage_naming_the_flag(tmp_path, capsys,
-                                                           argv, flag):
+    (["calib", "--samples", "0"], "--samples"),
+    (["calib", "--samples", "5"], "--samples"),
+    (["calib", "--bins", "0"], "--bins"),
+    (["calib", "--bins", "1"], "--bins"),
+    (["calib", "--input", "five_rows.csv"], "--input"),
+    (["calib", "--seed", "-1"], "--seed"),
+    (["synth", "--series", "noisy", "--seed", "-1"], "--seed"),
+    (["atr-sim", "--seed", "-1"], "--seed")])
+def test_negative_or_empty_sizes_exit_usage_naming_the_flag(
+        tmp_path, monkeypatch, capsys, argv, flag):
+    drawn = []
+    monkeypatch.setattr("bdrlab.cli._calib_scenario",
+                        lambda *args: drawn.append(args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "five_rows.csv").write_text("error,sigma\n" + "0.1,1.0\n" * 5)
+    out = tmp_path / "o.csv"
+    # a later --seed in argv wins over this one
+    assert run([argv[0], "--seed", "1", *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # one error line of ours, or argparse's usage and error lines
+    assert re.match(r"(bdrlab [a-z-]+: )?error: ", err.splitlines()[-1])
+    assert flag in err.splitlines()[-1] and "Traceback" not in err
+    assert drawn == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, allocates", [
+    (["synth", "--series", "noisy"], "bdrlab.cli.make_distance_field"),
+    (["atr-sim"], "bdrlab.cli.tau_scenario")])
+def test_unallocatable_size_exits_usage_without_traceback(
+        tmp_path, monkeypatch, capsys, argv, allocates):
+    # the stand-in fails as numpy does on a size beyond memory, so the test
+    # itself never asks for one
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setattr(allocates, out_of_memory)
     out = tmp_path / "o.csv"
     assert run([*argv, "--seed", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 745. GiB for an array\n")
     assert not out.exists()
 
 

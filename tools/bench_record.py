@@ -22,8 +22,12 @@ sides ran the same sources, or when the runs differ in machine or run length.
 It prints, per workload and metric, whether the change's median is within
 the bound of the parent's, and whether the claim, if one is made, holds by
 the benchmark's rule: the change wins at least nine tenths of the pairs, and
-the medians differ by more than the parent's quartile spread. Traced metrics
-are printed with their medians and wins; they have no bound.
+the medians differ by more than the parent's quartile spread. Each
+end-to-end metric is flagged "unresolved" in the record when the parent's
+quartile spread, over the parent's median, is wider than the bound, unless
+every change run beats every parent run: such runs cannot tell a change
+within the bound from none, so it is printed as unresolved, not within.
+Traced metrics are printed with their medians and wins; they have no bound.
 """
 
 from __future__ import annotations
@@ -91,13 +95,21 @@ def summarise(parent: dict, change: dict, metric_spec: dict, order) -> dict:
                        c["result"]["metrics"][metric]["value"])
                       for p, c in pairs]
             sign = 1.0 if sense == "lower" else -1.0
+            parent_q = quartiles([p for p, _ in values])
             metrics[metric] = {
                 "unit": pairs[0][0]["result"]["metrics"][metric]["unit"],
                 "better": sense,
                 **({"bound": m["bound"]} if "bound" in m else {}),
-                "parent": quartiles([p for p, _ in values]),
+                "parent": parent_q,
                 "change": quartiles([c for _, c in values]),
                 "change_wins": sum(sign * (c - p) < 0 for p, c in values)}
+            if "bound" in m:
+                beats_all = (max(sign * c for _, c in values)
+                             < min(sign * p for p, _ in values))
+                spread = parent_q["q3"] - parent_q["q1"]
+                metrics[metric]["unresolved"] = (
+                    spread > m["bound"] * parent_q["median"]
+                    and not beats_all)
         workloads[name] = {"seeds": seeds, "pairs": len(seeds),
                            "all_correct": True, "metrics": metrics}
     return workloads
@@ -171,6 +183,15 @@ def within_bound(m: dict) -> bool:
     return change >= parent * (1 - m["bound"])
 
 
+def verdict(m: dict) -> str:
+    """How the change's median of an end-to-end metric stands to its bound."""
+    if not within_bound(m):
+        return "WORSE than bound"
+    if m["unresolved"]:
+        return "unresolved: parent quartile spread wider than bound"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -194,8 +215,7 @@ def main(argv=None) -> int:
             print(f"{name} {metric_name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} {m['unit']} "
                   f"(change wins {m['change_wins']}/{w['pairs']}; "
-                  f"{'within' if within_bound(m) else 'WORSE than'} "
-                  f"bound {m['bound']:g})")
+                  f"{verdict(m)} {m['bound']:g})")
     traced = record["traced"]["workloads"] if record["traced"] else {}
     for name, w in traced.items():
         for metric_name, m in w["metrics"].items():
