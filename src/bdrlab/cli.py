@@ -92,6 +92,27 @@ def _emit(args, header, rows):
         _write_csv(args.out, header, rows)
 
 
+# The library names the field a bad value was given for at the start of its
+# ValueError ("num_trials must be >= 2"); per command, the flag that sets
+# each such field, which the message names instead.
+NOISE_FLAGS = {"scale": "--noise-scale", "rho": "--rho", "nu": "--nu"}
+FIELD_FLAGS = {
+    "synth": {"num_positions": "--num-positions", "stride": "--stride",
+              "kappa": "--kappa", "boundaries": "--boundaries",
+              "centers": "--boundaries", **NOISE_FLAGS},
+    "scaling": {"num_trials": "--trials", "num_positions": "--num-positions",
+                "kappa": "--kappas", "stride": "--strides", **NOISE_FLAGS},
+}
+
+
+def _in_flag_terms(command: str, exc: ValueError) -> str:
+    """The library's message with the field it starts with replaced by the
+    flag that sets it, e.g. "--trials must be >= 2"."""
+    field, _, rest = str(exc).partition(" ")
+    flag = FIELD_FLAGS.get(command, {}).get(field)
+    return f"{flag} {rest}" if flag else str(exc)
+
+
 def _noise_from(args) -> NoiseSpec:
     return NoiseSpec(family=args.noise_family, scale=args.noise_scale,
                      rho=args.rho, nu=args.nu)
@@ -252,8 +273,12 @@ def _flops_points(text: str) -> list:
     """A comma list of expected_tau:keep_ratio pairs."""
     points = []
     for part in text.split(","):
-        tau, keep = part.split(":")
-        points.append((float(tau), float(keep)))
+        try:
+            tau, keep = part.split(":")
+            points.append((float(tau), float(keep)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} is not an expected_tau:keep_ratio pair")
     return points
 
 
@@ -385,7 +410,10 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on bad flags; remap
             return 0 if exc.code in (0, None) else USAGE_ERROR
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            raise UsageError(_in_flag_terms(args.command, exc)) from None
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -3,10 +3,15 @@
 Determinism contract: each random stream has one generator,
 np.random.default_rng((master_seed, stream_label)), which draws every trial's
 values in one call; trial k gets the k-th value (phase) or row (noise) of its
-stream. So results do not depend on how trials are chunked, and a run of n
-trials is exactly the first n trials of any longer run with the same seed.
-Aggregation is always in trial order. The stream labels are 0 for the
-boundary phase, 1 for the distance noise and 2 for the classification noise.
+stream. The stream labels are 0 for the boundary phase, 1 for the distance
+noise and 2 for the classification noise. A distance noise row holds all T
+columns; a classification noise row holds only the spec's band of columns
+(_cls_band), every column its readout can reach for a truth in the prior
+support, and an AR(1) row starts stationary at the band's first column. The
+band depends on the spec alone, not on num_trials or the seed. So results do
+not depend on how trials are chunked, and a run of n trials is exactly the
+first n trials of any longer run with the same seed. Aggregation is always
+in trial order.
 
 run_trials runs both estimators on one condition: the distance side fits
 with SWEEP_FIT and extracts its zero crossings, the classification side
@@ -16,7 +21,7 @@ scaling_sweep shares streams 0 and 1 across its cells (common random
 numbers): the distance side never reads kappa and runs in grid units, so one
 stride-1 fit, scaled by each cell's stride, serves every cell. Stream 2 and
 the bootstrap stay per cell. cls_variance_kappa_slope draws streams 0 and 2
-once per call and reuses them for every kappa.
+once per call, stream 2 for its widest kappa, and reuses them for every kappa.
 
 The classification side is batched: features, smoothing, the windowed
 argmax and the quadratic refinement each run once per chunk of trials, and
@@ -106,9 +111,12 @@ def _truths(spec: ExperimentSpec) -> np.ndarray:
 
 
 def _noise_rows(spec: ExperimentSpec, label: int) -> np.ndarray:
-    """One noise row per trial from stream `label` (1 distance, 2 cls)."""
+    """One noise row per trial from stream `label`: all T columns of the
+    distance noise (1), the _cls_band columns of the classification noise
+    (2)."""
+    a0, b0 = _cls_band(spec) if label == 2 else (0, spec.grid.num_positions)
     return sample_noise_matrix(spec.noise, (spec.master_seed, label),
-                               spec.num_trials, spec.grid.num_positions)
+                               spec.num_trials, b0 - a0)
 
 
 def _fit_distance_side(spec: ExperimentSpec):
@@ -139,34 +147,76 @@ def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
     return errors, failures
 
 
-def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
-                noise: np.ndarray) -> np.ndarray:
+def _readout(spec: ExperimentSpec):
+    """(m, r) of the spec's peak readout: the smoothing width m in columns
+    and the search radius r in frames, half a stride plus CLS_WINDOW_FACTOR
+    times the part of kappa that resolves beyond half a stride."""
+    stride, kappa = spec.grid.stride, spec.kappa
+    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+    return m, r
+
+
+def _windows(spec: ExperimentSpec, truth: np.ndarray, m: int, r: float):
+    """(lo, hi, a, b): each truth's search window [lo, hi) and the band
+    [a, b) of columns the readout of those windows reads.
+
+    A window holds the samples within r of its truth, or the nearest
+    interior sample if that holds none. Smoothed column j (width m,
+    h = m // 2) sums inputs j - h .. j + m-1-h, and the readout uses columns
+    lo-1 .. hi, so a = min(lo) - 1 - h and b = max(hi) + 1 + (m-1-h), cut
+    to [0, T). lo and hi never decrease as the truth grows.
+    """
+    stride, T = spec.grid.stride, spec.grid.num_positions
+    lo = np.maximum(np.ceil((truth - r) / stride), 1)
+    hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
+    empty = hi <= lo
+    lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
+    hi[empty] = lo[empty] + 1
+    h = m // 2
+    a = max(0, int(lo.min()) - 1 - h)
+    b = min(T, int(hi.max()) + 1 + (m - 1 - h))
+    return lo, hi, a, b
+
+
+def _cls_band(spec: ExperimentSpec):
+    """[a0, b0): every column the readout of _cls_errors can reach for a
+    truth in the prior support [boundary, boundary + stride], the band
+    stream 2 draws. Window ends never decrease as the truth grows, so the
+    support's two ends bound them. The band grows with kappa."""
+    m, r = _readout(spec)
+    support = np.array([spec.boundary, spec.boundary + spec.grid.stride])
+    _, _, a0, b0 = _windows(spec, support, m, r)
+    return a0, b0
+
+
+def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
+                a0: int) -> np.ndarray:
     """Signed classification-peak error per trial, one noise row per truth.
 
+    Row k of `noise` holds the classification noise of grid columns
+    a0 .. a0 + noise.shape[1] - 1 for truth k: the _cls_band draw of
+    _noise_rows with its a0, or full rows with a0 = 0. A chunk whose band
+    falls outside those columns raises ValueError.
+
     A trial's estimate is the first maximum of its clipped, smoothed feature
-    row within the plateau neighbourhood [lo, hi) of its truth: half a stride
-    plus CLS_WINDOW_FACTOR times the part of kappa that resolves beyond half
-    a stride, or the nearest interior sample if that holds none. Quadratic
+    row within the search window of its truth (_windows). Quadratic
     refinement is only meaningful when the window holds at least three
     samples.
 
-    Each chunk computes only the band [a, b) of columns its readout reads:
-    smoothed column j (width m, h = m // 2) sums inputs j - h .. j + m-1-h,
-    and the readout uses columns lo-1 .. hi, so a = min(lo) - 1 - h and
-    b = max(hi) + 1 + (m-1-h), cut to [0, T). Those columns get the same
-    float operations, in the same order, on the same inputs as on full
-    rows, and a band cut at a sequence edge gets the same zero padding, so
-    the errors are those of the full rows bit for bit. A chunk holds
-    CLS_CHUNK_VALUES // w trials, w being one row's band width plus one
-    column for truths that spread within a stride, as those of run_trials,
-    scaling_sweep and cls_variance_kappa_slope do; truths that spread wider
-    widen the chunk's band with them.
+    Each chunk computes only the band [a, b) of columns its readout reads
+    (_windows). Those columns get the same float operations, in the same
+    order, on the same inputs as on full rows, and a band cut at a sequence
+    edge gets the same zero padding, so the errors are those of the full
+    rows bit for bit. A chunk holds CLS_CHUNK_VALUES // w trials, w being
+    one row's band width plus one column for truths that spread within a
+    stride, as those of run_trials, scaling_sweep and
+    cls_variance_kappa_slope do; truths that spread wider widen the chunk's
+    band with them.
     """
     grid, kappa = spec.grid, spec.kappa
     stride, T = grid.stride, grid.num_positions
-    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
-    h = m // 2
-    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
+    m, r = _readout(spec)
     # widest window (floor(2r / stride) + 1 columns), its two neighbours,
     # m - 1 columns of smoothing support and one of spread
     width = min(T, int(2 * r / stride) + m + 3)
@@ -175,15 +225,12 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray,
     for start in range(0, len(truths), chunk):
         rows = slice(start, start + chunk)
         truth = truths[rows]
-        lo = np.maximum(np.ceil((truth - r) / stride), 1)
-        hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
-        empty = hi <= lo
-        lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
-        hi[empty] = lo[empty] + 1
-        a = max(0, int(lo.min()) - 1 - h)
-        b = min(T, int(hi.max()) + 1 + (m - 1 - h))
+        lo, hi, a, b = _windows(spec, truth, m, r)
+        if a < a0 or b > a0 + noise.shape[1]:
+            raise ValueError(f"the readout reads columns [{a}, {b}), the "
+                             f"noise holds [{a0}, {a0 + noise.shape[1]})")
         ps = make_kernel_features(grid, truth, kappa, cols=slice(a, b))
-        ps += noise[rows, a:b]
+        ps += noise[rows, a - a0:b - a0]
         ps = moving_average(np.clip(ps, 0.0, 1.0, out=ps), m)
         cols = np.arange(a, b)
         inside = (cols >= lo[:, None]) & (cols < hi[:, None])
@@ -202,7 +249,7 @@ def run_trials(spec: ExperimentSpec) -> TrialErrors:
     """
     truths, dhat = _fit_distance_side(spec)
     e_bdr, failures = _nearest_crossing_errors(dhat, truths, spec.grid)
-    e_cls = _cls_errors(spec, truths, _noise_rows(spec, 2))
+    e_cls = _cls_errors(spec, truths, _noise_rows(spec, 2), _cls_band(spec)[0])
     return TrialErrors(bdr=e_bdr, cls=e_cls, bdr_failures=failures)
 
 
@@ -371,7 +418,8 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     for spec in specs:
         dt = spec.grid.stride
         e_bdr = e_unit * dt
-        e_cls = _cls_errors(spec, truths * dt, _noise_rows(spec, 2))
+        e_cls = _cls_errors(spec, truths * dt, _noise_rows(spec, 2),
+                            _cls_band(spec)[0])
         rep = variance_ratio(e_bdr, e_cls, seed=spec.master_seed)
         cells.append({"kappa": spec.kappa, "stride": dt,
                       "x": dt**2 / spec.kappa,
@@ -438,10 +486,18 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     """Slope of log Var[classification peak] vs log kappa.
 
     The phases and the classification noise do not depend on kappa, so
-    they are drawn once and every kappa reuses them; each kappa's errors
-    equal the classification errors of run_trials at that kappa.
+    they are drawn once and every kappa reuses them. The noise is the band
+    of the widest kappa, which holds the band of every narrower one, so
+    that kappa's errors equal the classification errors of run_trials at
+    that kappa, and every kappa's errors equal _cls_errors on the shared
+    draw.
     """
+    if len(kappas) < 3:
+        raise ValueError("need at least 3 kappas")
     specs = [replace(base_spec, kappa=float(k)) for k in kappas]
-    truths, noise = _truths(base_spec), _noise_rows(base_spec, 2)
-    return _variance_slope({spec.kappa: _mse(_cls_errors(spec, truths, noise))
-                            for spec in specs})
+    widest = max(specs, key=lambda spec: spec.kappa)
+    truths, noise = _truths(base_spec), _noise_rows(widest, 2)
+    a0, _ = _cls_band(widest)
+    return _variance_slope({
+        spec.kappa: _mse(_cls_errors(spec, truths, noise, a0))
+        for spec in specs})

@@ -437,6 +437,37 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scaling", "--trials", "1"], "--trials must be >= 2"),
+    (["scaling", "--kappas", "0"], "--kappas must be finite and positive"),
+    (["scaling", "--strides", "1,0"], "--strides must be finite and positive"),
+    (["scaling", "--num-positions", "2"], "--num-positions must be >= 3"),
+    (["scaling", "--noise-scale", "-1"],
+     "--noise-scale must be finite and >= 0"),
+    (["scaling", "--rho", "1.5"], "--rho must be in [0, 1)"),
+    (["synth", "--num-positions", "0"], "--num-positions must be >= 2"),
+    (["synth", "--stride", "0"], "--stride must be finite and positive"),
+    (["synth", "--series", "features", "--kappa", "0"],
+     "--kappa must be finite and positive"),
+    (["synth", "--series", "noisy", "--noise-family", "student_t",
+      "--nu", "0"], "--nu must be finite and positive"),
+    (["flops", "--points", "0.1"],
+     "argument --points: '0.1' is not an expected_tau:keep_ratio pair"),
+    (["flops", "--points", "0.16:0.8,1:x"],
+     "argument --points: '1:x' is not an expected_tau:keep_ratio pair")])
+def test_library_errors_name_the_flag(tmp_path, monkeypatch, capsys, argv,
+                                      message):
+    fits = []
+    _record_fits(monkeypatch, fits)
+    out = tmp_path / "o.csv"
+    assert run([argv[0], "--seed", "1", *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"(bdrlab [a-z-]+: )?error: " + re.escape(message),
+                        err.splitlines()[-1])
+    assert "Traceback" not in err
+    assert fits == [] and not out.exists()
+
+
 def test_tau_scenario_flip_never_increases_many_traces():
     cfg = HysteresisConfig(gamma=0.05)
     for seed in range(10):

@@ -14,6 +14,11 @@ at a time, the batched classification side that computed every column of
 each row, the hold_previous hysteresis loop that indexed the numpy array,
 and r_ece with a stable argsort that gathered both errors and sigmas.
 
+Stream 2 draws only the band of columns the classification readout can
+reach. The classification references read that draw placed in all T
+columns with NaN in every other column, so a column the band omits would
+turn an error into NaN.
+
 The fitter builds its gradient kernel's views once per 128-row chunk, so
 fits are compared on one series and on batches that fill a chunk exactly,
 cross chunk edges or end on a one-row chunk.
@@ -43,7 +48,8 @@ from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss_smoothed,
                                moving_average, quadratic_peak_offset)
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
-                          _cls_errors, _noise_rows, _truths, blocked_bootstrap,
+                          _cls_band, _cls_errors, _noise_rows, _truths,
+                          blocked_bootstrap,
                           finite_sample_variance_check, loglog_slope,
                           variance_ratio)
 from bdrlab.synth import (SCAN_BLOCK, SCAN_MIN_ROWS, NoiseSpec, TimeGrid,
@@ -546,9 +552,30 @@ CLS_NOISES = {"laplace": NoiseSpec(), "ar1": NoiseSpec(rho=0.6)}
 MOVED_LIMIT = 1e-3  # share of a test's trials whose maximum may move
 
 
-def _check_cls_against_reference(spec, truths, noise):
-    got = _cls_errors(spec, truths, noise)
-    want, near_tie = reference_cls_errors(spec, truths, noise)
+def _band_draw(spec):
+    """(band rows, a0, padded): the spec's classification noise as
+    _cls_errors reads it, and the same rows in all T columns with NaN in
+    every column outside the band, so that a reference reading a column
+    the band omits gets NaN."""
+    a0, b0 = _cls_band(spec)
+    band = _noise_rows(spec, 2)
+    padded = np.full((len(band), spec.grid.num_positions), np.nan)
+    padded[:, a0:b0] = band
+    return band, a0, padded
+
+
+def _full_rows(spec):
+    """(rows, 0, rows): stream 2 drawn in all T columns, for truths that
+    spread beyond the prior support and so beyond the band."""
+    rows = sample_noise_matrix(spec.noise, (spec.master_seed, 2),
+                               spec.num_trials, spec.grid.num_positions)
+    return rows, 0, rows
+
+
+def _check_cls_against_reference(spec, truths, band, a0, padded):
+    got = _cls_errors(spec, truths, band, a0)
+    want, near_tie = reference_cls_errors(spec, truths, padded)
+    assert np.all(np.isfinite(want))
     m = max(1, int(round(CLS_SMOOTH_FACTOR * spec.kappa / spec.grid.stride)) | 1)
     if m <= 7:
         assert np.array_equal(got, want)
@@ -566,9 +593,10 @@ def test_cls_kappa_errors_match_reference(noise, seed):
     base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
                           kappa=1.0, boundary=100.0, noise=CLS_NOISES[noise],
                           num_trials=1000, master_seed=seed)
-    truths, rows = _truths(base), _noise_rows(base, 2)
+    # one draw for the widest kappa, as cls_variance_kappa_slope draws it
+    truths, draw = _truths(base), _band_draw(replace(base, kappa=8.0))
     moved = sum(_check_cls_against_reference(replace(base, kappa=k),
-                                             truths, rows)
+                                             truths, *draw)
                 for k in (1.0, 2.0, 4.0, 8.0))
     assert moved <= MOVED_LIMIT * 4 * base.num_trials
 
@@ -588,7 +616,7 @@ def test_sweep_cell_cls_errors_match_reference(noise, seed):
                        kappa=kappa, boundary=(T // 2) * dt,
                        master_seed=seed + cell)
         moved += _check_cls_against_reference(spec, _truths(unit) * dt,
-                                              _noise_rows(spec, 2))
+                                              *_band_draw(spec))
     assert moved <= MOVED_LIMIT * 16 * n
 
 
@@ -634,9 +662,9 @@ def _band_width(spec):
     return min(spec.grid.num_positions, int(2 * r / stride) + 1 + 2 + m - 1 + 1)
 
 
-def _check_cls_against_full_width(spec, truths, noise):
-    assert np.array_equal(_cls_errors(spec, truths, noise),
-                          reference_full_width_cls_errors(spec, truths, noise))
+def _check_cls_against_full_width(spec, truths, band, a0, padded):
+    assert np.array_equal(_cls_errors(spec, truths, band, a0),
+                          reference_full_width_cls_errors(spec, truths, padded))
 
 
 @pytest.mark.parametrize("noise", ALL_CLS_NOISES)
@@ -653,7 +681,7 @@ def test_sweep_cells_match_full_width_reference(noise, seed):
                        kappa=kappa, boundary=(T // 2) * dt,
                        master_seed=seed + cell)
         _check_cls_against_full_width(spec, _truths(unit) * dt,
-                                      _noise_rows(spec, 2))
+                                      *_band_draw(spec))
 
 
 @pytest.mark.parametrize("noise", ALL_CLS_NOISES)
@@ -663,7 +691,42 @@ def test_kappas_match_full_width_reference(noise, kappa):
                           kappa=kappa, boundary=100.0,
                           noise=ALL_CLS_NOISES[noise], num_trials=1000,
                           master_seed=70)
-    _check_cls_against_full_width(spec, _truths(spec), _noise_rows(spec, 2))
+    _check_cls_against_full_width(spec, _truths(spec), *_band_draw(spec))
+
+
+# bands cut by column 0 and by column T - 1 (stride 2, T = 60)
+EDGE_BOUNDARIES = {"first column": 0.5, "last column": 58.5}
+
+
+@pytest.mark.parametrize("noise", ALL_CLS_NOISES)
+@pytest.mark.parametrize("kappa", CLS_KAPPAS)
+@pytest.mark.parametrize("where", ["middle", *EDGE_BOUNDARIES])
+def test_band_draw_is_all_the_readout_reads(noise, kappa, where):
+    # the NaN-padded draw read at a0 = 0 gives the band draw's errors, bit
+    # for bit and finite, so no chunk reads a column outside the band
+    T, dt = 60, 2.0
+    spec = ExperimentSpec(grid=TimeGrid(stride=dt, num_positions=T),
+                          kappa=kappa * dt,
+                          boundary=EDGE_BOUNDARIES.get(where, T / 2) * dt,
+                          noise=ALL_CLS_NOISES[noise], num_trials=300,
+                          master_seed=int(8 * kappa))
+    band, a0, padded = _band_draw(spec)
+    a0, b0 = _cls_band(spec)
+    assert {"first column": a0 == 0, "last column": b0 == T}.get(where, True)
+    truths = _truths(spec)
+    got = _cls_errors(spec, truths, band, a0)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(_cls_errors(spec, truths, padded, 0), got)
+
+
+def test_readout_outside_the_drawn_columns_raises():
+    spec = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
+                          kappa=2.0, boundary=100.0, noise=NoiseSpec(),
+                          num_trials=50, master_seed=3)
+    band, a0, _ = _band_draw(spec)
+    for shift in (-5.0, 5.0):
+        with pytest.raises(ValueError, match="columns"):
+            _cls_errors(spec, _truths(spec) + shift, band, a0)
 
 
 def _spy_chunk_rows(monkeypatch):
@@ -698,7 +761,7 @@ def test_edges_and_spread_match_full_width_reference(monkeypatch, noise,
         rows.clear()
         monkeypatch.setattr(stats, "CLS_CHUNK_VALUES",
                             size * _band_width(spec))
-        _check_cls_against_full_width(spec, spread, _noise_rows(spec, 2))
+        _check_cls_against_full_width(spec, spread, *_full_rows(spec))
         assert rows == [min(size, n - s) for s in range(0, n, size)]
 
 

@@ -44,7 +44,7 @@ def test_run_trials_zero_noise_on_grid_is_exact():
     # the peak search is exact when the truth lies on a grid sample
     on_grid = spec.boundary + np.arange(-5.0, 5.0)
     noise = np.zeros((len(on_grid), spec.grid.num_positions))
-    assert np.allclose(stats._cls_errors(spec, on_grid, noise), 0.0,
+    assert np.allclose(stats._cls_errors(spec, on_grid, noise, 0), 0.0,
                        atol=1e-9)
 
 
@@ -69,10 +69,64 @@ def test_run_trials_is_a_prefix_of_a_longer_run():
 def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
     spec = _spec(kappa=4.0, num_trials=150, master_seed=5)
     truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
-    want = stats._cls_errors(spec, truths, noise)
+    a0, _ = stats._cls_band(spec)
+    want = stats._cls_errors(spec, truths, noise, a0)
     # kappa 4 at stride 1 has a 32-column band: 7 trials per chunk
     monkeypatch.setattr(stats, "CLS_CHUNK_VALUES", 7 * 32)
-    assert np.array_equal(stats._cls_errors(spec, truths, noise), want)
+    assert np.array_equal(stats._cls_errors(spec, truths, noise, a0), want)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 2.0, 16.0])
+def test_cls_noise_columns_depend_on_neither_trials_nor_seed(kappa):
+    spec = _spec(grid=TimeGrid(stride=2.0, num_positions=200), kappa=kappa,
+                 boundary=200.0)
+    a0, b0 = stats._cls_band(spec)
+    for n in (2, 7, 500):
+        for seed in (0, 1, 12345):
+            rows = stats._noise_rows(replace(spec, num_trials=n,
+                                             master_seed=seed), 2)
+            assert rows.shape == (n, b0 - a0)
+
+
+# kappa / dt of 1/8, 1 and 8 mid-grid, then bands cut by column 0 and T - 1
+@pytest.mark.parametrize("kappa, boundary, band", [
+    (0.25, 100.0, (49, 53)), (2.0, 100.0, (46, 56)), (16.0, 100.0, (20, 82)),
+    (16.0, 1.0, (0, 32)), (16.0, 197.0, (69, 100))])
+def test_cls_side_is_a_prefix_of_a_longer_run(kappa, boundary, band):
+    grid = TimeGrid(stride=2.0, num_positions=100)
+    spec = _spec(grid=grid, kappa=kappa, boundary=boundary,
+                 noise=NoiseSpec(rho=0.6), num_trials=60, master_seed=4)
+    assert stats._cls_band(spec) == band
+    short = run_trials(spec)
+    long = run_trials(replace(spec, num_trials=120))
+    assert np.array_equal(short.cls, long.cls[:60])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_band_rows_keep_the_noise_distribution(rho):
+    # a band row starts stationary at its first column, so its values have
+    # the variance and lag-1 correlation of those columns of full rows;
+    # per-row statistics are independent across rows, which gives each
+    # mean its Monte-Carlo standard error
+    spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200), kappa=8.0,
+                 boundary=100.0, noise=NoiseSpec(rho=rho), num_trials=4000,
+                 master_seed=6)
+    a0, b0 = stats._cls_band(spec)
+    band = stats._noise_rows(spec, 2)
+    full = stats.sample_noise_matrix(spec.noise, (7, 2), spec.num_trials,
+                                     200)[:, a0:b0]
+
+    def per_row(x):
+        var = np.mean(x ** 2, axis=1)
+        lag1 = np.mean(x[:, 1:] * x[:, :-1], axis=1) / var
+        return var, lag1
+
+    for got, want in zip(per_row(band), per_row(full)):
+        se = np.hypot(got.std(), want.std()) / np.sqrt(spec.num_trials)
+        assert abs(got.mean() - want.mean()) <= 5 * se
+    # and the variance is the Laplace family's 2 b^2 = 0.5 at b = 0.5
+    var, _ = per_row(band)
+    assert abs(var.mean() - 0.5) <= 5 * var.std() / np.sqrt(spec.num_trials)
 
 
 @pytest.mark.parametrize("cells", [[(1.0, 1.0), (2.0, 2.0), (4.0, 4.0),
@@ -84,10 +138,12 @@ def test_cls_errors_depend_only_on_kappa_over_stride(cells):
     # so on the same draws the errors / dt agree bit for bit
     unit = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
                  boundary=100.0, num_trials=300, master_seed=23)
+    # the unit spec's kappa / dt of 2 has the widest band of these cells
     truths, noise = stats._truths(unit), stats._noise_rows(unit, 2)
+    a0, _ = stats._cls_band(unit)
     scaled = [stats._cls_errors(
         replace(unit, grid=TimeGrid(stride=dt, num_positions=200),
-                kappa=kappa, boundary=100.0 * dt), truths * dt, noise) / dt
+                kappa=kappa, boundary=100.0 * dt), truths * dt, noise, a0) / dt
         for kappa, dt in cells]
     for errors in scaled[1:]:
         assert np.array_equal(errors, scaled[0])
@@ -247,11 +303,23 @@ def test_kappa_slope_draws_the_noise_once(monkeypatch):
     monkeypatch.setattr(stats, "sample_noise_matrix",
                         lambda *args: drawn.append(1) or sample(*args))
     base = _spec(num_trials=300, master_seed=9)
-    _, variances = cls_variance_kappa_slope(base, [1.0, 2.0, 4.0, 8.0])
+    _, variances = cls_variance_kappa_slope(base, [2.0, 8.0, 1.0, 4.0])
     assert len(drawn) == 1
+    # the one draw is the widest kappa's band, so that kappa matches
+    # run_trials, and every kappa reads its errors off the shared draw
+    widest = replace(base, kappa=8.0)
+    assert variances[8.0] == np.mean(run_trials(widest).cls ** 2)
+    truths, noise = stats._truths(base), stats._noise_rows(widest, 2)
+    a0, _ = stats._cls_band(widest)
     for kappa, v in variances.items():
-        errs = run_trials(replace(base, kappa=kappa))
-        assert v == np.mean(errs.cls ** 2)
+        errs = stats._cls_errors(replace(base, kappa=kappa), truths, noise, a0)
+        assert v == np.mean(errs ** 2)
+
+
+@pytest.mark.parametrize("kappas", [[], [1.0, 2.0]])
+def test_kappa_slope_needs_three_kappas(kappas):
+    with pytest.raises(ValueError, match="3 kappas"):
+        cls_variance_kappa_slope(_spec(), kappas)
 
 
 def test_classification_side_memory_stays_chunked():
@@ -262,7 +330,7 @@ def test_classification_side_memory_stays_chunked():
     truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
     tracemalloc.start()
     try:
-        stats._cls_errors(spec, truths, noise)
+        stats._cls_errors(spec, truths, noise, stats._cls_band(spec)[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
