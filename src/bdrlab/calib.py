@@ -34,11 +34,17 @@ def heteroscedastic_loss(target, prediction, variance) -> float:
     return float(np.sum(r**2 / (2.0 * v) + 0.5 * np.log(v)))
 
 
+def equal_mass_edges(n: int, num_bins: int) -> np.ndarray:
+    """The num_bins + 1 edges of equal-mass bins over n ranks; remainders go
+    to the earliest bins."""
+    base, rem = divmod(n, num_bins)
+    return np.cumsum([0] + [base + (1 if m < rem else 0)
+                            for m in range(num_bins)])
+
+
 def equal_mass_bins(n: int, num_bins: int) -> list[np.ndarray]:
     """Index ranges for M equal-mass bins; remainders go to the earliest bins."""
-    base, rem = divmod(n, num_bins)
-    sizes = [base + (1 if m < rem else 0) for m in range(num_bins)]
-    edges = np.cumsum([0] + sizes)
+    edges = equal_mass_edges(n, num_bins)
     return [np.arange(edges[m], edges[m + 1]) for m in range(num_bins)]
 
 
@@ -46,9 +52,16 @@ def r_ece(errors, sigmas, cfg: CalibrationConfig = CalibrationConfig(),
           return_bins: bool = False):
     """Regression expected calibration error.
 
-    Pairs are sorted by sigma^2 and split into equal-mass bins; each bin's
-    coverage is the fraction of errors within z * sigma of zero, and the
-    metric is the mass-weighted absolute deviation of coverage from 0.68.
+    Pairs are ranked by sigma^2, ties in index order, and split into
+    equal-mass bins; each bin's coverage is the fraction of errors within
+    z * sigma of zero, and the metric is the mass-weighted absolute deviation
+    of coverage from 0.68.
+
+    No permutation is built. One sort gives sigma^2 in rank order, with
+    each rank's hit carried along, and a bin's coverage is its hit count over
+    its size. The hits among the first E ranks are the hits with sigma^2
+    below x, the sigma^2 at rank E, and, if lo < E pairs have sigma^2 below
+    x, the hits among the first E - lo pairs by index whose sigma^2 equals x.
     """
     e = np.asarray(errors, dtype=float)
     s = np.asarray(sigmas, dtype=float)
@@ -62,27 +75,35 @@ def r_ece(errors, sigmas, cfg: CalibrationConfig = CalibrationConfig(),
     if n < cfg.num_bins:
         raise ValueError("need at least num_bins samples")
     hit = np.abs(e) <= cfg.one_sigma_quantile * s
-    var = s**2
-    order = np.argsort(var)
-    var = var[order]
-    bins = equal_mass_bins(n, cfg.num_bins)
-    # Ties in sigma^2 are ordered by index, as a stable sort would order
-    # them. Inside a bin the order changes neither the coverage count nor the
-    # equal sigma^2 values, so only a run of ties that crosses a bin edge is
-    # put back in index order.
-    for idx in bins[1:]:
-        edge = idx[0]
-        if var[edge - 1] == var[edge]:
-            lo = np.searchsorted(var, var[edge], side="left")
-            hi = np.searchsorted(var, var[edge], side="right")
-            order[lo:hi] = np.sort(order[lo:hi])
-    hit = hit[order]
+    # sigma^2 >= 0 sorts as its bits do, read as an unsigned integer; the
+    # hit bit appended below them orders only pairs of equal sigma^2
+    key = (s**2).view(np.uint64)
+    key <<= 1
+    key |= hit
+    key.sort()
+    svar = (key >> 1).view(float)
+    edges = equal_mass_edges(n, cfg.num_bins)
+    hits_upto = [0]  # hits among the first E ranks, per bin edge E
+    below, lo_done = 0, 0  # hits among the first lo_done ranks
+    for edge in edges[1:-1]:
+        x = svar[edge]
+        lo = int(np.searchsorted(svar, x, side="left"))
+        below += np.count_nonzero(key[lo_done:lo] & 1)
+        lo_done = lo
+        tied = 0
+        if edge > lo:  # a run of ties crosses the edge: index order
+            equal = s**2 == x
+            stop = np.flatnonzero(equal)[edge - lo - 1] + 1
+            tied = np.count_nonzero(hit[:stop] & equal[:stop])
+        hits_upto.append(below + tied)
+    hits_upto.append(np.count_nonzero(hit))
     total = 0.0
     rows = []
-    for idx in bins:
-        cov = float(np.mean(hit[idx]))
-        total += len(idx) / n * abs(cov - 0.68)
-        rows.append((len(idx), float(np.mean(var[idx])), cov))
+    for m in range(cfg.num_bins):
+        size = int(edges[m + 1] - edges[m])
+        cov = float((hits_upto[m + 1] - hits_upto[m]) / size)
+        total += size / n * abs(cov - 0.68)
+        rows.append((size, float(np.mean(svar[edges[m]:edges[m + 1]])), cov))
     if return_bins:
         return total, rows
     return total

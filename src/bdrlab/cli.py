@@ -102,6 +102,8 @@ FIELD_FLAGS = {
               "centers": "--boundaries", **NOISE_FLAGS},
     "scaling": {"num_trials": "--trials", "num_positions": "--num-positions",
                 "kappa": "--kappas", "stride": "--strides", **NOISE_FLAGS},
+    "atr-sim": {"trace_rho": "--trace-rho", "gain": "--gain",
+                "gamma": "--gamma"},
 }
 
 
@@ -181,9 +183,10 @@ def cmd_flops(args) -> int:
 def _calib_scenario(name: str, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     sigma = np.exp(rng.uniform(np.log(0.2), np.log(5.0), samples))
-    errors = rng.normal(0.0, sigma)
+    errors = rng.standard_normal(samples)
+    errors *= sigma
     if name == "sigma_x2":
-        sigma = 2.0 * sigma
+        sigma *= 2.0
     return errors, sigma
 
 
@@ -237,7 +240,7 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
     around the observed 18% level; it must lie in (-1, 1).
     """
     if not -1.0 < rho < 1.0:
-        raise ValueError("trace rho must be in (-1, 1)")
+        raise ValueError("trace_rho must be in (-1, 1)")
     if not np.isfinite(gain):
         raise ValueError("gain must be finite")
     eta = np.random.default_rng(seed).normal(0.0, 1.0, length)

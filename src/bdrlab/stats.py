@@ -276,8 +276,8 @@ def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
         statistic = lambda s: s[:, 0] / s[:, 1]
     picks = np.random.default_rng(seed).integers(0, n, size=(num_resamples, n))
     sums = np.stack([col[picks].sum(axis=1) for col in totals.T], axis=-1)
-    stats = statistic(sums)
-    return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
+    lo, hi = np.percentile(statistic(sums), [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def _block_totals(errors: np.ndarray, nblocks: int) -> list:

@@ -454,7 +454,10 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
     (["flops", "--points", "0.1"],
      "argument --points: '0.1' is not an expected_tau:keep_ratio pair"),
     (["flops", "--points", "0.16:0.8,1:x"],
-     "argument --points: '1:x' is not an expected_tau:keep_ratio pair")])
+     "argument --points: '1:x' is not an expected_tau:keep_ratio pair"),
+    (["atr-sim", "--trace-rho", "1.5"], "--trace-rho must be in (-1, 1)"),
+    (["atr-sim", "--gain", "inf"], "--gain must be finite"),
+    (["atr-sim", "--gamma", "-1"], "--gamma must be finite and >= 0")])
 def test_library_errors_name_the_flag(tmp_path, monkeypatch, capsys, argv,
                                       message):
     fits = []

@@ -12,7 +12,15 @@ arrays step by step (one series, and a batch of rows a column at a time),
 the classification peak loop that smoothed, searched and refined one trial
 at a time, the batched classification side that computed every column of
 each row, the hold_previous hysteresis loop that indexed the numpy array,
-and r_ece with a stable argsort that gathered both errors and sigmas.
+r_ece with a stable argsort that gathered both errors and sigmas, the calib
+scenario's rng.normal(0, sigma) draw and the bootstrap's two percentile
+calls.
+
+r_ece builds no permutation: one sort ranks sigma^2 and the hits are
+counted per bin, with a run of equal sigma^2 that crosses a bin edge split
+in index order. It is compared with the stable argsort where ties decide
+the bins (sigmas rounded to few decimals, all sigmas equal, a tie run over
+several bins, one pair per bin) and at the benchmark's 500 000 samples.
 
 Stream 2 draws only the band of columns the classification readout can
 reach. The classification references read that draw placed in all T
@@ -34,6 +42,7 @@ block to be redone, signed zeros and hold_previous above the trace's range
 force every block, and NaN, infinities and overflow run through both.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +51,7 @@ import pytest
 from bdrlab import atr, stats, synth
 from bdrlab.atr import HOLD_WARMUP, HysteresisConfig, apply_hysteresis
 from bdrlab.calib import CalibrationConfig, equal_mass_bins, r_ece
-from bdrlab.cli import tau_scenario
+from bdrlab.cli import _calib_scenario, main, tau_scenario
 from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss_smoothed,
                                bdr_loss_smoothed_grad, fit_distance,
                                moving_average, quadratic_peak_offset)
@@ -217,6 +226,27 @@ def test_bootstrap_mean_matches_reference():
     want = reference_bootstrap(groups, 1000, seed=9)
     got = blocked_bootstrap([[g.sum(), g.size] for g in groups], 1000, seed=9)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nan_share", [0.0, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_bootstrap_bounds_match_two_percentile_calls(nan_share, seed):
+    # the one np.percentile call gives the bounds of one call per bound, bit
+    # for bit, NaN resample statistics included
+    rng = np.random.default_rng(seed)
+    totals = np.column_stack([rng.normal(5.0, 2.0, 30), rng.integers(1, 9, 30)])
+    drawn = []
+
+    def statistic(sums):
+        stat = sums[:, 0] / sums[:, 1]
+        stat[rng.random(stat.size) < nan_share] = np.nan
+        drawn.append(stat)
+        return stat
+
+    got = blocked_bootstrap(totals, 2000, seed=seed, statistic=statistic)
+    (stat,) = drawn
+    want = (float(np.percentile(stat, 2.5)), float(np.percentile(stat, 97.5)))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("fail_rate", [0.0, 0.05, 0.3])
@@ -934,3 +964,75 @@ def test_r_ece_tie_run_across_a_bin_edge_keeps_index_order():
     total, rows = _r_ece_bins(e, s, 2)
     assert (total, rows) == reference_r_ece(e, s, 2)
     assert [cov for _, _, cov in rows] == [1.0, 200 / 300]
+
+
+@pytest.mark.parametrize("num_bins", [2, 3, 10])
+@pytest.mark.parametrize("n", [1000, 1003])
+def test_r_ece_all_sigmas_equal(num_bins, n):
+    # one tie run covers every rank, so every bin is an index range
+    rng = np.random.default_rng(n + num_bins)
+    s = np.full(n, 1.3)
+    e = rng.normal(0.0, 1.3, n)
+    assert _r_ece_bins(e, s, num_bins) == reference_r_ece(e, s, num_bins)
+
+
+def test_r_ece_tie_run_over_several_bins_keeps_index_order():
+    # 100 each of sigma 1 and 3 and 500 of sigma 2, shuffled, in 7 bins of
+    # 100: the sigma = 2 run takes ranks 100-599, covers bins 1-5 and
+    # crosses the four edges inside it. Its pairs are hits in alternating
+    # index blocks of 100, so bins 1-5 hold all, none, all, none, all hits.
+    s = np.random.default_rng(8).permutation(
+        np.repeat([1.0, 2.0, 3.0], [100, 500, 100]))
+    e = np.zeros(700)
+    run = np.flatnonzero(s == 2.0)
+    for block in (1, 3):
+        e[run[block * 100:(block + 1) * 100]] = 10.0
+    total, rows = _r_ece_bins(e, s, 7)
+    assert (total, rows) == reference_r_ece(e, s, 7)
+    assert [cov for _, _, cov in rows] == [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r_ece_one_pair_per_bin(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    s = rng.integers(1, 4, n).astype(float)
+    e = rng.normal(0.0, 2.0, n)
+    assert _r_ece_bins(e, s, n) == reference_r_ece(e, s, n)
+
+
+@pytest.mark.parametrize("seed", [0, 181])
+def test_r_ece_matches_reference_at_benchmark_size(seed):
+    e, s = _calib_scenario("sigma_x2", 500_000, seed)
+    assert _r_ece_bins(e, s, 10) == reference_r_ece(e, s, 10)
+
+
+def reference_calib_scenario(name, samples, seed):
+    rng = np.random.default_rng(seed)
+    sigma = np.exp(rng.uniform(np.log(0.2), np.log(5.0), samples))
+    errors = rng.normal(0.0, sigma)
+    if name == "sigma_x2":
+        sigma = 2.0 * sigma
+    return errors, sigma
+
+
+@pytest.mark.parametrize("name", ["well_calibrated", "sigma_x2"])
+@pytest.mark.parametrize("seed", [0, 181])
+def test_calib_scenario_matches_reference_draw(name, seed):
+    got = _calib_scenario(name, 50_000, seed)
+    want = reference_calib_scenario(name, 50_000, seed)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_calib_json_records_match_reference(tmp_path):
+    out = tmp_path / "calib.json"
+    assert main(["calib", "--scenario", "sigma_x2", "--samples", "20000",
+                 "--bins", "7", "--seed", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    total, rows = reference_r_ece(
+        *reference_calib_scenario("sigma_x2", 20000, 3), 7)
+    want = [{"bin": i, "count": c, "mean_sigma_sq": m, "coverage": cov}
+            for i, (c, m, cov) in enumerate(rows)]
+    want.append({"bin": "r_ece", "count": "", "mean_sigma_sq": "",
+                 "coverage": total})
+    assert json.loads(out.read_text())["records"] == want
