@@ -152,7 +152,7 @@ def per_layer_pruned_cost(keep_ratio: float) -> float:
 def total_flops(keep_ratio: float, exp_tau: float) -> float:
     """Backbone + shallow stack + expected deep stack + heads + predictors."""
     if not 0.0 <= exp_tau <= 1.0:
-        raise ValueError("expected tau must be in [0, 1]")
+        raise ValueError("expected_tau must be in [0, 1]")
     plp = per_layer_pruned_cost(keep_ratio)
     return (BACKBONE_G
             + SHALLOW_LAYERS * plp

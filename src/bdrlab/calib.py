@@ -42,12 +42,6 @@ def equal_mass_edges(n: int, num_bins: int) -> np.ndarray:
                             for m in range(num_bins)])
 
 
-def equal_mass_bins(n: int, num_bins: int) -> list[np.ndarray]:
-    """Index ranges for M equal-mass bins; remainders go to the earliest bins."""
-    edges = equal_mass_edges(n, num_bins)
-    return [np.arange(edges[m], edges[m + 1]) for m in range(num_bins)]
-
-
 def r_ece(errors, sigmas, cfg: CalibrationConfig = CalibrationConfig(),
           return_bins: bool = False):
     """Regression expected calibration error.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 
@@ -42,29 +41,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _write_text(path, buf.getvalue())
-
-
-def _write_json(path, header, rows, meta):
-    records = [dict(zip(header, row)) for row in rows]
-    payload = {"metadata": meta, "records": records}
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                 default=float) + "\n")
-
-
-def _write_text(path, text):
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 # Parsed values left out of the config hash: where and how the output is
 # written, the config file (its values are already in the parsed flags), and
 # the handler function, whose repr changes from run to run.
@@ -86,10 +62,22 @@ def _metadata(args) -> dict:
 
 
 def _emit(args, header, rows):
+    """Write the rows as CSV (6 significant digits) or as JSON records with
+    the run metadata, to stdout or to args.out. The text is built in full
+    before the file is opened, so a failed run leaves no file."""
     if args.format == "json":
-        _write_json(args.out, header, rows, _metadata(args))
+        payload = {"metadata": _metadata(args),
+                   "records": [dict(zip(header, row)) for row in rows]}
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          default=float) + "\n"
     else:
-        _write_csv(args.out, header, rows)
+        text = "".join(",".join(map(_fmt, line)) + "\n"
+                       for line in [header, *rows])
+    if args.out == "-":
+        sys.stdout.write(text)
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 # The library names the field a bad value was given for at the start of its
@@ -104,6 +92,7 @@ FIELD_FLAGS = {
                 "kappa": "--kappas", "stride": "--strides", **NOISE_FLAGS},
     "atr-sim": {"trace_rho": "--trace-rho", "gain": "--gain",
                 "gamma": "--gamma"},
+    "flops": {"expected_tau": "--points", "keep_ratio": "--points"},
 }
 
 
@@ -191,20 +180,23 @@ def _calib_scenario(name: str, samples: int, seed: int):
 
 
 def _read_error_sigma_csv(path):
-    errors, sigmas = [], []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise UsageError("empty input file")
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    errors, sigmas = [], []
+    for ln, line in enumerate(lines, start=1):
         parts = line.split(",")
         try:
-            errors.append(float(parts[0]))
-            sigmas.append(float(parts[1]))
+            error, sigma = float(parts[0]), float(parts[1])
         except (IndexError, ValueError):
+            if ln == 1 or not line.strip():  # the header or a blank line
+                continue
             raise UsageError(f"malformed CSV at line {ln}: {line!r}")
+        if ln == 1:
+            raise UsageError(f"--input line 1 must be a header, not {line!r}")
+        errors.append(error)
+        sigmas.append(sigma)
     if not errors:
         raise UsageError("input file has no data rows")
     return np.array(errors), np.array(sigmas)

@@ -53,50 +53,11 @@ def _check_positions(what: str, *arrays) -> None:
         raise ValueError(f"{what} need at least 2 positions")
 
 
-def bdr_loss(target, prediction, stride: float = 1.0,
-             cfg: BDRLossConfig = BDRLossConfig()) -> float:
-    """Mean absolute error plus hinge-squared penalty on over-unit slopes.
-
-    The slope reference is one stride per grid step: increments whose
-    magnitude stays below `stride` are free, the excess is squared.
-    """
-    d = np.asarray(target, dtype=float)
-    dh = np.asarray(prediction, dtype=float)
-    if d.shape != dh.shape:
-        raise ValueError("target and prediction lengths differ")
-    _check_positions("target and prediction", d)
-    T = d.shape[-1]
-    data = np.mean(np.abs(d - dh), axis=-1)
-    inc = np.diff(dh, axis=-1)
-    excess = np.maximum(0.0, np.abs(inc) - stride)
-    penalty = cfg.alpha / (T - 1) * np.sum(excess**2, axis=-1)
-    return data + penalty
-
-
-def _smoothed_loss(target, prediction, stride: float, alpha: float,
-                   delta: float):
-    """Huber-smoothed loss of each row; prediction and target broadcast.
-
-    The Huber term is c*r - delta*c^2/2 with c = clip(r/delta, -1, 1):
-    r^2/(2 delta) inside the band, |r| - delta/2 outside. The hinge sums
-    q^2 for the signed excess q = inc - clip(inc, -stride, stride) of each
-    increment.
-    """
-    dh = np.asarray(prediction, dtype=float)
-    r = dh - target
-    T = r.shape[-1]
-    c = np.clip(r / delta, -1.0, 1.0)
-    data = np.add.reduce(c * r - 0.5 * delta * c * c, axis=-1) / T
-    inc = np.diff(dh, axis=-1)
-    q = inc - np.clip(inc, -stride, stride)
-    return data + alpha / (T - 1) * np.add.reduce(q * q, axis=-1)
-
-
 def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
                           delta: float, scale: float, grad, inc, q):
     """A zero-argument step that writes `scale` times the gradient of
-    _smoothed_loss (batched rows) at the current `prediction` into `grad`
-    and returns it.
+    bdr_loss_smoothed (batched rows, Huber width `delta`) at the current
+    `prediction` into `grad` and returns it.
 
     The Huber term's gradient is the clipped residual clip(r/delta, -1, 1)
     over T. The hinge's is 2 alpha/(T-1) * q for the signed excess
@@ -149,10 +110,26 @@ def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
                       cfg: BDRLossConfig = BDRLossConfig()):
-    """Huber-smoothed variant of bdr_loss used by the fitter (same minimiser)."""
+    """Per-row distance-regression loss, the objective fit_distance descends;
+    prediction and target broadcast.
+
+    The data term is the mean Huber loss of the residual r, with width
+    delta = huber_delta * stride: c*r - delta*c^2/2 with c = clip(r/delta,
+    -1, 1), so r^2/(2 delta) inside the band and |r| - delta/2 outside. The
+    penalty is alpha/(T-1) times the sum of q^2 over the signed excess
+    q = inc - clip(inc, -stride, stride) of each increment: increments of
+    at most one stride per grid step are free.
+    """
     _check_positions("target and prediction", target, prediction)
-    return _smoothed_loss(target, prediction, stride, cfg.alpha,
-                          cfg.huber_delta * stride)
+    delta = cfg.huber_delta * stride
+    dh = np.asarray(prediction, dtype=float)
+    r = dh - target
+    T = r.shape[-1]
+    c = np.clip(r / delta, -1.0, 1.0)
+    data = np.add.reduce(c * r - 0.5 * delta * c * c, axis=-1) / T
+    inc = np.diff(dh, axis=-1)
+    q = inc - np.clip(inc, -stride, stride)
+    return data + cfg.alpha / (T - 1) * np.add.reduce(q * q, axis=-1)
 
 
 def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
@@ -192,11 +169,11 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     folding it into the gradient's constants gives the same bits as scaling
     afterwards.
 
-    Rows are fitted in chunks of 128. The work arrays are allocated once per
-    call, sized for one chunk: the fit, its gradient, and the kernel's two
-    scratch arrays. The kernel is built once per chunk, on that chunk's rows
-    of them, so its views, slices and constants are made once, not on every
-    step; every step updates the arrays in place.
+    Rows are fitted in chunks of 128, each stepped in place in the output,
+    which starts as a copy of the observations. The kernel's gradient and
+    two scratch arrays are allocated once per call, sized for one chunk. The
+    kernel is built once per chunk, on that chunk's rows, so its views,
+    slices and constants are made once, not on every step.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
@@ -208,24 +185,22 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     step, bound = FIT_STEP, _curvature_bound(full.shape[-1], alpha, delta)
     while step * bound >= 2.0:
         step *= 0.5
-    out = np.empty_like(full)
+    out = full.copy()
     # rows are independent; small chunks keep the iteration working set in
     # cache, which is worth ~1.6x on long batches
     chunk = 128
     shape = (min(chunk, full.shape[0]),) + full.shape[1:]
-    # fit, gradient, increments, hinge gradient; the increments' last entry
-    # is never written, and zeros keep it finite
-    bufs = [np.empty(shape), np.empty(shape), np.zeros(shape), np.empty(shape)]
+    # gradient, increments, hinge gradient; the increments' last entry is
+    # never written, and zeros keep it finite
+    bufs = [np.empty(shape), np.zeros(shape), np.empty(shape)]
     for start in range(0, full.shape[0], chunk):
-        o = full[start:start + chunk]
-        n = o.shape[0]
-        d, *work = (b[:n] for b in bufs)
-        d[...] = o
-        scaled_grad = _smoothed_grad_kernel(o, d, 1.0, alpha, delta, step,
-                                            *work)
+        # a block of whole rows of `out`, so C-contiguous as the kernel needs
+        d = out[start:start + chunk]
+        work = (b[:d.shape[0]] for b in bufs)
+        scaled_grad = _smoothed_grad_kernel(full[start:start + chunk], d, 1.0,
+                                            alpha, delta, step, *work)
         for _ in range(FIT_ITERATIONS):
             d -= scaled_grad()
-        out[start:start + n] = d
     out *= grid.stride
     return out[0] if single else out
 

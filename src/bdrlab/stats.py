@@ -90,7 +90,6 @@ class TrialErrors:
 
     bdr: np.ndarray
     cls: np.ndarray
-    bdr_failures: int
 
 
 @dataclass(frozen=True)
@@ -133,18 +132,15 @@ def _fit_distance_side(spec: ExperimentSpec):
 
 
 def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
-                             grid: TimeGrid):
-    """Signed error of the crossing nearest each truth; NaN (and counted in
-    the returned failures) where a row has no crossing."""
+                             grid: TimeGrid) -> np.ndarray:
+    """Signed error of the crossing nearest each truth; NaN where a row has
+    no crossing."""
     errors = np.full(len(truths), np.nan)
-    failures = 0
     for k, truth in enumerate(truths):
         cands = extract_boundaries(dhat[k], grid)
         if cands.size:
             errors[k] = cands[np.argmin(np.abs(cands - truth))] - truth
-        else:
-            failures += 1
-    return errors, failures
+    return errors
 
 
 def _readout(spec: ExperimentSpec):
@@ -245,12 +241,12 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
 def run_trials(spec: ExperimentSpec) -> TrialErrors:
     """Run the Monte-Carlo condition; signed errors in frames per estimator.
 
-    Failed extractions are recorded as NaN and counted, not raised.
+    Failed extractions are recorded as NaN, not raised.
     """
     truths, dhat = _fit_distance_side(spec)
-    e_bdr, failures = _nearest_crossing_errors(dhat, truths, spec.grid)
+    e_bdr = _nearest_crossing_errors(dhat, truths, spec.grid)
     e_cls = _cls_errors(spec, truths, _noise_rows(spec, 2), _cls_band(spec)[0])
-    return TrialErrors(bdr=e_bdr, cls=e_cls, bdr_failures=failures)
+    return TrialErrors(bdr=e_bdr, cls=e_cls)
 
 
 def _mse(errors: np.ndarray) -> float:
@@ -413,7 +409,8 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
                    grid=TimeGrid(stride=1.0, num_positions=num_positions),
                    boundary=float(num_positions // 2))
     truths, dhat = _fit_distance_side(unit)
-    e_unit, failures = _nearest_crossing_errors(dhat, truths, unit.grid)
+    e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
+    failures = int(np.isnan(e_unit).sum())
     cells = []
     for spec in specs:
         dt = spec.grid.stride

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.calib import (CalibrationConfig, equal_mass_bins,
+from bdrlab.calib import (CalibrationConfig, equal_mass_edges,
                           heteroscedastic_loss, r_ece)
 
 
@@ -44,10 +44,9 @@ def test_loss_validation():
 
 
 def test_equal_mass_bins_remainder_to_earliest():
-    bins = equal_mass_bins(23, 10)
-    sizes = [len(b) for b in bins]
-    assert sizes == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
-    assert np.array_equal(np.concatenate(bins), np.arange(23))
+    edges = equal_mass_edges(23, 10)
+    assert np.diff(edges).tolist() == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+    assert edges[0] == 0 and edges[-1] == 23
 
 
 def test_r_ece_zero_errors():

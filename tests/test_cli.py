@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bdrlab.cli import _metadata, build_parser, main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
 from bdrlab.estimators import fit_distance
+from bdrlab.stats import ExperimentSpec, run_trials
+from bdrlab.synth import NoiseSpec, TimeGrid
 
 
 def run(args):
@@ -88,6 +90,18 @@ def test_calib_input_file_errors(tmp_path):
     assert run(["calib", "--input", str(bad)]) == 1
 
 
+def test_calib_input_file_without_header_exits_usage(tmp_path, capsys):
+    # line 1 is always the header; a file without one would lose a data row
+    src = tmp_path / "in.csv"
+    src.write_text("0.1,1.0\n0.2,1.0\n0.3,1.0\n0.4,1.0\n")
+    out = tmp_path / "o.csv"
+    assert run(["calib", "--input", str(src), "--bins", "2",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --input line 1 ")
+    assert not out.exists()
+
+
 def test_calib_input_file_rejects_invalid_sigmas(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("error,sigma\n" + "0.1,1.0\n" * 20
@@ -115,6 +129,26 @@ def test_scaling_gate_exit_codes(tmp_path):
     assert run(args) == 0
     # an impossible band turns the same run into a gate failure
     assert run(args + ["--gate", "--band-low", "99", "--band-high", "100"]) == 2
+
+
+def test_scaling_failures_count_the_nan_distance_errors(tmp_path):
+    out = tmp_path / "s.json"
+    assert run(["scaling", "--kappas", "1,2", "--strides", "1,2",
+                "--trials", "60", "--seed", "11", "--num-positions", "80",
+                "--noise-family", "student_t", "--format", "json",
+                "--out", str(out)]) == 0
+    # the sweep's distance side is the stride-1 run at the master seed
+    unit = run_trials(ExperimentSpec(
+        grid=TimeGrid(stride=1.0, num_positions=80), kappa=1.0,
+        boundary=40.0, noise=NoiseSpec(family="student_t"), num_trials=60,
+        master_seed=11))
+    nan = int(np.isnan(unit.bdr).sum())
+    assert nan > 0
+    # a numpy count would go through default=float and read 26.0, so an
+    # integer in the JSON means the cell held a Python int
+    records = json.loads(out.read_text())["records"][:4]
+    assert [r["failures"] for r in records] == [nan] * 4
+    assert all(type(r["failures"]) is int for r in records)
 
 
 def test_scaling_rerun_determinism(tmp_path):
@@ -457,7 +491,9 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
      "argument --points: '1:x' is not an expected_tau:keep_ratio pair"),
     (["atr-sim", "--trace-rho", "1.5"], "--trace-rho must be in (-1, 1)"),
     (["atr-sim", "--gain", "inf"], "--gain must be finite"),
-    (["atr-sim", "--gamma", "-1"], "--gamma must be finite and >= 0")])
+    (["atr-sim", "--gamma", "-1"], "--gamma must be finite and >= 0"),
+    (["flops", "--points", "0.5:2"], "--points must be in [0, 1]"),
+    (["flops", "--points", "2:0.5"], "--points must be in [0, 1]")])
 def test_library_errors_name_the_flag(tmp_path, monkeypatch, capsys, argv,
                                       message):
     fits = []

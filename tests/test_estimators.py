@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdrlab import estimators
 from bdrlab.estimators import (FIT_STEP, BDRLossConfig, FitConfig,
-                               _curvature_bound, bdr_loss, bdr_loss_smoothed,
+                               _curvature_bound, bdr_loss_smoothed,
                                bdr_loss_smoothed_grad, extract_boundaries,
                                fit_distance, moving_average, nms_1d,
                                quadratic_peak_offset)
@@ -16,12 +16,14 @@ from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
 
 def test_loss_perfect_prediction_is_zero():
     d = np.arange(-5.0, 5.0)
-    assert bdr_loss(d, d) == 0.0
+    assert bdr_loss_smoothed(d, d) == 0.0
 
 
 def test_loss_constant_offset():
+    # outside the Huber band every residual of 1 costs 1 - delta/2
     d = np.arange(-5.0, 5.0)
-    assert bdr_loss(d, d + 1.0) == pytest.approx(1.0)
+    delta = BDRLossConfig().huber_delta
+    assert bdr_loss_smoothed(d, d + 1.0) == pytest.approx(1.0 - delta / 2)
 
 
 def test_loss_single_jump_penalty():
@@ -30,20 +32,22 @@ def test_loss_single_jump_penalty():
     dh = d.copy()
     dh[10:] += 2.0  # one adjacent pair jumps by 3
     cfg = BDRLossConfig(alpha=0.1)
-    expected = np.mean(np.abs(d - dh)) + cfg.alpha * (3 - 1) ** 2 / (T - 1)
-    assert bdr_loss(d, dh, cfg=cfg) == pytest.approx(expected)
+    # half the positions are off by 2, outside the Huber band
+    expected = ((2.0 - cfg.huber_delta / 2) / 2
+                + cfg.alpha * (3 - 1) ** 2 / (T - 1))
+    assert bdr_loss_smoothed(d, dh, cfg=cfg) == pytest.approx(expected)
 
 
 def test_loss_length_mismatch():
     with pytest.raises(ValueError):
-        bdr_loss(np.zeros(5), np.zeros(6))
+        bdr_loss_smoothed(np.zeros(5), np.zeros(6))
 
 
 def test_loss_stride_scaled_reference():
     # slope-2 series at stride 2 is at the unit-slope reference: no penalty
     d = 2.0 * np.arange(10.0)
-    assert bdr_loss(d, d, stride=2.0) == 0.0
-    assert bdr_loss(d, d, stride=1.0) > 0.0
+    assert bdr_loss_smoothed(d, d, stride=2.0) == 0.0
+    assert bdr_loss_smoothed(d, d, stride=1.0) > 0.0
 
 
 def test_gradient_matches_finite_differences():
@@ -84,7 +88,7 @@ def test_fit_noiseless_is_fixed_point():
     grid = TimeGrid(stride=1.0, num_positions=50)
     d = make_distance_field(grid, [25.0])
     fitted = fit_distance(d, grid)
-    assert bdr_loss(d, fitted) < 1e-6
+    assert bdr_loss_smoothed(d, fitted) < 1e-6
 
 
 def test_fit_alpha_zero_tracks_observations():
@@ -103,7 +107,7 @@ def test_fit_improves_over_raw_observations():
     for seed in range(100):
         obs = clean + sample_noise_matrix(NoiseSpec(scale=0.5), seed, 1, 100)[0]
         fitted = fit_distance(obs, grid, cfg)
-        if bdr_loss(clean, fitted) < bdr_loss(clean, obs):
+        if bdr_loss_smoothed(clean, fitted) < bdr_loss_smoothed(clean, obs):
             wins += 1
     assert wins >= 95
 
@@ -216,8 +220,7 @@ def test_grad_kernel_rejects_arrays_it_cannot_step_in_place():
                                              1.0, *arrays[1:])
 
 
-@pytest.mark.parametrize("loss", [bdr_loss, bdr_loss_smoothed,
-                                  bdr_loss_smoothed_grad])
+@pytest.mark.parametrize("loss", [bdr_loss_smoothed, bdr_loss_smoothed_grad])
 @pytest.mark.parametrize("shape", [(), (0,), (1,), (3, 1), (2, 0)])
 def test_losses_reject_fewer_than_two_positions(loss, shape):
     with pytest.raises(ValueError, match="at least 2 positions"):

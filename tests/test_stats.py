@@ -40,7 +40,6 @@ def test_run_trials_zero_noise_on_grid_is_exact():
     errs = run_trials(spec)
     # the fit and the zero crossing recover every sub-stride phase exactly
     assert np.array_equal(errs.bdr, np.zeros(spec.num_trials))
-    assert errs.bdr_failures == 0
     # the peak search is exact when the truth lies on a grid sample
     on_grid = spec.boundary + np.arange(-5.0, 5.0)
     noise = np.zeros((len(on_grid), spec.grid.num_positions))
@@ -63,7 +62,7 @@ def test_run_trials_is_a_prefix_of_a_longer_run():
     long = run_trials(_spec(num_trials=120, **base))
     assert np.array_equal(short.bdr, long.bdr[:60], equal_nan=True)
     assert np.array_equal(short.cls, long.cls[:60])
-    assert short.bdr_failures == np.isnan(long.bdr[:60]).sum() > 0
+    assert np.isnan(short.bdr).any()
 
 
 def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
@@ -278,8 +277,7 @@ def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     unit = run_trials(_spec(**base))
     scaled = run_trials(_spec(grid=TimeGrid(stride=dt, num_positions=100),
                               boundary=50.0 * dt, **base))
-    assert unit.bdr_failures > 0
-    assert scaled.bdr_failures == unit.bdr_failures
+    assert np.isnan(unit.bdr).any()
     assert np.array_equal(scaled.bdr, dt * unit.bdr, equal_nan=True)
 
 
