@@ -92,7 +92,6 @@ FIELD_FLAGS = {
                 "kappa": "--kappas", "stride": "--strides", **NOISE_FLAGS},
     "atr-sim": {"trace_rho": "--trace-rho", "gain": "--gain",
                 "gamma": "--gamma"},
-    "flops": {"expected_tau": "--points", "keep_ratio": "--points"},
 }
 
 
@@ -161,10 +160,13 @@ def cmd_flops(args) -> int:
               "total_g")
     rows = []
     for tau, keep in args.points:
-        plp = per_layer_pruned_cost(keep)
+        try:
+            plp, total = per_layer_pruned_cost(keep), total_flops(keep, tau)
+        except ValueError as exc:  # the library names the field
+            raise UsageError(f"--points pair {tau!r}:{keep!r}: {exc}")
         rows.append((tau, keep, BACKBONE_G, SHALLOW_LAYERS * plp,
                      tau * DEEP_LAYERS * plp, HEADS_G, PREDICTORS_G, plp,
-                     total_flops(keep, tau)))
+                     total))
     _emit(args, header, rows)
     return 0
 
@@ -261,7 +263,11 @@ def cmd_atr_sim(args) -> int:
 
 def _floats(text: str) -> list:
     """A comma list of numbers, such as --kappas 1,2,4,8."""
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers such as 1,2,4, not {text!r}")
 
 
 def _flops_points(text: str) -> list:
@@ -279,10 +285,14 @@ def _flops_points(text: str) -> list:
 
 def _seed(text: str) -> int:
     """A non-negative integer, as numpy's generators take."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return seed
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, not {text!r}")
 
 
 def _add_common(p):

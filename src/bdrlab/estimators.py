@@ -60,14 +60,19 @@ def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
     `prediction` into `grad` and returns it.
 
     The Huber term's gradient is the clipped residual clip(r/delta, -1, 1)
-    over T. The hinge's is 2 alpha/(T-1) * q for the signed excess
-    q = inc - clip(inc, -stride, stride) of each increment, exactly, because
-    q is the excess times sign(inc). `scale` is folded into those two
-    constants; for a power of two, as the fitter's step is, that rounds
-    exactly like scaling the gradient afterwards.
+    over T, computed as r * (scale/(delta T)) clipped to +-scale/T: one
+    multiply and a clip, no divide. The multiplier is rounded up, one ULP at
+    a time, while delta times it falls short of scale/T, so every
+    |r| >= delta lands on the bound, which is the quotient form's
+    1/(T/scale) bit for bit; inside the band the two forms differ by
+    rounding, at most 3 ULP. The hinge's gradient is 2 alpha/(T-1) * q for
+    the signed excess q = inc - clip(inc, -stride, stride) of each
+    increment, exactly, because q is the excess times sign(inc). `scale` is
+    folded into the constants; for a power of two, as the fitter's step is,
+    that rounds exactly like scaling the gradient afterwards.
 
     Everything that does not change between steps is made here, once: the
-    flat views, their slices and the two constants. The step itself makes
+    flat views, their slices and the constants. The step itself makes
     only ufunc calls that write into `grad` and the two scratch arrays `inc`
     (increments) and `q` (hinge gradient), so a caller that steps many
     times, reading the prediction afresh each time, allocates nothing per
@@ -87,16 +92,18 @@ def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
     q_head, q_last = flat_q[:-1], q[..., -1]
     g_head, g_tail = flat_g[:-1], flat_g[1:]
     T = prediction.shape[-1]
-    huber_div = T / scale
+    huber_bound = scale / T
+    huber_mul = scale / (delta * T)
+    while delta * huber_mul < huber_bound:
+        huber_mul = float(np.nextafter(huber_mul, np.inf))
     hinge_mul = 2.0 * alpha / (T - 1) * scale
-    subtract, divide, multiply, add = np.subtract, np.divide, np.multiply, np.add
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     clip_grad, clip_inc = grad.clip, inc.clip
 
     def step():
         subtract(prediction, target, out=grad)
-        divide(grad, delta, out=grad)
-        clip_grad(-1.0, 1.0, out=grad)
-        divide(grad, huber_div, out=grad)
+        multiply(grad, huber_mul, out=grad)
+        clip_grad(-huber_bound, huber_bound, out=grad)
         subtract(p_next, p_prev, out=inc_head)
         subtract(inc, clip_inc(-stride, stride, out=q), out=q)
         q_last[...] = 0.0
@@ -167,7 +174,9 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     gradient of _smoothed_grad_kernel, the kernel bdr_loss_smoothed_grad
     runs too, subtracted from the fit. The step is a power of two, so
     folding it into the gradient's constants gives the same bits as scaling
-    afterwards.
+    afterwards. The Huber term's gradient is a multiply and a clip, with
+    no divide: inside the band it rounds within 3 ULP of
+    clip(r/delta, -1, 1)/T, outside the band it is that bit for bit.
 
     Rows are fitted in chunks of 128, each stepped in place in the output,
     which starts as a copy of the observations. The kernel's gradient and

@@ -492,8 +492,12 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
     (["atr-sim", "--trace-rho", "1.5"], "--trace-rho must be in (-1, 1)"),
     (["atr-sim", "--gain", "inf"], "--gain must be finite"),
     (["atr-sim", "--gamma", "-1"], "--gamma must be finite and >= 0"),
-    (["flops", "--points", "0.5:2"], "--points must be in [0, 1]"),
-    (["flops", "--points", "2:0.5"], "--points must be in [0, 1]")])
+    (["flops", "--points", "0.5:2"],
+     "--points pair 0.5:2.0: keep_ratio must be in [0, 1]"),
+    (["flops", "--points", "2:0.5"],
+     "--points pair 2.0:0.5: expected_tau must be in [0, 1]"),
+    (["flops", "--points", "0.16:0.8,1:1.01"],
+     "--points pair 1.0:1.01: keep_ratio must be in [0, 1]")])
 def test_library_errors_name_the_flag(tmp_path, monkeypatch, capsys, argv,
                                       message):
     fits = []
@@ -505,6 +509,24 @@ def test_library_errors_name_the_flag(tmp_path, monkeypatch, capsys, argv,
                         err.splitlines()[-1])
     assert "Traceback" not in err
     assert fits == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scaling", "--kappas", "1,x"], "argument --kappas: expected a comma "
+     "list of numbers such as 1,2,4, not '1,x'"),
+    (["synth", "--boundaries", "1,,2"], "argument --boundaries: expected a "
+     "comma list of numbers such as 1,2,4, not '1,,2'"),
+    (["synth", "--seed", "abc"],
+     "argument --seed: expected a non-negative integer, not 'abc'"),
+    (["atr-sim", "--seed", "-3"],
+     "argument --seed: expected a non-negative integer, not '-3'")])
+def test_bad_flag_values_say_what_was_expected(tmp_path, capsys, argv,
+                                               message):
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"bdrlab {argv[0]}: error: {message}"
+    assert not out.exists()
 
 
 def test_tau_scenario_flip_never_increases_many_traces():

@@ -16,6 +16,14 @@ r_ece with a stable argsort that gathered both errors and sigmas, the calib
 scenario's rng.normal(0, sigma) draw and the bootstrap's two percentile
 calls.
 
+The kernel's Huber gradient is a multiply and a clip, r * 1/(delta T)
+clipped to +-1/T, not the quotient clip(r/delta, -1, 1)/T; the two round
+differently inside the band. The loss and fit references take that gradient
+from huber_grad, the multiply-and-clip form, and still match bit for bit.
+The quotient form stays as division_huber_grad: outside the band the kernel
+matches it bit for bit, inside the band within 4 ULP, with cases that do
+differ.
+
 r_ece builds no permutation: one sort ranks sigma^2 and the hits are
 counted per bin, with a run of equal sigma^2 that crosses a bin edge split
 in index order. It is compared with the stable argsort where ties decide
@@ -48,7 +56,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bdrlab import atr, stats, synth
+from bdrlab import atr, estimators, stats, synth
 from bdrlab.atr import HOLD_WARMUP, HysteresisConfig, apply_hysteresis
 from bdrlab.calib import CalibrationConfig, r_ece
 from bdrlab.cli import _calib_scenario, main, tau_scenario
@@ -93,19 +101,36 @@ def reference_ratio_ci(eb, ec, block_size=20, num_resamples=2000, seed=0):
     return reference_bootstrap(pairs, num_resamples, seed, stat)
 
 
+def huber_grad(r, delta, T):
+    """The Huber term's gradient clip(r/delta, -1, 1)/T as a multiply and a
+    clip: r times 1/(delta T), that multiplier rounded up while delta times
+    it falls short of 1/T, clipped to +-1/T."""
+    mul = 1.0 / (delta * T)
+    while delta * mul < 1.0 / T:
+        mul = np.nextafter(mul, np.inf)
+    return np.clip(r * mul, -1.0 / T, 1.0 / T)
+
+
+def division_huber_grad(r, delta, T, scale=1.0):
+    """The Huber gradient as the kernel computed it before it went
+    division-free: clip(r/delta, -1, 1) divided by T/scale."""
+    return np.clip(r / delta, -1.0, 1.0) / (T / scale)
+
+
 def reference_smoothed_loss_and_grad(target, prediction, stride, alpha,
                                      delta):
     """The fused kernel: the Huber terms c*r - delta*c^2/2 summed in one
     scratch array, which then takes the increments over the flattened rows,
-    the hinge excess in the other, the clipped residual turned into the
-    gradient in place."""
+    the hinge excess in the other, the Huber gradient (huber_grad) taken
+    from the residual into the gradient first."""
     prediction = np.asarray(prediction, dtype=float)
     shape = np.broadcast_shapes(prediction.shape, np.shape(target))
     prediction = np.broadcast_to(prediction, shape)
     grad, r, q = np.empty(shape), np.empty(shape), np.empty(shape)
     T = prediction.shape[-1]
     np.subtract(prediction, target, out=r)
-    c = np.clip(np.divide(r, delta, out=grad), -1.0, 1.0, out=grad)
+    grad[...] = huber_grad(r, delta, T)
+    c = np.clip(r / delta, -1.0, 1.0)
     np.multiply(c, r, out=r)
     h = np.multiply(0.5 * delta, c, out=q)
     h *= c
@@ -119,7 +144,6 @@ def reference_smoothed_loss_and_grad(target, prediction, stride, alpha,
     q[..., -1] = 0.0
     sq = np.multiply(q, q, out=inc)
     loss = data + alpha / (T - 1) * np.add.reduce(sq[..., :-1], axis=-1)
-    c /= T
     q *= 2.0 * alpha / (T - 1)
     flat_g[:-1] -= flat_q[:-1]
     flat_g[1:] += flat_q[:-1]
@@ -160,6 +184,49 @@ def test_smoothed_loss_and_grad_match_fused_reference(layout, stride, alpha):
         assert np.array_equal(got_grad, grad)
 
 
+def _huber_kernel_grad(r, delta, scale):
+    """The kernel's Huber gradient alone (alpha 0) at residuals r, rows of
+    T; with a zero target the kernel's residual is r itself."""
+    step = estimators._smoothed_grad_kernel(
+        0.0, r, 1.0, 0.0, delta, scale, np.empty(r.shape), np.zeros(r.shape),
+        np.empty(r.shape))
+    return step()
+
+
+def _residuals_around_the_band(rng, delta, T):
+    """Rows of T residuals: delta and the three floats above and below it,
+    both signs, then uniform draws over +-3 delta."""
+    up, down = [delta], [delta]
+    for _ in range(3):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], 0.0))
+    edge = np.array(up + down[1:])
+    r = np.concatenate([edge, -edge, rng.uniform(-3 * delta, 3 * delta, 200)])
+    r = np.concatenate([r, rng.uniform(-3 * delta, 3 * delta, -r.size % T)])
+    return r.reshape(-1, T)
+
+
+def test_huber_grad_within_4_ulp_of_the_division_form():
+    # outside the band the multiply-and-clip gradient is the division form
+    # bit for bit, inside it within 4 ULP; the cases include in-band entries
+    # that differ and (T, delta) whose multiplier is rounded up
+    rng = np.random.default_rng(20)
+    differ = rounded_up = 0
+    for T in (2, 3, 37, 50, 133, 200, 800, 1000):
+        for delta in (0.005, 0.007, 0.01, 0.02, 0.03, 0.3, 0.7, 1.0):
+            rounded_up += delta * (1.0 / (delta * T)) < 1.0 / T
+            for scale in (0.25, 0.5, 1.0, 2.0):
+                r = _residuals_around_the_band(rng, delta, T)
+                got = _huber_kernel_grad(r, delta, scale)
+                want = division_huber_grad(r, delta, T, scale)
+                out = np.abs(r) >= delta
+                assert got[out].tobytes() == want[out].tobytes()
+                assert np.all(np.abs(got - want)
+                              <= 4 * np.spacing(np.abs(want)))
+                differ += np.count_nonzero(got[~out] != want[~out])
+    assert differ > 0 and rounded_up > 0
+
+
 def _reference_loss_and_grad(o, d, alpha, delta):
     T = o.shape[-1]
     r = d - o
@@ -168,7 +235,7 @@ def _reference_loss_and_grad(o, d, alpha, delta):
     inc = np.diff(d, axis=-1)
     excess = np.maximum(0.0, np.abs(inc) - 1.0)
     loss = np.mean(hub, axis=-1) + alpha / (T - 1) * np.sum(excess * excess, axis=-1)
-    g = np.clip(r / delta, -1.0, 1.0) / T
+    g = huber_grad(r, delta, T)
     pg = 2.0 * alpha / (T - 1) * excess * np.sign(inc)
     g[..., :-1] -= pg
     g[..., 1:] += pg
@@ -286,10 +353,9 @@ def _check_fit_against_reference(T, noise, stride, rows,
     grid, obs = _noisy_rows(T, noise, stride, rows, seed=T)
     loss = BDRLossConfig(alpha=alpha)
     got = fit_distance(obs, grid, FitConfig(loss=loss))
-    # The reference's Huber term rounds differently inside the band, and it
-    # scales each gradient by the step after computing it, where the fitter
-    # folds the power-of-two step into the gradient's constants; the rounding
-    # is the same, so the fits agree bit for bit.
+    # The reference scales each gradient by the step after computing it,
+    # where the fitter folds the power-of-two step into the gradient's
+    # constants; the rounding is the same, so the fits agree bit for bit.
     assert np.array_equal(got, reference_fixed_step_fit(obs, grid, loss))
     if T >= 133 and alpha == SWEEP_FIT_ALPHA:
         # at alpha 4 the bound keeps step 2 from T = 133 on, where the

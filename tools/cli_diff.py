@@ -21,6 +21,8 @@ from pathlib import Path
 SEEDS = range(1, 6)
 COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
+    ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
+     "--seed", "7"],
     *(["atr-sim", "--length", "250000", "--seed", str(s)] for s in SEEDS),
     *(["calib", "--scenario", "sigma_x2", "--samples", "500000",
        "--seed", str(s)] for s in SEEDS),
