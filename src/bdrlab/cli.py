@@ -138,17 +138,13 @@ def cmd_scaling(args) -> int:
     cells, slope, intercept, r2, bins = scaling_sweep(
         args.kappas, args.strides, args.num_positions, _noise_from(args),
         args.trials, args.seed)
-    header = ("kappa", "stride", "x_dt2_over_kappa", "var_bdr", "var_cls",
-              "R", "ci_low", "ci_high", "failures")
-    rows = [(c["kappa"], c["stride"], c["x"], c["var_bdr"], c["var_cls"],
-             c["R"], c["ci_low"], c["ci_high"], c["failures"]) for c in cells]
-    rows.append(("slope", "", "", "", "", slope, "", "", ""))
-    rows.append(("intercept", "", "", "", "", intercept, "", "", ""))
-    rows.append(("r_squared", "", "", "", "", r2, "", "", ""))
-    for label, mean in zip(WIDTH_BIN_LABELS, bins):
-        rows.append((f"bin:{label}", "", "", "", "",
-                     mean if mean is not None else "", "", "", ""))
-    _emit(args, header, rows)
+    summary = [("slope", slope), ("intercept", intercept), ("r_squared", r2),
+               *((f"bin:{label}", "" if mean is None else mean)
+                 for label, mean in zip(WIDTH_BIN_LABELS, bins))]
+    # a summary row puts its label under kappa and its value under R
+    rows = cells + [{**dict.fromkeys(cells[0], ""), "kappa": label, "R": value}
+                    for label, value in summary]
+    _emit(args, tuple(cells[0]), [tuple(row.values()) for row in rows])
     if args.gate and not (args.band_low <= slope <= args.band_high):
         return GATE_FAIL
     return 0

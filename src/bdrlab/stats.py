@@ -13,15 +13,16 @@ not depend on how trials are chunked, and a run of n trials is exactly the
 first n trials of any longer run with the same seed. Aggregation is always
 in trial order.
 
-run_trials runs both estimators on one condition: the distance side fits
-with SWEEP_FIT and extracts its zero crossings, the classification side
-searches the plateau window of each truth.
-
-scaling_sweep shares streams 0 and 1 across its cells (common random
-numbers): the distance side never reads kappa and runs in grid units, so one
-stride-1 fit, scaled by each cell's stride, serves every cell. Stream 2 and
-the bootstrap stay per cell. cls_variance_kappa_slope draws streams 0 and 2
-once per call, stream 2 for its widest kappa, and reuses them for every kappa.
+sweep_errors runs both estimators on a list of cells that share streams 0
+and 1 (common random numbers): the distance side fits with SWEEP_FIT and
+extracts its zero crossings once, on a stride-1 grid, and each cell takes
+those errors times its stride, which is valid because the distance side
+never reads kappa and runs in grid units. The classification side searches
+the plateau window of each of the cell's truths, with stream 2 per cell.
+run_trials is the one-cell sweep. scaling_sweep runs the (kappa, stride)
+grid through sweep_errors and adds a bootstrap per cell and the slope fit.
+cls_variance_kappa_slope draws streams 0 and 2 once per call, stream 2 for
+its widest kappa, and reuses them for every kappa.
 
 The classification side is batched: features, smoothing, the windowed
 argmax and the quadratic refinement each run once per chunk of trials, and
@@ -206,9 +207,8 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     edge gets the same zero padding, so the errors are those of the full
     rows bit for bit. A chunk holds CLS_CHUNK_VALUES // w trials, w being
     one row's band width plus one column for truths that spread within a
-    stride, as those of run_trials, scaling_sweep and
-    cls_variance_kappa_slope do; truths that spread wider widen the chunk's
-    band with them.
+    stride, as those of sweep_errors and cls_variance_kappa_slope do; truths
+    that spread wider widen the chunk's band with them.
     """
     grid, kappa = spec.grid, spec.kappa
     stride, T = grid.stride, grid.num_positions
@@ -238,15 +238,36 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     return errors
 
 
-def run_trials(spec: ExperimentSpec) -> TrialErrors:
-    """Run the Monte-Carlo condition; signed errors in frames per estimator.
+def sweep_errors(specs, unit: ExperimentSpec) -> list:
+    """Signed errors in frames, one TrialErrors per spec, in spec order.
 
-    Failed extractions are recorded as NaN, not raised.
+    `unit` is the stride-1 spec whose distance side every cell shares; the
+    specs share its num_positions, noise and num_trials. Its phases (stream
+    0) and distance noise (stream 1) are drawn once, fitted once and read
+    out once, in grid units. A cell of stride dt takes those errors times
+    dt, and runs _cls_errors on the unit truths times dt with stream 2
+    drawn from its own master_seed. This is valid because the distance
+    estimator never reads kappa and fits and extracts in grid units, so at
+    a power-of-two stride a fit on the cell's own grid gives the same
+    errors times dt bit for bit. Failed extractions are recorded as NaN,
+    not raised.
     """
-    truths, dhat = _fit_distance_side(spec)
-    e_bdr = _nearest_crossing_errors(dhat, truths, spec.grid)
-    e_cls = _cls_errors(spec, truths, _noise_rows(spec, 2), _cls_band(spec)[0])
-    return TrialErrors(bdr=e_bdr, cls=e_cls)
+    truths, dhat = _fit_distance_side(unit)
+    e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
+    return [TrialErrors(bdr=e_unit * spec.grid.stride,
+                        cls=_cls_errors(spec, truths * spec.grid.stride,
+                                        _noise_rows(spec, 2),
+                                        _cls_band(spec)[0]))
+            for spec in specs]
+
+
+def run_trials(spec: ExperimentSpec) -> TrialErrors:
+    """Signed errors in frames of both estimators on one condition (NaN
+    marks a failed extraction): the one-cell sweep_errors, whose unit is the
+    spec on a stride-1 grid with its boundary in grid units."""
+    unit = replace(spec, grid=replace(spec.grid, stride=1.0),
+                   boundary=spec.boundary / spec.grid.stride)
+    return sweep_errors([spec], unit)[0]
 
 
 def _mse(errors: np.ndarray) -> float:
@@ -372,20 +393,19 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     Returns (cells, slope, intercept, r2, bin_means) where cells is a list of
     dicts in deterministic (kappa-major) order.
 
-    Seeding: the boundary phases (stream 0) and the distance noise (stream 1)
-    come from master_seed and are shared by every cell. The distance side is
-    fitted and extracted once, on a stride-1 grid; a cell of stride dt takes
-    those grid-unit errors times dt and the stride-1 truths times dt, i.e.
-    (num_positions // 2) * dt + phase * dt. This is valid because the
-    distance estimator never reads kappa and its fit and extraction run in
-    grid units, so at a power-of-two stride the per-cell fit would give the
-    same errors times dt bit for bit. So var_bdr is exactly dt^2 times the
-    stride-1 value and every cell reports the same failures. Cell i draws
-    its classification noise (stream 2) and its bootstrap from
-    master_seed + i, so the classification side stays independent per cell.
-    Every cell's spec is built, and so validated, and the cells are checked
-    for two distinct dt^2/kappa, which the slope fit needs, before any
-    fitting.
+    Seeding: the cells' errors come from sweep_errors, whose unit spec has
+    master_seed and the boundary num_positions // 2 on a stride-1 grid, so
+    the boundary phases (stream 0) and the distance noise (stream 1) are
+    shared by every cell, and a cell of stride dt reads the truths
+    (num_positions // 2 + phase) * dt. So var_bdr is exactly dt^2 times the
+    stride-1 value and every cell reports the same failures, the count of
+    its NaN distance errors. Cell i draws its classification noise (stream
+    2) and its bootstrap from master_seed + i, so the classification side
+    stays independent per cell. Every cell's spec is built, and so
+    validated, and the cells are checked for two distinct dt^2/kappa, which
+    the slope fit needs, before any fitting; a cell whose R is not finite
+    and positive, which the slope fit cannot take, raises ValueError naming
+    that cell.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
@@ -405,26 +425,23 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         for cell_index, (kappa, dt) in enumerate(conds)]
     if len({dt**2 / kappa for kappa, dt in conds}) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
-    unit = replace(specs[0], master_seed=master_seed,
-                   grid=TimeGrid(stride=1.0, num_positions=num_positions),
-                   boundary=float(num_positions // 2))
-    truths, dhat = _fit_distance_side(unit)
-    e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
-    failures = int(np.isnan(e_unit).sum())
+    unit = replace(specs[0], grid=TimeGrid(1.0, num_positions),
+                   boundary=float(num_positions // 2), master_seed=master_seed)
     cells = []
-    for spec in specs:
-        dt = spec.grid.stride
-        e_bdr = e_unit * dt
-        e_cls = _cls_errors(spec, truths * dt, _noise_rows(spec, 2),
-                            _cls_band(spec)[0])
-        rep = variance_ratio(e_bdr, e_cls, seed=spec.master_seed)
-        cells.append({"kappa": spec.kappa, "stride": dt,
-                      "x": dt**2 / spec.kappa,
+    for spec, errs in zip(specs, sweep_errors(specs, unit)):
+        kappa, dt = spec.kappa, spec.grid.stride
+        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+        if not 0 < rep.ratio_R < np.inf:  # the slope fit takes log R
+            raise ValueError(f"cell (kappa={kappa:g}, dt={dt:g}) has R = "
+                             f"{rep.ratio_R:g}, not finite and positive")
+        cells.append({"kappa": kappa, "stride": dt,
+                      "x_dt2_over_kappa": dt**2 / kappa,
                       "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
                       "R": rep.ratio_R, "ci_low": rep.ci_low,
-                      "ci_high": rep.ci_high, "failures": failures})
-    slope, intercept, r2 = loglog_slope([c["x"] for c in cells],
-                                        [c["R"] for c in cells])
+                      "ci_high": rep.ci_high,
+                      "failures": int(np.isnan(errs.bdr).sum())})
+    slope, intercept, r2 = loglog_slope(
+        [c["x_dt2_over_kappa"] for c in cells], [c["R"] for c in cells])
     bin_means = width_stratified_R(
         [(2 * c["kappa"], c["stride"], c["R"]) for c in cells])
     return cells, slope, intercept, r2, bin_means
@@ -486,8 +503,9 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     they are drawn once and every kappa reuses them. The noise is the band
     of the widest kappa, which holds the band of every narrower one, so
     that kappa's errors equal the classification errors of run_trials at
-    that kappa, and every kappa's errors equal _cls_errors on the shared
-    draw.
+    that kappa (bit for bit at a power-of-two stride; run_trials builds its
+    truths in grid units), and every kappa's errors equal _cls_errors on
+    the shared draw.
     """
     if len(kappas) < 3:
         raise ValueError("need at least 3 kappas")

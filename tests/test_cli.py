@@ -151,6 +151,19 @@ def test_scaling_failures_count_the_nan_distance_errors(tmp_path):
     assert all(type(r["failures"]) is int for r in records)
 
 
+def test_scaling_cell_without_a_positive_R_is_named(tmp_path, capsys):
+    # without noise every distance error is 0, so R = 0 in the first cell
+    # and the log-log fit has nothing to take; the message names that cell
+    # and writes no file
+    out = tmp_path / "s.csv"
+    assert run(["scaling", "--noise-scale", "0", "--trials", "40",
+                "--seed", "1", "--num-positions", "60",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: cell (kappa=1, dt=1) has R = 0, not finite and positive\n")
+    assert not out.exists()
+
+
 def test_scaling_rerun_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -271,14 +271,36 @@ def test_finite_sample_degenerate_sentinel():
 @pytest.mark.parametrize("dt", [2.0, 4.0, 8.0])
 def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     # the grid-unit problem does not depend on the stride, which is what
-    # lets scaling_sweep fit the distance side once
-    base = dict(noise=NoiseSpec(family="student_t"), num_trials=60,
-                master_seed=1)
-    unit = run_trials(_spec(**base))
-    scaled = run_trials(_spec(grid=TimeGrid(stride=dt, num_positions=100),
-                              boundary=50.0 * dt, **base))
-    assert np.isnan(unit.bdr).any()
-    assert np.array_equal(scaled.bdr, dt * unit.bdr, equal_nan=True)
+    # lets sweep_errors fit the distance side once, on a stride-1 grid: at
+    # a power-of-two stride a fit on the cell's own grid gives the same
+    # errors
+    spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
+                 boundary=50.0 * dt, noise=NoiseSpec(family="student_t"),
+                 num_trials=60, master_seed=1)
+    truths, dhat = stats._fit_distance_side(spec)
+    own_grid = stats._nearest_crossing_errors(dhat, truths, spec.grid)
+    assert np.isnan(own_grid).any()
+    assert np.array_equal(run_trials(spec).bdr, own_grid, equal_nan=True)
+
+
+# a resolved cell and one whose window holds one sample (kappa <= dt/2)
+@pytest.mark.parametrize("kappa, dt", [(3.0, 2.0), (0.5, 1.0)])
+def test_run_trials_depends_only_on_kappa_over_stride(kappa, dt):
+    # doubling kappa and the stride together doubles every error on both
+    # sides, so R and its CI stay the same bit for bit
+    def cell(k, s):
+        spec = _spec(grid=TimeGrid(stride=s, num_positions=100), kappa=k,
+                     boundary=50.0 * s, noise=NoiseSpec(family="student_t"),
+                     num_trials=400, master_seed=5)
+        errs = run_trials(spec)
+        return errs, variance_ratio(errs.bdr, errs.cls, seed=5)
+
+    (a, rep_a), (b, rep_b) = cell(kappa, dt), cell(2 * kappa, 2 * dt)
+    assert np.isnan(a.bdr).any()
+    assert np.array_equal(b.bdr, 2 * a.bdr, equal_nan=True)
+    assert np.array_equal(b.cls, 2 * a.cls)
+    assert (rep_b.ratio_R, rep_b.ci_low, rep_b.ci_high) == (
+        rep_a.ratio_R, rep_a.ci_low, rep_a.ci_high)
 
 
 def test_sweep_shares_the_distance_side_across_cells():

@@ -23,6 +23,11 @@ COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
     ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
      "--seed", "7"],
+    # fractional and non-power-of-two strides: the shared stride-1 truths
+    # are exact only when built from num_positions // 2, as
+    # (30 * 0.7) / 0.7 != 30, so this sweep moves if they are not
+    ["scaling", "--kappas", "0.75,1.5,3", "--strides", "0.7,1.5,3",
+     "--trials", "400", "--num-positions", "60", "--seed", "9"],
     *(["atr-sim", "--length", "250000", "--seed", str(s)] for s in SEEDS),
     *(["calib", "--scenario", "sigma_x2", "--samples", "500000",
        "--seed", str(s)] for s in SEEDS),
