@@ -233,29 +233,47 @@ def nms_1d(positions, scores, window: float) -> list:
     return sorted(float(pos[i]) for i in accepted)
 
 
-def extract_boundaries(prediction, grid: TimeGrid) -> np.ndarray:
+def extract_boundaries(prediction, grid: TimeGrid):
     """Zero crossings of the fitted series, refined by linear interpolation.
 
     Sign changes are kept when the forward difference exceeds
     EXTRACT_THETA_GRAD strides; 1D non-maximum suppression keeps the
     strongest candidate within EXTRACT_NMS_WINDOW grid positions, ties going
-    to the earlier one. Returns boundary positions in frames, sorted
-    ascending.
+    to the earlier one. For one series, returns its boundary positions in
+    frames, sorted ascending. For a 2-D batch of series, returns the arrays
+    (row, position) of every row's boundaries, in row order and ascending
+    within a row.
+
+    A batch runs each step once over all rows; nms_1d runs only on rows
+    with two or more candidates, as it keeps a lone candidate unchanged.
     """
     d = np.asarray(prediction, dtype=float)
-    s = np.sign(d)
+    if d.ndim not in (1, 2):
+        raise ValueError("prediction must be one series or a 2-D batch")
+    batch = np.atleast_2d(d)
+    s = np.sign(batch)
     # boundaries are ascending zeros (negative before, positive after); a
     # descending jump is the hand-off between two boundaries' basins, not a
     # boundary
-    cross = np.nonzero((s[:-1] != s[1:]) & (d[:-1] < d[1:]))[0]
-    fwd = d[cross + 1] - d[cross]
+    row, cross = np.nonzero((s[:, :-1] != s[:, 1:])
+                            & (batch[:, :-1] < batch[:, 1:]))
+    fwd = batch[row, cross + 1] - batch[row, cross]
     keep = np.abs(fwd) > EXTRACT_THETA_GRAD * grid.stride
-    cross, fwd = cross[keep], fwd[keep]
-    if cross.size == 0:
-        return np.empty(0)
-    pos = cross + (-d[cross]) / fwd  # grid positions, sub-sample refined
-    kept = nms_1d(pos, np.abs(fwd), EXTRACT_NMS_WINDOW)
-    return np.asarray(kept) * grid.stride
+    row, cross, fwd = row[keep], cross[keep], fwd[keep]
+    # grid positions, sub-sample refined; ascending within a row
+    pos = cross + (-batch[row, cross]) / fwd
+    counts = np.bincount(row, minlength=len(batch))
+    starts = np.cumsum(counts) - counts
+    keep = np.ones(len(pos), dtype=bool)
+    for k in np.flatnonzero(counts >= 2):
+        span = slice(starts[k], starts[k] + counts[k])
+        kept = nms_1d(pos[span], np.abs(fwd[span]), EXTRACT_NMS_WINDOW)
+        keep[span] = False
+        # candidates at one position are within the window of each other,
+        # so each kept value marks its first candidate
+        keep[starts[k] + np.searchsorted(pos[span], kept)] = True
+    pos = pos[keep] * grid.stride
+    return pos if d.ndim == 1 else (row[keep], pos)
 
 
 def moving_average(series, window: int) -> np.ndarray:

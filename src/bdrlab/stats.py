@@ -30,6 +30,11 @@ only on the band of columns the chunk's readout can reach (its search
 windows, one neighbour each side and their smoothing support). A chunk
 holds as many trials as fit CLS_CHUNK_VALUES band values, which bounds its
 working memory.
+
+The distance side's readout and the bootstrap's inputs are batched too: one
+extract_boundaries call finds the crossings of every fitted row, and each
+error series' block totals come from one (blocks, BOOTSTRAP_BLOCK) view of
+it. Both give the bits of their per-trial and per-block forms.
 """
 
 from __future__ import annotations
@@ -103,18 +108,25 @@ class VarianceReport:
 
 
 def _truths(spec: ExperimentSpec) -> np.ndarray:
-    """Per-trial boundary positions: the spec's boundary + phase x stride,
-    each phase uniform in [0, 1) from stream 0."""
+    """Per-trial boundary positions, built in grid units and scaled to
+    frames: (boundary / stride + phase) x stride, each phase uniform in
+    [0, 1) from stream 0. So they are the truths of the spec on a stride-1
+    grid with boundary / stride, times the stride, bit for bit, as
+    run_trials reads them."""
     phases = np.random.default_rng((spec.master_seed, 0)).uniform(
         0.0, 1.0, spec.num_trials)
-    return spec.boundary + phases * spec.grid.stride
+    stride = spec.grid.stride
+    return (spec.boundary / stride + phases) * stride
 
 
-def _noise_rows(spec: ExperimentSpec, label: int) -> np.ndarray:
+def _noise_rows(spec: ExperimentSpec, label: int, band=None) -> np.ndarray:
     """One noise row per trial from stream `label`: all T columns of the
-    distance noise (1), the _cls_band columns of the classification noise
-    (2)."""
-    a0, b0 = _cls_band(spec) if label == 2 else (0, spec.grid.num_positions)
+    distance noise (1), the columns of the classification noise's band (2),
+    which is _cls_band(spec) unless the caller passes it."""
+    if label != 2:
+        a0, b0 = 0, spec.grid.num_positions
+    else:
+        a0, b0 = _cls_band(spec) if band is None else band
     return sample_noise_matrix(spec.noise, (spec.master_seed, label),
                                spec.num_trials, b0 - a0)
 
@@ -134,13 +146,16 @@ def _fit_distance_side(spec: ExperimentSpec):
 
 def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
                              grid: TimeGrid) -> np.ndarray:
-    """Signed error of the crossing nearest each truth; NaN where a row has
-    no crossing."""
+    """Signed error of the crossing nearest each truth, ties going to the
+    earlier crossing; NaN where a row has no crossing. One
+    extract_boundaries call reads every row."""
+    row, cands = extract_boundaries(dhat, grid)
+    err = cands - truths[row]
+    # lexsort is stable: within a row, equal distances keep crossing order
+    order = np.lexsort((np.abs(err), row))
+    first = order[np.diff(row[order], prepend=-1) != 0]
     errors = np.full(len(truths), np.nan)
-    for k, truth in enumerate(truths):
-        cands = extract_boundaries(dhat[k], grid)
-        if cands.size:
-            errors[k] = cands[np.argmin(np.abs(cands - truth))] - truth
+    errors[row[first]] = err[first]
     return errors
 
 
@@ -254,11 +269,14 @@ def sweep_errors(specs, unit: ExperimentSpec) -> list:
     """
     truths, dhat = _fit_distance_side(unit)
     e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
-    return [TrialErrors(bdr=e_unit * spec.grid.stride,
-                        cls=_cls_errors(spec, truths * spec.grid.stride,
-                                        _noise_rows(spec, 2),
-                                        _cls_band(spec)[0]))
-            for spec in specs]
+    out = []
+    for spec in specs:
+        band = _cls_band(spec)
+        out.append(TrialErrors(
+            bdr=e_unit * spec.grid.stride,
+            cls=_cls_errors(spec, truths * spec.grid.stride,
+                            _noise_rows(spec, 2, band), band[0])))
+    return out
 
 
 def run_trials(spec: ExperimentSpec) -> TrialErrors:
@@ -297,11 +315,25 @@ def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
     return float(lo), float(hi)
 
 
-def _block_totals(errors: np.ndarray, nblocks: int) -> list:
-    """Per-block [sum of squares, count] over the finite errors."""
-    blocks = (errors[i * BOOTSTRAP_BLOCK:(i + 1) * BOOTSTRAP_BLOCK]
-              for i in range(nblocks))
-    return [[np.sum(b[np.isfinite(b)] ** 2), np.isfinite(b).sum()] for b in blocks]
+def _block_totals(errors: np.ndarray, nblocks: int) -> np.ndarray:
+    """Per-block [sum of squares, count] over the finite errors, one row
+    per block of BOOTSTRAP_BLOCK consecutive errors.
+
+    The series is cut or NaN-padded to nblocks whole blocks and read as one
+    (nblocks, BOOTSTRAP_BLOCK) array. A row reduce sums a block exactly as
+    np.sum sums it alone; a block with a non-finite error sums its finite
+    squares on their own, as zero-filling would regroup the pairwise sum.
+    """
+    blocks = np.full((nblocks, BOOTSTRAP_BLOCK), np.nan)
+    flat = blocks.reshape(-1)
+    n = min(len(errors), flat.size)
+    flat[:n] = errors[:n]
+    finite = np.isfinite(blocks)
+    counts = finite.sum(axis=1)
+    sums = np.add.reduce(blocks**2, axis=1)
+    for k in np.flatnonzero(counts < BOOTSTRAP_BLOCK):
+        sums[k] = np.sum(blocks[k][finite[k]] ** 2)
+    return np.column_stack([sums, counts])
 
 
 def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
@@ -511,8 +543,8 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
         raise ValueError("need at least 3 kappas")
     specs = [replace(base_spec, kappa=float(k)) for k in kappas]
     widest = max(specs, key=lambda spec: spec.kappa)
-    truths, noise = _truths(base_spec), _noise_rows(widest, 2)
-    a0, _ = _cls_band(widest)
+    band = _cls_band(widest)
+    truths, noise = _truths(base_spec), _noise_rows(widest, 2, band)
     return _variance_slope({
-        spec.kappa: _mse(_cls_errors(spec, truths, noise, a0))
+        spec.kappa: _mse(_cls_errors(spec, truths, noise, band[0]))
         for spec in specs})

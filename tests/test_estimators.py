@@ -304,6 +304,75 @@ def test_extraction_stride_scaling():
     assert np.allclose(out, [100.0], atol=1e-9)
 
 
+def _per_row(batch, grid):
+    """(row, position) of extract_boundaries called on each row alone."""
+    found = [extract_boundaries(d, grid) for d in batch]
+    return (np.concatenate([np.full(len(p), k) for k, p in enumerate(found)]),
+            np.concatenate(found))
+
+
+def _ascending_steps(T, at):
+    """A row of -1 that jumps to +1 after each index of `at` and falls back
+    to -1 two samples later: an ascending crossing of strength 2 at k + 0.5
+    for each k, and a descending one after it."""
+    d = -np.ones(T)
+    for k in at:
+        d[k + 1:k + 3] = 1.0
+    return d
+
+
+def test_batched_extraction_equals_per_row_on_crafted_rows():
+    grid = TimeGrid(stride=1.0, num_positions=30)
+    t = grid.times()
+    rows = np.array([
+        t - 40.0,                       # no crossing
+        t - 12.3,                       # one crossing
+        12.3 - t,                       # one descending jump, no boundary
+        t - 10.0,                       # an exact 0.0: two candidates at 10
+        _ascending_steps(30, [10, 13]),  # equal strength, 3 apart: earlier
+        _ascending_steps(30, [5, 20]),   # equal strength, 15 apart: both
+    ])
+    row, pos = extract_boundaries(rows, grid)
+    want_row, want_pos = _per_row(rows, grid)
+    assert np.array_equal(row, want_row) and np.array_equal(pos, want_pos)
+    assert row.tolist() == [1, 3, 4, 5, 5]
+    assert pos[0] == pytest.approx(12.3, abs=1e-12)
+    assert pos[1:].tolist() == [10.0, 10.5, 5.5, 20.5]
+    # rows alone give the same positions, and a batch of one the same pair
+    assert np.array_equal(extract_boundaries(rows[3], grid), [10.0])
+    one_row, one_pos = extract_boundaries(rows[4:5], grid)
+    assert one_row.tolist() == [0] and one_pos.tolist() == [10.5]
+
+
+def test_batched_extraction_of_rows_without_crossings():
+    grid = TimeGrid(stride=2.0, num_positions=5)
+    row, pos = extract_boundaries(-np.ones((3, 5)), grid)
+    assert row.size == 0 and pos.size == 0
+    assert extract_boundaries(-np.ones(5), grid).shape == (0,)
+    with pytest.raises(ValueError, match="2-D batch"):
+        extract_boundaries(-np.ones((2, 2, 5)), grid)
+
+
+def test_batched_extraction_equals_per_row_on_noisy_fits(monkeypatch):
+    # heavy-tailed noise: many fitted rows hold several candidates, some
+    # none, at a stride that scales the threshold and the positions
+    grid = TimeGrid(stride=2.0, num_positions=120)
+    obs = (make_distance_field(grid, [119.0])
+           + 2.0 * sample_noise_matrix(NoiseSpec(family="student_t", nu=1.2,
+                                                 scale=1.0), 11, 2000, 120))
+    dhat = fit_distance(obs, grid, FitConfig(BDRLossConfig(alpha=4.0)))
+    nms_rows = []
+    nms = estimators.nms_1d
+    monkeypatch.setattr(estimators, "nms_1d",
+                        lambda pos, *a: nms_rows.append(len(pos)) or nms(pos, *a))
+    row, pos = extract_boundaries(dhat, grid)
+    assert len(nms_rows) > 0 and min(nms_rows) >= 2
+    want_row, want_pos = _per_row(dhat, grid)
+    assert np.array_equal(row, want_row) and np.array_equal(pos, want_pos)
+    assert 0 < len(set(row.tolist())) < 2000
+    assert np.bincount(row).max() >= 2
+
+
 def test_nms_suppression_and_ties():
     assert nms_1d([10, 12], [2.0, 1.0], 5) == [10.0]
     assert nms_1d([10, 20], [2.0, 1.0], 5) == [10.0, 20.0]

@@ -355,3 +355,65 @@ def test_classification_side_memory_stays_chunked():
     finally:
         tracemalloc.stop()
     assert peak < noise.nbytes + 2 * 2**20
+
+
+def test_nearest_crossing_errors_match_the_per_row_rule():
+    # each row's crossing nearest its truth, by np.argmin over the row's own
+    # extraction: ties to the earlier crossing, NaN for a row with none
+    spec = _spec(grid=TimeGrid(stride=1.0, num_positions=120), boundary=60.0,
+                 noise=NoiseSpec(family="student_t", nu=1.2, scale=1.0),
+                 num_trials=600, master_seed=3)
+    truths, dhat = stats._fit_distance_side(spec)
+    tie = -np.ones(120)
+    tie[41:43] = tie[51:53] = 1.0  # crossings at 40.5 and 50.5
+    dhat = np.vstack([dhat, tie, -np.ones(120)])
+    truths = np.append(truths, [45.5, 60.0])
+    want = np.full(len(truths), np.nan)
+    for k, truth in enumerate(truths):
+        cands = stats.extract_boundaries(dhat[k], spec.grid)
+        if cands.size:
+            want[k] = cands[np.argmin(np.abs(cands - truth))] - truth
+    got = stats._nearest_crossing_errors(dhat, truths, spec.grid)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[-2] == -5.0 and np.isnan(got[-1])
+    assert np.isnan(got[:-2]).any()
+
+
+def _per_block_totals(errors, nblocks):
+    """[sum of squares, count] of the finite errors of each block alone."""
+    B = stats.BOOTSTRAP_BLOCK
+    out = []
+    for i in range(nblocks):
+        b = errors[i * B:(i + 1) * B]
+        out.append([np.sum(b[np.isfinite(b)] ** 2), np.isfinite(b).sum()])
+    return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("n, nblocks, nans", [
+    (400, 20, []),                        # no NaN
+    (400, 20, [3, 77, 78, 399]),          # a few NaN
+    (400, 20, list(range(40, 60))),       # one all-NaN block
+    (2010, 100, [2005]),                  # a trailing partial block, cut
+    (333, 20, [5]),                       # the shorter of two series
+])
+def test_block_totals_match_per_block_sums(n, nblocks, nans):
+    errors = np.random.default_rng(n).standard_t(2.0, n) * 3.0
+    errors[nans] = np.nan
+    got = stats._block_totals(errors, nblocks)
+    assert got.shape == (nblocks, 2)
+    assert np.array_equal(got, _per_block_totals(errors, nblocks))
+
+
+@pytest.mark.parametrize("dt", [3.0, 0.7])
+def test_truths_are_the_grid_unit_truths_times_the_stride(dt):
+    # every path builds a truth as (boundary / dt + phase) * dt, so the
+    # kappa slope's widest kappa reads run_trials' classification errors at
+    # any stride, near-tie peaks included (boundary 73.3 dt has many)
+    spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
+                 boundary=73.3 * dt, num_trials=400, master_seed=5)
+    unit = replace(spec, grid=TimeGrid(stride=1.0, num_positions=100),
+                   boundary=spec.boundary / dt)
+    assert np.array_equal(stats._truths(spec), stats._truths(unit) * dt)
+    _, variances = cls_variance_kappa_slope(spec, [dt, 2 * dt, 4 * dt])
+    widest = replace(spec, kappa=4 * dt)
+    assert variances[4 * dt] == np.mean(run_trials(widest).cls ** 2)

@@ -28,6 +28,11 @@ COMMANDS = [
     # (30 * 0.7) / 0.7 != 30, so this sweep moves if they are not
     ["scaling", "--kappas", "0.75,1.5,3", "--strides", "0.7,1.5,3",
      "--trials", "400", "--num-positions", "60", "--seed", "9"],
+    # heavy tails: many fitted rows hold two or more crossings before
+    # suppression and some none, and 2010 trials end in a partial
+    # bootstrap block
+    ["scaling", "--noise-family", "student_t", "--nu", "1.2",
+     "--noise-scale", "1.0", "--trials", "2010", "--seed", "11"],
     *(["atr-sim", "--length", "250000", "--seed", str(s)] for s in SEEDS),
     *(["calib", "--scenario", "sigma_x2", "--samples", "500000",
        "--seed", str(s)] for s in SEEDS),
