@@ -1,8 +1,12 @@
 """Deterministic command-line front end.
 
 Subcommands: synth, scaling, flops, calib, atr-sim. Configuration comes from
-flags and/or a JSON config file (flags win). Output is CSV (6 significant
-digits) or JSON (full precision plus run metadata).
+flags and/or a JSON config file. The file's values are read as flags placed
+before the command line's, so argparse converts and checks them as it does
+flags (a bad value is named by its flag: "argument --trials: invalid int
+value: 'abc'"), and a command-line flag wins. The parser is built once per
+process and never changed after. Output is CSV (6 significant digits) or JSON
+(full precision plus run metadata).
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-gate failure,
 3 I/O error.
@@ -23,8 +27,9 @@ from .atr import (BACKBONE_G, DEEP_LAYERS, HEADS_G, PREDICTORS_G,
                   flip_rate, per_layer_pruned_cost, total_flops)
 from .calib import CalibrationConfig, r_ece
 from .stats import scaling_sweep, WIDTH_BIN_LABELS
-from .synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
-                    make_kernel_features, sample_noise_matrix)
+from .synth import (NOISE_FAMILIES, NoiseSpec, TimeGrid, _apply_ar1,
+                    make_distance_field, make_kernel_features,
+                    sample_noise_matrix)
 
 GATE_FAIL = 2
 IO_ERROR = 3
@@ -300,11 +305,11 @@ def _add_common(p):
 
 
 def _add_noise(p):
-    p.add_argument("--noise-family", choices=("laplace", "gaussian", "student_t"),
-                   default="laplace")
-    p.add_argument("--noise-scale", type=float, default=0.5)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--nu", type=float, default=3.0)
+    p.add_argument("--noise-family", choices=NOISE_FAMILIES,
+                   default=NoiseSpec.family)
+    p.add_argument("--noise-scale", type=float, default=NoiseSpec.scale)
+    p.add_argument("--rho", type=float, default=NoiseSpec.rho)
+    p.add_argument("--nu", type=float, default=NoiseSpec.nu)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("well_calibrated", "sigma_x2"),
                    default="well_calibrated")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=CalibrationConfig.num_bins)
     p.add_argument("--input", default=None,
                    help="CSV of error,sigma instead of a scenario")
     p.set_defaults(func=cmd_calib)
@@ -356,30 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=10000)
     p.add_argument("--trace-rho", type=float, default=0.84)
     p.add_argument("--gain", type=float, default=0.2)
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=HysteresisConfig.gamma)
     p.set_defaults(func=cmd_atr_sim)
     return ap
 
 
-def _config_value(action, key, value):
-    """A config value, checked and converted as the flag's own value is."""
-    if action.nargs == 0:  # a switch such as --gate
-        if not isinstance(value, bool):
-            raise UsageError(f"config key {key!r} must be true or false")
-        return value
-    if isinstance(value, (bool, list, dict)) or value is None:
-        raise UsageError(f"config key {key!r} must be a string or a number")
-    try:
-        value = action.type(str(value)) if action.type else str(value)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise UsageError(f"config key {key!r}: invalid value {value!r}")
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"config key {key!r} must be one of {action.choices}")
-    return value
+PARSER = build_parser()
 
 
-def _apply_config_file(parser, command, path):
-    """Make the JSON config file's values the subcommand's defaults."""
+def _config_flags(command: str, path: str):
+    """Yield the JSON config file's values as flags of the subcommand, each
+    `--flag=value` (the `=` keeps a value such as "-5,30" from reading as an
+    option) or a bare switch set to true, for argparse to convert and check
+    as it does the command line's own."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -389,26 +383,37 @@ def _apply_config_file(parser, command, path):
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    sub = next(a for a in PARSER._actions if a.dest == "command").choices[command]
     actions = {a.dest: a for a in sub._actions
                if a.option_strings and a.dest not in ("help", "config")}
     for key, value in cfg.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise UsageError(f"unknown config key: {key}")
-        sub.set_defaults(**{action.dest: _config_value(action, key, value)})
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch such as --gate
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false")
+            if value:
+                yield flag
+        elif isinstance(value, (bool, list, dict)) or value is None:
+            raise UsageError(f"config key {key!r} must be a string or a number")
+        else:
+            yield f"{flag}={value}"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = parser.parse_args(argv)
+            args = PARSER.parse_args(argv)
             if args.config:
-                # file values become defaults, so a flag in any spelling
-                # argparse accepts still wins
-                _apply_config_file(parser, args.command, args.config)
-                args = parser.parse_args(argv)
+                # the file's flags go right after the subcommand name, so a
+                # command-line flag in any spelling comes later and wins
+                at = argv.index(args.command) + 1
+                args = PARSER.parse_args(
+                    [*argv[:at], *_config_flags(args.command, args.config),
+                     *argv[at:]])
         except SystemExit as exc:  # argparse exits 2 on bad flags; remap
             return 0 if exc.code in (0, None) else USAGE_ERROR
         try:

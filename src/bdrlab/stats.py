@@ -119,16 +119,12 @@ def _truths(spec: ExperimentSpec) -> np.ndarray:
     return (spec.boundary / stride + phases) * stride
 
 
-def _noise_rows(spec: ExperimentSpec, label: int, band=None) -> np.ndarray:
-    """One noise row per trial from stream `label`: all T columns of the
-    distance noise (1), the columns of the classification noise's band (2),
-    which is _cls_band(spec) unless the caller passes it."""
-    if label != 2:
-        a0, b0 = 0, spec.grid.num_positions
-    else:
-        a0, b0 = _cls_band(spec) if band is None else band
+def _noise_rows(spec: ExperimentSpec, label: int, count: int) -> np.ndarray:
+    """One noise row of `count` values per trial from stream `label`: all T
+    columns of the distance noise (1), or the b0 - a0 columns of the
+    classification noise's band _cls_band(spec) (2)."""
     return sample_noise_matrix(spec.noise, (spec.master_seed, label),
-                               spec.num_trials, b0 - a0)
+                               spec.num_trials, count)
 
 
 def _fit_distance_side(spec: ExperimentSpec):
@@ -139,7 +135,7 @@ def _fit_distance_side(spec: ExperimentSpec):
     error model the scaling analysis is phrased in.
     """
     grid = spec.grid
-    truths, noise = _truths(spec), _noise_rows(spec, 1)
+    truths, noise = _truths(spec), _noise_rows(spec, 1, grid.num_positions)
     clean = grid.times()[None, :] - truths[:, None]
     return truths, fit_distance(clean + grid.stride * noise, grid, SWEEP_FIT)
 
@@ -271,11 +267,11 @@ def sweep_errors(specs, unit: ExperimentSpec) -> list:
     e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
     out = []
     for spec in specs:
-        band = _cls_band(spec)
+        a0, b0 = _cls_band(spec)
         out.append(TrialErrors(
             bdr=e_unit * spec.grid.stride,
             cls=_cls_errors(spec, truths * spec.grid.stride,
-                            _noise_rows(spec, 2, band), band[0])))
+                            _noise_rows(spec, 2, b0 - a0), a0)))
     return out
 
 
@@ -543,8 +539,8 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
         raise ValueError("need at least 3 kappas")
     specs = [replace(base_spec, kappa=float(k)) for k in kappas]
     widest = max(specs, key=lambda spec: spec.kappa)
-    band = _cls_band(widest)
-    truths, noise = _truths(base_spec), _noise_rows(widest, 2, band)
+    a0, b0 = _cls_band(widest)
+    truths, noise = _truths(base_spec), _noise_rows(widest, 2, b0 - a0)
     return _variance_slope({
-        spec.kappa: _mse(_cls_errors(spec, truths, noise, band[0]))
+        spec.kappa: _mse(_cls_errors(spec, truths, noise, a0))
         for spec in specs})

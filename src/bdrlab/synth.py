@@ -34,6 +34,9 @@ class TimeGrid:
         return self.num_positions * self.stride
 
 
+NOISE_FAMILIES = ("laplace", "gaussian", "student_t")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Marginal noise family plus optional AR(1) temporal correlation.
@@ -49,7 +52,7 @@ class NoiseSpec:
     nu: float = 3.0
 
     def __post_init__(self):
-        if self.family not in ("laplace", "gaussian", "student_t"):
+        if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family: {self.family}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")

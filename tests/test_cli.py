@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bdrlab import cli
 from bdrlab.cli import _metadata, build_parser, main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
 from bdrlab.estimators import fit_distance
@@ -352,6 +353,69 @@ def test_config_values_are_checked_like_flags(tmp_path):
                 "--trials", "20", "--num-positions", "60", "--seed", "1",
                 "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         assert run(argv) == 1, bad
+
+
+# every subcommand with non-default values; "-5,30" reads as an option
+# unless it is joined to its flag by "="
+CONFIG_RUNS = [
+    ("synth", {"series": "noisy", "num_positions": 40, "stride": 0.5,
+               "boundaries": "-5,30", "noise_family": "gaussian",
+               "noise_scale": 0.7, "rho": 0.3, "seed": 4}),
+    ("synth", {"series": "features", "boundaries": "12", "kappa": 3.0}),
+    ("scaling", {"kappas": "1,2", "strides": "1,2", "trials": 20,
+                 "num_positions": 60, "noise_family": "student_t", "nu": 4.0,
+                 "gate": True, "band_low": -10, "band_high": 10, "seed": 1}),
+    ("flops", {"points": "0.16:0.8,1:1", "seed": 3}),
+    ("calib", {"scenario": "sigma_x2", "samples": 300, "bins": 5,
+               "seed": 2}),
+    ("atr-sim", {"length": 300, "trace_rho": 0.5, "gain": 0.3,
+                 "gamma": 0.1, "seed": 7}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", CONFIG_RUNS, ids=[
+    "synth-noisy", "synth-features", "scaling", "flops", "calib", "atr-sim"])
+def test_config_file_writes_the_bytes_of_its_flags(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    flags = [f"--{key.replace('_', '-')}" + ("" if value is True
+                                              else f"={value}")
+             for key, value in cfg.items()]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run([command, "--config", str(path), "--format", "json",
+                "--out", str(a)]) == 0
+    assert run([command, *flags, "--format", "json", "--out", str(b)]) == 0
+    # the JSON bytes hold the records and the metadata's config_hash
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bins": 5}))
+    out = tmp_path / "c.csv"
+    argv = ["calib", "--seed", "1", "--samples", "200", "--out", str(out)]
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5 + 1
+    assert run(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10 + 1
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    def blocked():
+        raise AssertionError("build_parser called")
+    monkeypatch.setattr(cli, "build_parser", blocked)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": "1:1"}))
+    for how in ([], ["--config", str(cfg)]):
+        assert run(["flops", *how, "--out", str(tmp_path / "f.csv")]) == 0
+
+
+def test_bad_config_value_is_named_by_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": "abc"}))
+    assert run(["scaling", "--seed", "1", "--config", str(cfg)]) == 1
+    assert ("argument --trials: invalid int value: 'abc'"
+            in capsys.readouterr().err)
 
 
 def test_calib_unknown_scenario_exits_usage_before_sampling(tmp_path,

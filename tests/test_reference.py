@@ -654,7 +654,7 @@ def _band_draw(spec):
     every column outside the band, so that a reference reading a column
     the band omits gets NaN."""
     a0, b0 = _cls_band(spec)
-    band = _noise_rows(spec, 2)
+    band = _noise_rows(spec, 2, b0 - a0)
     padded = np.full((len(band), spec.grid.num_positions), np.nan)
     padded[:, a0:b0] = band
     return band, a0, padded

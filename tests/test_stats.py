@@ -22,6 +22,12 @@ def _spec(**kw):
     return ExperimentSpec(**base)
 
 
+def _cls_noise(spec):
+    """The spec's classification noise: stream 2 over its _cls_band."""
+    a0, b0 = stats._cls_band(spec)
+    return stats._noise_rows(spec, 2, b0 - a0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(num_trials=1)
@@ -67,7 +73,7 @@ def test_run_trials_is_a_prefix_of_a_longer_run():
 
 def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
     spec = _spec(kappa=4.0, num_trials=150, master_seed=5)
-    truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
+    truths, noise = stats._truths(spec), _cls_noise(spec)
     a0, _ = stats._cls_band(spec)
     want = stats._cls_errors(spec, truths, noise, a0)
     # kappa 4 at stride 1 has a 32-column band: 7 trials per chunk
@@ -82,8 +88,7 @@ def test_cls_noise_columns_depend_on_neither_trials_nor_seed(kappa):
     a0, b0 = stats._cls_band(spec)
     for n in (2, 7, 500):
         for seed in (0, 1, 12345):
-            rows = stats._noise_rows(replace(spec, num_trials=n,
-                                             master_seed=seed), 2)
+            rows = _cls_noise(replace(spec, num_trials=n, master_seed=seed))
             assert rows.shape == (n, b0 - a0)
 
 
@@ -111,7 +116,7 @@ def test_band_rows_keep_the_noise_distribution(rho):
                  boundary=100.0, noise=NoiseSpec(rho=rho), num_trials=4000,
                  master_seed=6)
     a0, b0 = stats._cls_band(spec)
-    band = stats._noise_rows(spec, 2)
+    band = _cls_noise(spec)
     full = stats.sample_noise_matrix(spec.noise, (7, 2), spec.num_trials,
                                      200)[:, a0:b0]
 
@@ -138,7 +143,7 @@ def test_cls_errors_depend_only_on_kappa_over_stride(cells):
     unit = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
                  boundary=100.0, num_trials=300, master_seed=23)
     # the unit spec's kappa / dt of 2 has the widest band of these cells
-    truths, noise = stats._truths(unit), stats._noise_rows(unit, 2)
+    truths, noise = stats._truths(unit), _cls_noise(unit)
     a0, _ = stats._cls_band(unit)
     scaled = [stats._cls_errors(
         replace(unit, grid=TimeGrid(stride=dt, num_positions=200),
@@ -329,7 +334,7 @@ def test_kappa_slope_draws_the_noise_once(monkeypatch):
     # run_trials, and every kappa reads its errors off the shared draw
     widest = replace(base, kappa=8.0)
     assert variances[8.0] == np.mean(run_trials(widest).cls ** 2)
-    truths, noise = stats._truths(base), stats._noise_rows(widest, 2)
+    truths, noise = stats._truths(base), _cls_noise(widest)
     a0, _ = stats._cls_band(widest)
     for kappa, v in variances.items():
         errs = stats._cls_errors(replace(base, kappa=kappa), truths, noise, a0)
@@ -347,7 +352,7 @@ def test_classification_side_memory_stays_chunked():
     # never copies of the whole (trials, positions) matrix
     spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200), kappa=8.0,
                  boundary=100.0, num_trials=10_000)
-    truths, noise = stats._truths(spec), stats._noise_rows(spec, 2)
+    truths, noise = stats._truths(spec), _cls_noise(spec)
     tracemalloc.start()
     try:
         stats._cls_errors(spec, truths, noise, stats._cls_band(spec)[0])

@@ -5,17 +5,21 @@
 Each tree is a checkout of this repository (it holds `src/bdrlab`). Every
 command of COMMANDS runs in both trees as `python3 -m bdrlab.cli` with
 PYTHONPATH=<tree>/src, once with `--format csv` and once with
-`--format json`, writing to stdout. The tool prints each run whose exit code
+`--format json`, writing to stdout. A dict in a command stands for a config
+file: the tool writes it as JSON to a temporary directory and passes its
+path, the same path to both trees. The tool prints each run whose exit code
 or output bytes differ between the trees, and exits 1 if any differ and 0
-otherwise.
+otherwise. Standard error is not compared.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = range(1, 6)
@@ -39,6 +43,23 @@ COMMANDS = [
     ["flops", "--points", "0.16:0.8,1:1"],
     ["synth", "--series", "noisy", "--seed", "4", "--rho", "0.5"],
     ["synth", "--series", "features"],
+    # each subcommand with its flags in a config file; "-5,30" must stay a
+    # value, not read as an option
+    ["scaling", "--config", {"kappas": "0.75,1.5,3", "strides": "0.7,1.5,3",
+                             "trials": 400, "num_positions": 60, "rho": 0.6,
+                             "gate": True, "seed": 9}],
+    ["atr-sim", "--config", {"length": 250000, "trace_rho": 0.5,
+                             "gain": 0.3, "gamma": 0.1, "seed": 1}],
+    ["calib", "--config", {"scenario": "sigma_x2", "samples": 100000,
+                           "bins": 12, "seed": 2}],
+    ["flops", "--config", {"points": "0.16:0.8,1:1"}],
+    ["synth", "--config", {"series": "noisy", "boundaries": "-5,30",
+                           "noise_family": "student_t", "seed": 4}],
+    # a command-line flag beats the file's value
+    ["calib", "--config", {"samples": 100000, "bins": 5, "seed": 3},
+     "--bins", "7"],
+    # a bad value: compared by exit code and the empty stdout
+    ["calib", "--config", {"bins": "ten", "seed": 3}],
 ]
 FORMATS = ("csv", "json")
 
@@ -52,6 +73,18 @@ def run_cli(tree: Path, argv: list) -> tuple:
     return proc.returncode, proc.stdout
 
 
+def with_config_files(command: list, path: Path) -> list:
+    """The command with its dict, if any, written to path as JSON and
+    replaced by the path."""
+    argv = []
+    for arg in command:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -61,15 +94,17 @@ def main(argv=None) -> int:
         if not (tree / "src" / "bdrlab").is_dir():
             ap.error(f"{tree} holds no src/bdrlab")
     differ = 0
-    runs = [[*command, "--format", fmt]
-            for command in COMMANDS for fmt in FORMATS]
-    for run in runs:
-        (p_code, p_out), (c_code, c_out) = (run_cli(tree, run) for tree in
-                                            (args.parent, args.change))
-        if (p_code, p_out) != (c_code, c_out):
-            differ += 1
-            print(f"differs: {' '.join(run)} (exit {p_code} -> {c_code}, "
-                  f"{len(p_out)} -> {len(c_out)} bytes)")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [[*with_config_files(command, Path(tmp) / f"config{i}.json"),
+                 "--format", fmt]
+                for i, command in enumerate(COMMANDS) for fmt in FORMATS]
+        for run in runs:
+            (p_code, p_out), (c_code, c_out) = (run_cli(tree, run) for tree in
+                                                (args.parent, args.change))
+            if (p_code, p_out) != (c_code, c_out):
+                differ += 1
+                print(f"differs: {' '.join(run)} (exit {p_code} -> {c_code}, "
+                      f"{len(p_out)} -> {len(c_out)} bytes)")
     print(f"{len(runs) - differ} of {len(runs)} runs byte-identical")
     return 1 if differ else 0
 
