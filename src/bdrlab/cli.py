@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strides", type=_floats, default="1,2,4,8")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--num-positions", type=int, default=200)
-    p.add_argument("--gate", action="store_true",
+    p.add_argument("--gate", action=argparse.BooleanOptionalAction,
+                   default=False,
                    help="exit 2 unless the fitted slope is inside the band")
     p.add_argument("--band-low", type=float, default=0.8)
     p.add_argument("--band-high", type=float, default=1.3)

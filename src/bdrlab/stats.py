@@ -13,16 +13,21 @@ not depend on how trials are chunked, and a run of n trials is exactly the
 first n trials of any longer run with the same seed. Aggregation is always
 in trial order.
 
+A spec's boundary is in grid positions: trial k's truth is
+(boundary + phase_k) x stride frames, built by _truths, and the prior support
+_cls_band reads is (boundary + [0, 1]) x stride. No other code converts it.
+
 sweep_errors runs both estimators on a list of cells that share streams 0
 and 1 (common random numbers): the distance side fits with SWEEP_FIT and
-extracts its zero crossings once, on a stride-1 grid, and each cell takes
-those errors times its stride, which is valid because the distance side
-never reads kappa and runs in grid units. The classification side searches
-the plateau window of each of the cell's truths, with stream 2 per cell.
-run_trials is the one-cell sweep. scaling_sweep runs the (kappa, stride)
-grid through sweep_errors and adds a bootstrap per cell and the slope fit.
-cls_variance_kappa_slope draws streams 0 and 2 once per call, stream 2 for
-its widest kappa, and reuses them for every kappa.
+extracts its zero crossings once, on the stride-1 copy of the first cell,
+and each cell takes those errors times its stride, which is valid because
+the distance side never reads kappa and runs in grid units. The
+classification side searches the plateau window of each of the cell's
+truths, with stream 2 per cell. run_trials is the one-cell sweep.
+scaling_sweep runs the (kappa, stride) grid through sweep_errors and adds a
+bootstrap per cell and the slope fit. cls_variance_kappa_slope draws
+streams 0 and 2 once per call, stream 2 for its widest kappa, and reuses
+them for every kappa.
 
 The classification side is batched: features, smoothing, the windowed
 argmax and the quadratic refinement each run once per chunk of trials, and
@@ -70,7 +75,12 @@ BOOTSTRAP_RESAMPLES = 2000
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One Monte-Carlo condition: grid, kernel width, noise, trial budget."""
+    """One Monte-Carlo condition: grid, kernel width, noise, trial budget.
+
+    `boundary` is in grid positions, the start of the prior support of
+    every trial's truth: trial k's truth is (boundary + phase_k) x stride
+    frames, phase_k uniform in [0, 1).
+    """
 
     grid: TimeGrid
     kappa: float
@@ -86,7 +96,7 @@ class ExperimentSpec:
             raise ValueError("kappa must be finite and positive")
         if self.num_trials < 2:
             raise ValueError("num_trials must be >= 2")
-        if not 0.0 < self.boundary < self.grid.duration:
+        if not 0.0 < self.boundary < self.grid.num_positions:
             raise ValueError("boundary must be interior to the grid")
 
 
@@ -108,15 +118,13 @@ class VarianceReport:
 
 
 def _truths(spec: ExperimentSpec) -> np.ndarray:
-    """Per-trial boundary positions, built in grid units and scaled to
-    frames: (boundary / stride + phase) x stride, each phase uniform in
-    [0, 1) from stream 0. So they are the truths of the spec on a stride-1
-    grid with boundary / stride, times the stride, bit for bit, as
-    run_trials reads them."""
+    """Per-trial boundary positions in frames, (boundary + phase) x stride,
+    each phase uniform in [0, 1) from stream 0. So they are the truths of
+    the spec's stride-1 copy times the stride, bit for bit, as sweep_errors
+    reads them."""
     phases = np.random.default_rng((spec.master_seed, 0)).uniform(
         0.0, 1.0, spec.num_trials)
-    stride = spec.grid.stride
-    return (spec.boundary / stride + phases) * stride
+    return (spec.boundary + phases) * spec.grid.stride
 
 
 def _noise_rows(spec: ExperimentSpec, label: int, count: int) -> np.ndarray:
@@ -189,11 +197,13 @@ def _windows(spec: ExperimentSpec, truth: np.ndarray, m: int, r: float):
 
 def _cls_band(spec: ExperimentSpec):
     """[a0, b0): every column the readout of _cls_errors can reach for a
-    truth in the prior support [boundary, boundary + stride], the band
-    stream 2 draws. Window ends never decrease as the truth grows, so the
-    support's two ends bound them. The band grows with kappa."""
+    truth in the prior support (boundary + [0, 1]) x stride, the band
+    stream 2 draws. The support's ends follow _truths' formula, whose
+    rounding is monotone, so every truth lies between them; window ends
+    never decrease as the truth grows, so the two ends bound them. The band
+    grows with kappa."""
     m, r = _readout(spec)
-    support = np.array([spec.boundary, spec.boundary + spec.grid.stride])
+    support = (spec.boundary + np.array([0.0, 1.0])) * spec.grid.stride
     _, _, a0, b0 = _windows(spec, support, m, r)
     return a0, b0
 
@@ -249,20 +259,21 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     return errors
 
 
-def sweep_errors(specs, unit: ExperimentSpec) -> list:
+def sweep_errors(specs) -> list:
     """Signed errors in frames, one TrialErrors per spec, in spec order.
 
-    `unit` is the stride-1 spec whose distance side every cell shares; the
-    specs share its num_positions, noise and num_trials. Its phases (stream
-    0) and distance noise (stream 1) are drawn once, fitted once and read
-    out once, in grid units. A cell of stride dt takes those errors times
-    dt, and runs _cls_errors on the unit truths times dt with stream 2
-    drawn from its own master_seed. This is valid because the distance
-    estimator never reads kappa and fits and extracts in grid units, so at
-    a power-of-two stride a fit on the cell's own grid gives the same
-    errors times dt bit for bit. Failed extractions are recorded as NaN,
-    not raised.
+    The specs share num_positions, boundary, noise and num_trials. Every
+    cell shares the distance side of the stride-1 copy of specs[0]: its
+    phases (stream 0) and distance noise (stream 1) are drawn once, fitted
+    once and read out once, in grid units. A cell of stride dt takes those
+    errors times dt, and runs _cls_errors on those truths times dt, its own
+    _truths at specs[0]'s master_seed, with stream 2 drawn from its own
+    master_seed. This is valid because the distance estimator never reads
+    kappa and fits and extracts in grid units, so at a power-of-two stride
+    a fit on the cell's own grid gives the same errors times dt bit for
+    bit. Failed extractions are recorded as NaN, not raised.
     """
+    unit = replace(specs[0], grid=replace(specs[0].grid, stride=1.0))
     truths, dhat = _fit_distance_side(unit)
     e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
     out = []
@@ -277,11 +288,8 @@ def sweep_errors(specs, unit: ExperimentSpec) -> list:
 
 def run_trials(spec: ExperimentSpec) -> TrialErrors:
     """Signed errors in frames of both estimators on one condition (NaN
-    marks a failed extraction): the one-cell sweep_errors, whose unit is the
-    spec on a stride-1 grid with its boundary in grid units."""
-    unit = replace(spec, grid=replace(spec.grid, stride=1.0),
-                   boundary=spec.boundary / spec.grid.stride)
-    return sweep_errors([spec], unit)[0]
+    marks a failed extraction): the one-cell sweep_errors."""
+    return sweep_errors([spec])[0]
 
 
 def _mse(errors: np.ndarray) -> float:
@@ -421,10 +429,10 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     Returns (cells, slope, intercept, r2, bin_means) where cells is a list of
     dicts in deterministic (kappa-major) order.
 
-    Seeding: the cells' errors come from sweep_errors, whose unit spec has
-    master_seed and the boundary num_positions // 2 on a stride-1 grid, so
-    the boundary phases (stream 0) and the distance noise (stream 1) are
-    shared by every cell, and a cell of stride dt reads the truths
+    Seeding: every cell has the boundary num_positions // 2, and the cells'
+    errors come from sweep_errors, which draws the boundary phases (stream
+    0) and the distance noise (stream 1) once, from master_seed, the seed
+    of the first cell, so a cell of stride dt reads the truths
     (num_positions // 2 + phase) * dt. So var_bdr is exactly dt^2 times the
     stride-1 value and every cell reports the same failures, the count of
     its NaN distance errors. Cell i draws its classification noise (stream
@@ -447,16 +455,14 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         raise ValueError("need at least 3 sweep cells")
     specs = [ExperimentSpec(
         grid=TimeGrid(stride=dt, num_positions=num_positions),
-        kappa=kappa, boundary=(num_positions // 2) * dt,
+        kappa=kappa, boundary=float(num_positions // 2),
         noise=noise, num_trials=num_trials,
         master_seed=master_seed + cell_index)
         for cell_index, (kappa, dt) in enumerate(conds)]
     if len({dt**2 / kappa for kappa, dt in conds}) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
-    unit = replace(specs[0], grid=TimeGrid(1.0, num_positions),
-                   boundary=float(num_positions // 2), master_seed=master_seed)
     cells = []
-    for spec, errs in zip(specs, sweep_errors(specs, unit)):
+    for spec, errs in zip(specs, sweep_errors(specs)):
         kappa, dt = spec.kappa, spec.grid.stride
         rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
         if not 0 < rep.ratio_R < np.inf:  # the slope fit takes log R
@@ -516,8 +522,7 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     variances = {}
     for T in lengths:
         grid = TimeGrid(stride=base_spec.grid.stride, num_positions=int(T))
-        spec = replace(base_spec, grid=grid,
-                       boundary=(int(T) // 2) * grid.stride)
+        spec = replace(base_spec, grid=grid, boundary=float(int(T) // 2))
         truths, dhat = _fit_distance_side(spec)
         est = pooled_boundary_estimate(dhat, grid)
         variances[int(T)] = float(np.mean((est - truths) ** 2))
@@ -531,9 +536,9 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     they are drawn once and every kappa reuses them. The noise is the band
     of the widest kappa, which holds the band of every narrower one, so
     that kappa's errors equal the classification errors of run_trials at
-    that kappa (bit for bit at a power-of-two stride; run_trials builds its
-    truths in grid units), and every kappa's errors equal _cls_errors on
-    the shared draw.
+    that kappa bit for bit, at any stride, as both build the truths with
+    _truths' formula, and every kappa's errors equal _cls_errors on the
+    shared draw.
     """
     if len(kappas) < 3:
         raise ValueError("need at least 3 kappas")

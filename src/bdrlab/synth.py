@@ -7,6 +7,7 @@ grid t_i = i * stride (frames); all widths and distances are in frames.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,15 +80,20 @@ def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
     return t - b[idx]
 
 
+# The largest kernel width whose 2 kappa^2 is a finite float.
+KAPPA_MAX = math.sqrt(sys.float_info.max / 2)
+
+
 def make_kernel_features(grid: TimeGrid, center, kappa: float,
                          cols: slice = slice(None)) -> np.ndarray:
     """Gaussian bump exp(-(t-center)^2 / (2 kappa^2)), peak 1 at the center.
 
     A scalar center gives one row of T values; an array of centers gives
     one row per center. `cols` keeps only those grid columns; they equal
-    the same columns of the full rows bit for bit.
+    the same columns of the full rows bit for bit. A kappa above KAPPA_MAX
+    counts as not finite: its 2 kappa^2 overflows.
     """
-    if not (np.isfinite(kappa) and kappa > 0):
+    if not 0.0 < kappa <= KAPPA_MAX:  # NaN fails the comparison too
         raise ValueError("kappa must be finite and positive")
     c = np.asarray(center, dtype=float)[..., None]
     if not np.all(np.isfinite(c)):

@@ -52,7 +52,7 @@ def test_width_stratified_monotonicity(full_sweep):
     for i, (kappa, dt) in enumerate([(3.0, 2.0), (6.0, 4.0)]):
         spec = ExperimentSpec(
             grid=TimeGrid(stride=dt, num_positions=200), kappa=kappa,
-            boundary=100 * dt, noise=NoiseSpec(), num_trials=TRIALS,
+            boundary=100.0, noise=NoiseSpec(), num_trials=TRIALS,
             master_seed=2000 + i)
         errs = run_trials(spec)
         rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)

@@ -132,6 +132,36 @@ def test_scaling_gate_exit_codes(tmp_path):
     assert run(args + ["--gate", "--band-low", "99", "--band-high", "100"]) == 2
 
 
+def test_no_gate_overrides_a_config_gate(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gate": True, "band_low": 5, "band_high": 6}))
+    args = ["scaling", "--kappas", "1,2", "--strides", "1,2", "--trials", "40",
+            "--seed", "5", "--num-positions", "60", "--format", "json"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run([*args, "--config", str(cfg), "--out", str(a)]) == 2
+    assert run([*args, "--config", str(cfg), "--no-gate",
+                "--out", str(a)]) == 0
+    # --no-gate leaves the one gate boolean false, as leaving --gate out does
+    assert run([*args, "--band-low", "5", "--band-high", "6",
+                "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# a kappa whose 2 kappa^2 overflows a float, alone or in a sweep
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--series", "features", "--kappa", "1e200"],
+     "--kappa must be finite and positive"),
+    (["scaling", "--kappas", "1e200,2,4", "--trials", "40",
+      "--num-positions", "60", "--seed", "1"],
+     "--kappas must be finite and positive")])
+def test_overflowing_kappa_exits_usage(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: " + message
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_scaling_failures_count_the_nan_distance_errors(tmp_path):
     out = tmp_path / "s.json"
     assert run(["scaling", "--kappas", "1,2", "--strides", "1,2",

@@ -701,17 +701,16 @@ def test_cls_kappa_errors_match_reference(noise, seed):
 @pytest.mark.parametrize("seed", [21, 1000])
 def test_sweep_cell_cls_errors_match_reference(noise, seed):
     T, n = 200, 400
-    unit = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
+    base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
                           kappa=1.0, boundary=float(T // 2),
                           noise=CLS_NOISES[noise], num_trials=n,
                           master_seed=seed)
     moved = 0
     for cell, (kappa, dt) in enumerate(
             (k, dt) for k in (1.0, 2.0, 4.0, 8.0) for dt in (1.0, 2.0, 4.0, 8.0)):
-        spec = replace(unit, grid=TimeGrid(stride=dt, num_positions=T),
-                       kappa=kappa, boundary=(T // 2) * dt,
-                       master_seed=seed + cell)
-        moved += _check_cls_against_reference(spec, _truths(unit) * dt,
+        spec = replace(base, grid=TimeGrid(stride=dt, num_positions=T),
+                       kappa=kappa, master_seed=seed + cell)
+        moved += _check_cls_against_reference(spec, _truths(base) * dt,
                                               *_band_draw(spec))
     assert moved <= MOVED_LIMIT * 16 * n
 
@@ -767,16 +766,15 @@ def _check_cls_against_full_width(spec, truths, band, a0, padded):
 @pytest.mark.parametrize("seed", [21, 1000])
 def test_sweep_cells_match_full_width_reference(noise, seed):
     T, n = 200, 400
-    unit = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
+    base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=T),
                           kappa=1.0, boundary=float(T // 2),
                           noise=ALL_CLS_NOISES[noise], num_trials=n,
                           master_seed=seed)
     for cell, (kappa, dt) in enumerate(
             (k, dt) for k in (1.0, 2.0, 4.0, 8.0) for dt in (1.0, 2.0, 4.0, 8.0)):
-        spec = replace(unit, grid=TimeGrid(stride=dt, num_positions=T),
-                       kappa=kappa, boundary=(T // 2) * dt,
-                       master_seed=seed + cell)
-        _check_cls_against_full_width(spec, _truths(unit) * dt,
+        spec = replace(base, grid=TimeGrid(stride=dt, num_positions=T),
+                       kappa=kappa, master_seed=seed + cell)
+        _check_cls_against_full_width(spec, _truths(base) * dt,
                                       *_band_draw(spec))
 
 
@@ -803,7 +801,7 @@ def test_band_draw_is_all_the_readout_reads(noise, kappa, where):
     T, dt = 60, 2.0
     spec = ExperimentSpec(grid=TimeGrid(stride=dt, num_positions=T),
                           kappa=kappa * dt,
-                          boundary=EDGE_BOUNDARIES.get(where, T / 2) * dt,
+                          boundary=EDGE_BOUNDARIES.get(where, T / 2),
                           noise=ALL_CLS_NOISES[noise], num_trials=300,
                           master_seed=int(8 * kappa))
     band, a0, padded = _band_draw(spec)
@@ -851,7 +849,7 @@ def test_edges_and_spread_match_full_width_reference(monkeypatch, noise,
     size, rows = chunk or n, _spy_chunk_rows(monkeypatch)
     for kappa in CLS_KAPPAS:
         spec = ExperimentSpec(grid=TimeGrid(stride=dt, num_positions=T),
-                              kappa=kappa * dt, boundary=T / 2 * dt,
+                              kappa=kappa * dt, boundary=T / 2,
                               noise=ALL_CLS_NOISES[noise], num_trials=n,
                               master_seed=int(4 * kappa))
         rows.clear()

@@ -84,7 +84,7 @@ def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
 @pytest.mark.parametrize("kappa", [0.25, 2.0, 16.0])
 def test_cls_noise_columns_depend_on_neither_trials_nor_seed(kappa):
     spec = _spec(grid=TimeGrid(stride=2.0, num_positions=200), kappa=kappa,
-                 boundary=200.0)
+                 boundary=100.0)
     a0, b0 = stats._cls_band(spec)
     for n in (2, 7, 500):
         for seed in (0, 1, 12345):
@@ -92,10 +92,15 @@ def test_cls_noise_columns_depend_on_neither_trials_nor_seed(kappa):
             assert rows.shape == (n, b0 - a0)
 
 
-# kappa / dt of 1/8, 1 and 8 mid-grid, then bands cut by column 0 and T - 1
+# kappa / dt of 1/8, 1 and 8 mid-grid, then bands cut by column 0 and T - 1;
+# each id names its case by kappa and the frame its prior support starts at,
+# boundary * dt
 @pytest.mark.parametrize("kappa, boundary, band", [
-    (0.25, 100.0, (49, 53)), (2.0, 100.0, (46, 56)), (16.0, 100.0, (20, 82)),
-    (16.0, 1.0, (0, 32)), (16.0, 197.0, (69, 100))])
+    pytest.param(0.25, 50.0, (49, 53), id="0.25-100.0-band0"),
+    pytest.param(2.0, 50.0, (46, 56), id="2.0-100.0-band1"),
+    pytest.param(16.0, 50.0, (20, 82), id="16.0-100.0-band2"),
+    pytest.param(16.0, 0.5, (0, 32), id="16.0-1.0-band3"),
+    pytest.param(16.0, 98.5, (69, 100), id="16.0-197.0-band4")])
 def test_cls_side_is_a_prefix_of_a_longer_run(kappa, boundary, band):
     grid = TimeGrid(stride=2.0, num_positions=100)
     spec = _spec(grid=grid, kappa=kappa, boundary=boundary,
@@ -140,14 +145,14 @@ def test_cls_errors_depend_only_on_kappa_over_stride(cells):
     # in grid units the kernel, smoothing window and search radius read
     # kappa / dt alone, and every kappa <= dt/2 cell searches one sample,
     # so on the same draws the errors / dt agree bit for bit
-    unit = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
+    base = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
                  boundary=100.0, num_trials=300, master_seed=23)
-    # the unit spec's kappa / dt of 2 has the widest band of these cells
-    truths, noise = stats._truths(unit), _cls_noise(unit)
-    a0, _ = stats._cls_band(unit)
+    # the base spec's kappa / dt of 2 has the widest band of these cells
+    truths, noise = stats._truths(base), _cls_noise(base)
+    a0, _ = stats._cls_band(base)
     scaled = [stats._cls_errors(
-        replace(unit, grid=TimeGrid(stride=dt, num_positions=200),
-                kappa=kappa, boundary=100.0 * dt), truths * dt, noise, a0) / dt
+        replace(base, grid=TimeGrid(stride=dt, num_positions=200),
+                kappa=kappa), truths * dt, noise, a0) / dt
         for kappa, dt in cells]
     for errors in scaled[1:]:
         assert np.array_equal(errors, scaled[0])
@@ -280,7 +285,7 @@ def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     # a power-of-two stride a fit on the cell's own grid gives the same
     # errors
     spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
-                 boundary=50.0 * dt, noise=NoiseSpec(family="student_t"),
+                 boundary=50.0, noise=NoiseSpec(family="student_t"),
                  num_trials=60, master_seed=1)
     truths, dhat = stats._fit_distance_side(spec)
     own_grid = stats._nearest_crossing_errors(dhat, truths, spec.grid)
@@ -295,7 +300,7 @@ def test_run_trials_depends_only_on_kappa_over_stride(kappa, dt):
     # sides, so R and its CI stay the same bit for bit
     def cell(k, s):
         spec = _spec(grid=TimeGrid(stride=s, num_positions=100), kappa=k,
-                     boundary=50.0 * s, noise=NoiseSpec(family="student_t"),
+                     boundary=50.0, noise=NoiseSpec(family="student_t"),
                      num_trials=400, master_seed=5)
         errs = run_trials(spec)
         return errs, variance_ratio(errs.bdr, errs.cls, seed=5)
@@ -320,6 +325,22 @@ def test_sweep_shares_the_distance_side_across_cells():
     assert cells[0]["failures"] > 0
     # the classification side still draws its own noise per cell
     assert unit[1.0]["var_cls"] != unit[2.0]["var_cls"]
+
+
+def test_sweep_cell_is_run_trials_on_its_spec():
+    # the cell's spec holds its boundary in grid positions, so run_trials
+    # on it reads the sweep's truths bit for bit, also at a stride where
+    # (30 * 0.7) / 0.7 != 30
+    cells, *_ = scaling_sweep([0.75, 1.5, 3], [0.7, 1, 2], 60, NoiseSpec(),
+                              400, 9)
+    spec = ExperimentSpec(grid=TimeGrid(stride=0.7, num_positions=60),
+                          kappa=0.75, boundary=30.0, noise=NoiseSpec(),
+                          num_trials=400, master_seed=9)
+    errs = run_trials(spec)
+    rep = variance_ratio(errs.bdr, errs.cls, seed=9)
+    assert [cells[0][k] for k in ("var_bdr", "var_cls", "R", "ci_low",
+                                  "ci_high")] == [
+        rep.var_bdr, rep.var_cls, rep.ratio_R, rep.ci_low, rep.ci_high]
 
 
 def test_kappa_slope_draws_the_noise_once(monkeypatch):
@@ -411,14 +432,11 @@ def test_block_totals_match_per_block_sums(n, nblocks, nans):
 
 @pytest.mark.parametrize("dt", [3.0, 0.7])
 def test_truths_are_the_grid_unit_truths_times_the_stride(dt):
-    # every path builds a truth as (boundary / dt + phase) * dt, so the
-    # kappa slope's widest kappa reads run_trials' classification errors at
-    # any stride, near-tie peaks included (boundary 73.3 dt has many)
+    # every path builds a truth as (boundary + phase) * dt, so the kappa
+    # slope's widest kappa reads run_trials' classification errors at any
+    # stride, near-tie peaks included (boundary 73.3 has many)
     spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
-                 boundary=73.3 * dt, num_trials=400, master_seed=5)
-    unit = replace(spec, grid=TimeGrid(stride=1.0, num_positions=100),
-                   boundary=spec.boundary / dt)
-    assert np.array_equal(stats._truths(spec), stats._truths(unit) * dt)
+                 boundary=73.3, num_trials=400, master_seed=5)
     _, variances = cls_variance_kappa_slope(spec, [dt, 2 * dt, 4 * dt])
     widest = replace(spec, kappa=4 * dt)
     assert variances[4 * dt] == np.mean(run_trials(widest).cls ** 2)

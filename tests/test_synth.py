@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.synth import (NoiseSpec, TimeGrid, _apply_ar1, make_distance_field,
-                          make_kernel_features, sample_noise_matrix)
+from bdrlab.synth import (KAPPA_MAX, NoiseSpec, TimeGrid, _apply_ar1,
+                          make_distance_field, make_kernel_features,
+                          sample_noise_matrix)
 
 
 def noise_row(spec, count, seed):
@@ -102,7 +103,10 @@ def test_kernel_feature_columns_equal_the_full_rows(cols):
 
 def test_kernel_kappa_validation():
     g = TimeGrid(stride=1.0, num_positions=10)
-    for kappa in (0.0, float("nan"), float("inf")):
+    # 2 kappa^2 is finite up to KAPPA_MAX and overflows past it
+    assert np.all(make_kernel_features(g, 5.0, KAPPA_MAX) == 1.0)
+    for kappa in (0.0, float("nan"), float("inf"),
+                  np.nextafter(KAPPA_MAX, np.inf), 1e200):
         with pytest.raises(ValueError, match="kappa"):
             make_kernel_features(g, 5.0, kappa)
     with pytest.raises(ValueError, match="finite"):

@@ -27,11 +27,14 @@ COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
     ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
      "--seed", "7"],
-    # fractional and non-power-of-two strides: the shared stride-1 truths
-    # are exact only when built from num_positions // 2, as
-    # (30 * 0.7) / 0.7 != 30, so this sweep moves if they are not
+    # fractional and non-power-of-two strides: every truth is
+    # (boundary + phase) * dt with the boundary in grid positions, and
+    # (30 * 0.7) / 0.7 != 30, so these sweeps move if a boundary passes
+    # through frames; the second has an odd T and a first stride of 1.1
     ["scaling", "--kappas", "0.75,1.5,3", "--strides", "0.7,1.5,3",
      "--trials", "400", "--num-positions", "60", "--seed", "9"],
+    ["scaling", "--kappas", "0.75,1.5,3", "--strides", "1.1,0.7,3",
+     "--trials", "400", "--num-positions", "61", "--seed", "9"],
     # heavy tails: many fitted rows hold two or more crossings before
     # suppression and some none, and 2010 trials end in a partial
     # bootstrap block
