@@ -36,10 +36,15 @@ windows, one neighbour each side and their smoothing support). A chunk
 holds as many trials as fit CLS_CHUNK_VALUES band values, which bounds its
 working memory.
 
-The distance side's readout and the bootstrap's inputs are batched too: one
-extract_boundaries call finds the crossings of every fitted row, and each
-error series' block totals come from one (blocks, BOOTSTRAP_BLOCK) view of
-it. Both give the bits of their per-trial and per-block forms.
+The distance side's readout and the bootstrap are batched too: one
+extract_boundaries call finds the crossings of every fitted row, and
+variance_ratios reports every cell of a sweep in one pass. Its one
+_block_totals call reads every error series of every cell as one
+(series, blocks, BOOTSTRAP_BLOCK) array, and its one blocked_bootstrap call
+draws and gathers one cell at a time, each from its own seed, into one
+(cells, resamples) matrix of statistics that one percentile call reads.
+variance_ratio is the one-cell case. Each gives the bits of its per-trial,
+per-block and per-cell forms.
 """
 
 from __future__ import annotations
@@ -298,46 +303,75 @@ def _mse(errors: np.ndarray) -> float:
     return float(np.mean(e**2)) if e.size else np.nan
 
 
-def blocked_bootstrap(totals, num_resamples: int, seed: int, statistic=None):
-    """95% CI from resampling whole groups with replacement.
+def blocked_bootstrap(totals, num_resamples: int, seeds, statistic=None):
+    """95% CIs from resampling whole groups with replacement, one per cell.
 
-    `totals` is an (n_groups, k) array of per-group totals; one resample
-    sums the totals of its picked groups. `statistic` maps the
-    (num_resamples, k) resampled sums to one value per resample (default:
-    column 0 / column 1, a mean from a sum and a count). All picks come from
-    one draw, which gives the same picks as one draw per resample.
+    `totals` is a (cells, n_groups, k) stack of per-group totals and
+    `seeds` holds one seed per cell; one resample sums the totals of its
+    picked groups. `statistic` maps a cell's (num_resamples, k) resampled
+    sums to one value per resample (default: column 0 / column 1, a mean
+    from a sum and a count). Returns a (cells, 2) array of (low, high).
+
+    Each cell draws all its picks from its own default_rng(seed) in one
+    call, which gives the same picks as one draw per resample, and sums
+    each column's picked totals along the rows of the (num_resamples,
+    n_groups) gather, so a cell's bounds are those of a stack of that cell
+    alone, bit for bit. A column that holds one nonnegative integer c in
+    every group, such as a count of trials none of which failed, is not
+    gathered: every resample sums it to n_groups x c, exactly as np.sum
+    does, since every partial sum is an integer below 2^53. Only the
+    statistics are stacked, one row per cell, so one percentile call gives
+    every bound; a row holding NaN gives NaN bounds.
     """
     totals = np.asarray(totals, dtype=float)
-    n = len(totals)
+    cells, n, k = totals.shape
     if n < 2:
         raise ValueError("need at least 2 groups")
+    if len(seeds) != cells:
+        raise ValueError("need one seed per cell")
     if statistic is None:
         statistic = lambda s: s[:, 0] / s[:, 1]
-    picks = np.random.default_rng(seed).integers(0, n, size=(num_resamples, n))
-    sums = np.stack([col[picks].sum(axis=1) for col in totals.T], axis=-1)
-    lo, hi = np.percentile(statistic(sums), [2.5, 97.5])
-    return float(lo), float(hi)
+    first = totals[:, 0]
+    constant = (np.all(totals == first[:, None], axis=1)
+                & (first == np.trunc(first)) & ~np.signbit(first)
+                & (first * n < 2.0**53))
+    stat = np.empty((cells, num_resamples))
+    sums = np.empty((k, num_resamples))
+    for i, seed in enumerate(seeds):
+        picks = np.random.default_rng(seed).integers(
+            0, n, size=(num_resamples, n))
+        for col, out, same in zip(totals[i].T, sums, constant[i]):
+            if same:
+                out.fill(n * col[0])
+            else:
+                np.add.reduce(col[picks], axis=1, out=out)
+        stat[i] = statistic(sums.T)
+    return np.percentile(stat, [2.5, 97.5], axis=-1).T
 
 
-def _block_totals(errors: np.ndarray, nblocks: int) -> np.ndarray:
-    """Per-block [sum of squares, count] over the finite errors, one row
-    per block of BOOTSTRAP_BLOCK consecutive errors.
+def _block_totals(series, nblocks: int) -> np.ndarray:
+    """Per-block [sum of squares, count] over the finite errors of each
+    error series: a (len(series), nblocks, 2) array, one row per block of
+    BOOTSTRAP_BLOCK consecutive errors.
 
-    The series is cut or NaN-padded to nblocks whole blocks and read as one
-    (nblocks, BOOTSTRAP_BLOCK) array. A row reduce sums a block exactly as
-    np.sum sums it alone; a block with a non-finite error sums its finite
-    squares on their own, as zero-filling would regroup the pairwise sum.
+    Each series is cut or NaN-padded to nblocks whole blocks, and all of
+    them are read as one (series, nblocks, BOOTSTRAP_BLOCK) array. A reduce
+    along its last axis sums a block exactly as np.sum sums it alone; a
+    block with a non-finite error sums its finite squares on their own, as
+    zero-filling would regroup the pairwise sum.
     """
-    blocks = np.full((nblocks, BOOTSTRAP_BLOCK), np.nan)
-    flat = blocks.reshape(-1)
-    n = min(len(errors), flat.size)
-    flat[:n] = errors[:n]
+    blocks = np.full((len(series), nblocks * BOOTSTRAP_BLOCK), np.nan)
+    for row, errors in zip(blocks, series):
+        n = min(len(errors), row.size)
+        row[:n] = errors[:n]
+    blocks = blocks.reshape(len(series), nblocks, BOOTSTRAP_BLOCK)
     finite = np.isfinite(blocks)
-    counts = finite.sum(axis=1)
-    sums = np.add.reduce(blocks**2, axis=1)
-    for k in np.flatnonzero(counts < BOOTSTRAP_BLOCK):
-        sums[k] = np.sum(blocks[k][finite[k]] ** 2)
-    return np.column_stack([sums, counts])
+    counts = finite.sum(axis=-1)
+    squares = np.square(blocks, out=blocks)
+    sums = np.add.reduce(squares, axis=-1)
+    for s, k in zip(*np.nonzero(counts < BOOTSTRAP_BLOCK)):
+        sums[s, k] = np.sum(squares[s, k][finite[s, k]])
+    return np.stack([sums, counts], axis=-1)
 
 
 def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
@@ -347,28 +381,48 @@ def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
         return np.where(denom > 0, sums[:, 0] / sums[:, 1] / denom, np.nan)
 
 
-def variance_ratio(errors_bdr, errors_cls, seed: int = 0) -> VarianceReport:
-    """Variances about the truth (MSE form), their ratio, and a bootstrap CI.
+def variance_ratios(errors, seeds) -> list:
+    """One VarianceReport per TrialErrors cell of `errors`, in order: the
+    variances about the truth (MSE form), their ratio, and a bootstrap CI
+    drawn from the cell's seed in `seeds`.
 
-    The CI resamples blocks of BOOTSTRAP_BLOCK consecutive trials jointly for
-    both estimators, playing the role of exchangeable groups.
+    The CI resamples blocks of BOOTSTRAP_BLOCK consecutive trials jointly
+    for both estimators, playing the role of exchangeable groups. The cells'
+    bdr series share one length, and so do their cls series, so every cell
+    has the same blocks: one _block_totals call sums every series and one
+    blocked_bootstrap call resamples every cell, and each cell's report is
+    that of the cell alone bit for bit. With fewer than two blocks the CI is
+    the ratio itself; no cells give no reports.
     """
-    eb = np.asarray(errors_bdr, dtype=float)
-    ec = np.asarray(errors_cls, dtype=float)
-    if eb.size == 0 or ec.size == 0:
-        raise ValueError("error series must be non-empty")
-    vb, vc = _mse(eb), _mse(ec)
-    if not vc > 0:
+    if not errors:
+        return []
+    eb = [np.asarray(e.bdr, dtype=float) for e in errors]
+    ec = [np.asarray(e.cls, dtype=float) for e in errors]
+    for side in (eb, ec):
+        if len({e.size for e in side}) != 1:
+            raise ValueError("error series must have one length per side")
+        if side[0].size == 0:
+            raise ValueError("error series must be non-empty")
+    mses = [(_mse(b), _mse(c)) for b, c in zip(eb, ec)]
+    if not all(vc > 0 for _, vc in mses):
         raise ValueError("degenerate denominator")
-    ratio = vb / vc
-    nblocks = max(len(eb), len(ec)) // BOOTSTRAP_BLOCK
+    nblocks = max(eb[0].size, ec[0].size) // BOOTSTRAP_BLOCK
     if nblocks >= 2:
-        totals = np.hstack([_block_totals(eb, nblocks), _block_totals(ec, nblocks)])
-        lo, hi = blocked_bootstrap(totals, BOOTSTRAP_RESAMPLES, seed,
-                                   _ratio_of_mse)
+        totals = _block_totals(eb + ec, nblocks)
+        # each cell's groups hold [sum b^2, n_b, sum c^2, n_c]
+        bounds = blocked_bootstrap(
+            np.concatenate([totals[:len(eb)], totals[len(eb):]], axis=-1),
+            BOOTSTRAP_RESAMPLES, seeds, _ratio_of_mse).tolist()
     else:
-        lo = hi = ratio
-    return VarianceReport(vb, vc, ratio, lo, hi)
+        bounds = [(vb / vc,) * 2 for vb, vc in mses]
+    return [VarianceReport(vb, vc, vb / vc, lo, hi)
+            for (vb, vc), (lo, hi) in zip(mses, bounds)]
+
+
+def variance_ratio(errors_bdr, errors_cls, seed: int = 0) -> VarianceReport:
+    """The VarianceReport of one pair of error series: the one-cell
+    variance_ratios."""
+    return variance_ratios([TrialErrors(errors_bdr, errors_cls)], [seed])[0]
 
 
 def holm_bonferroni(p_values):
@@ -437,10 +491,11 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     stride-1 value and every cell reports the same failures, the count of
     its NaN distance errors. Cell i draws its classification noise (stream
     2) and its bootstrap from master_seed + i, so the classification side
-    stays independent per cell. Every cell's spec is built, and so
-    validated, and the cells are checked for two distinct dt^2/kappa, which
-    the slope fit needs, before any fitting; a cell whose R is not finite
-    and positive, which the slope fit cannot take, raises ValueError naming
+    stays independent per cell; one variance_ratios call reports every
+    cell. Every cell's spec is built, and so validated, and the cells are
+    checked for a finite dt^2/kappa each and two distinct ones, which the
+    slope fit needs, before any fitting; a cell whose R is not finite and
+    positive, which the slope fit cannot take, raises ValueError naming
     that cell.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
@@ -459,17 +514,22 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         noise=noise, num_trials=num_trials,
         master_seed=master_seed + cell_index)
         for cell_index, (kappa, dt) in enumerate(conds)]
-    if len({dt**2 / kappa for kappa, dt in conds}) < 2:
+    try:
+        xs = [dt**2 / kappa for kappa, dt in conds]
+    except OverflowError:  # a float's ** raises where * and / give inf
+        xs = [np.inf]
+    if not np.isfinite(xs).all():
+        raise ValueError("stride must keep every dt^2/kappa finite")
+    if len(set(xs)) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
+    errors = sweep_errors(specs)
+    reports = variance_ratios(errors, [spec.master_seed for spec in specs])
     cells = []
-    for spec, errs in zip(specs, sweep_errors(specs)):
-        kappa, dt = spec.kappa, spec.grid.stride
-        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+    for (kappa, dt), x, errs, rep in zip(conds, xs, errors, reports):
         if not 0 < rep.ratio_R < np.inf:  # the slope fit takes log R
             raise ValueError(f"cell (kappa={kappa:g}, dt={dt:g}) has R = "
                              f"{rep.ratio_R:g}, not finite and positive")
-        cells.append({"kappa": kappa, "stride": dt,
-                      "x_dt2_over_kappa": dt**2 / kappa,
+        cells.append({"kappa": kappa, "stride": dt, "x_dt2_over_kappa": x,
                       "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
                       "R": rep.ratio_R, "ci_low": rep.ci_low,
                       "ci_high": rep.ci_high,
@@ -482,14 +542,14 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
 
 
 def correlation_robustness(base_spec: ExperimentSpec, rhos):
-    """R per AR(1) coefficient, everything else held fixed."""
-    out = {}
-    for rho in rhos:
-        spec = replace(base_spec, noise=replace(base_spec.noise, rho=float(rho)))
-        errs = run_trials(spec)
-        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
-        out[float(rho)] = rep.ratio_R
-    return out
+    """R per AR(1) coefficient, everything else held fixed; one
+    variance_ratios call reports every coefficient."""
+    rhos = [float(rho) for rho in rhos]
+    errors = [run_trials(replace(base_spec, noise=replace(base_spec.noise,
+                                                          rho=rho)))
+              for rho in rhos]
+    reports = variance_ratios(errors, [base_spec.master_seed] * len(rhos))
+    return {rho: rep.ratio_R for rho, rep in zip(rhos, reports)}
 
 
 def pooled_boundary_estimate(dhat: np.ndarray, grid: TimeGrid) -> np.ndarray:

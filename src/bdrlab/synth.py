@@ -30,10 +30,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.num_positions) * self.stride
 
-    @property
-    def duration(self) -> float:
-        return self.num_positions * self.stride
-
 
 NOISE_FAMILIES = ("laplace", "gaussian", "student_t")
 

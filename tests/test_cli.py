@@ -162,6 +162,22 @@ def test_overflowing_kappa_exits_usage(tmp_path, capsys, argv, message):
     assert "Traceback" not in err and not out.exists()
 
 
+# a stride whose dt^2 overflows a float, and one whose dt^2/kappa does
+@pytest.mark.parametrize("axis", [
+    ["--strides", "1e300,1,2"],
+    ["--strides", "1e150,1", "--kappas", "1e-200,1"]])
+def test_overflowing_stride_exits_usage_before_any_fit(tmp_path, monkeypatch,
+                                                       capsys, axis):
+    fits = []
+    _record_fits(monkeypatch, fits)
+    out = tmp_path / "o.csv"
+    assert run(["scaling", "--trials", "40", "--num-positions", "60",
+                "--seed", "1", *axis, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --strides must keep every dt^2/kappa finite\n")
+    assert not out.exists() and fits == []
+
+
 def test_scaling_failures_count_the_nan_distance_errors(tmp_path):
     out = tmp_path / "s.json"
     assert run(["scaling", "--kappas", "1,2", "--strides", "1,2",

@@ -13,8 +13,8 @@ the classification peak loop that smoothed, searched and refined one trial
 at a time, the batched classification side that computed every column of
 each row, the hold_previous hysteresis loop that indexed the numpy array,
 r_ece with a stable argsort that gathered both errors and sigmas, the calib
-scenario's rng.normal(0, sigma) draw and the bootstrap's two percentile
-calls.
+scenario's rng.normal(0, sigma) draw, the bootstrap's two percentile
+calls and the bootstrap that resampled one cell per call.
 
 The kernel's Huber gradient is a multiply and a clip, r * 1/(delta T)
 clipped to +-1/T, not the quotient clip(r/delta, -1, 1)/T; the two round
@@ -291,8 +291,9 @@ def test_bootstrap_mean_matches_reference():
     rng = np.random.default_rng(5)
     groups = [rng.normal(1.0, 2.0, rng.integers(1, 30)) for _ in range(40)]
     want = reference_bootstrap(groups, 1000, seed=9)
-    got = blocked_bootstrap([[g.sum(), g.size] for g in groups], 1000, seed=9)
-    assert got == pytest.approx(want, rel=1e-12)
+    (got,) = blocked_bootstrap([[[g.sum(), g.size] for g in groups]], 1000,
+                               [9])
+    assert tuple(got) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("nan_share", [0.0, 0.01, 0.5, 1.0])
@@ -310,10 +311,43 @@ def test_bootstrap_bounds_match_two_percentile_calls(nan_share, seed):
         drawn.append(stat)
         return stat
 
-    got = blocked_bootstrap(totals, 2000, seed=seed, statistic=statistic)
+    (got,) = blocked_bootstrap([totals], 2000, [seed], statistic=statistic)
     (stat,) = drawn
     want = (float(np.percentile(stat, 2.5)), float(np.percentile(stat, 97.5)))
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def reference_cell_bootstrap(totals, num_resamples, seed, statistic):
+    """The earlier one-cell blocked_bootstrap: (low, high) of one
+    (n_groups, k) array of group totals, its column sums stacked as a
+    (num_resamples, k) array and its bounds from one percentile call."""
+    n = len(totals)
+    picks = np.random.default_rng(seed).integers(0, n, size=(num_resamples, n))
+    sums = np.stack([col[picks].sum(axis=1) for col in totals.T], axis=-1)
+    return np.percentile(statistic(sums), [2.5, 97.5])
+
+
+# 5 and 7 groups, which np.sum adds in order, 8 and 100, which it adds
+# pairwise; the first NaN share gives none, the last all NaN statistics
+@pytest.mark.parametrize("n", [5, 7, 8, 100])
+@pytest.mark.parametrize("nan_share", [0.0, 0.3, 1.0])
+def test_stacked_bootstrap_matches_one_cell_at_a_time(n, nan_share):
+    rng = np.random.default_rng(n)
+    totals = np.stack([
+        np.column_stack([rng.laplace(0.0, 3.0, n) ** 2, rng.integers(15, 21, n),
+                         rng.normal(0.0, 1.0, n) ** 2, np.full(n, 20.0)])
+        for _ in range(4)])
+    seeds = [7, 8, 7, 1000]
+
+    def statistic(sums):
+        ratio = stats._ratio_of_mse(sums)
+        ratio[sums[:, 0] < np.quantile(sums[:, 0], nan_share)] = np.nan
+        return ratio
+
+    got = blocked_bootstrap(totals, 2000, seeds, statistic)
+    want = [reference_cell_bootstrap(cell, 2000, seed, statistic)
+            for cell, seed in zip(totals, seeds)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("fail_rate", [0.0, 0.05, 0.3])

@@ -10,7 +10,8 @@ from bdrlab.stats import (ExperimentSpec, blocked_bootstrap,
                           correlation_robustness, finite_sample_variance_check,
                           holm_bonferroni, loglog_slope,
                           pooled_boundary_estimate, run_trials, scaling_sweep,
-                          variance_ratio, width_stratified_R)
+                          sweep_errors, variance_ratio, variance_ratios,
+                          width_stratified_R)
 from bdrlab.synth import NoiseSpec, TimeGrid
 
 
@@ -180,18 +181,93 @@ def test_variance_ratio_degenerate_denominator():
 
 def test_blocked_bootstrap_identical_groups():
     groups = [np.full(10, 2.0)] * 5
-    lo, hi = blocked_bootstrap([[g.sum(), g.size] for g in groups], 200, seed=0)
+    (lo, hi), = blocked_bootstrap([[[g.sum(), g.size] for g in groups]], 200,
+                                  [0])
     assert lo == hi == pytest.approx(2.0)
 
 
 def test_blocked_bootstrap_deterministic_and_validated():
     groups = [np.random.default_rng(k).normal(size=10) for k in range(8)]
     totals = [[g.sum(), g.size] for g in groups]
-    a = blocked_bootstrap(totals, 500, seed=3)
-    b = blocked_bootstrap(totals, 500, seed=3)
-    assert a == b
-    with pytest.raises(ValueError):
-        blocked_bootstrap(totals[:1], 100, seed=0)
+    a = blocked_bootstrap([totals], 500, [3])
+    b = blocked_bootstrap([totals], 500, [3])
+    assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="2 groups"):
+        blocked_bootstrap([totals[:1]], 100, [0])
+    with pytest.raises(ValueError, match="one seed per cell"):
+        blocked_bootstrap([totals, totals], 100, [0])
+
+
+def _nan_above(limit):
+    """A resample statistic, column 0 / column 1, NaN where column 0
+    exceeds `limit`."""
+    def statistic(sums):
+        return np.where(sums[:, 0] > limit, np.nan, sums[:, 0] / sums[:, 1])
+    return statistic
+
+
+# 5 and 7 groups, which np.sum adds in order, and 8 and 100, which it adds
+# pairwise; the limits give no NaN statistic, some, and all
+@pytest.mark.parametrize("n", [5, 7, 8, 100])
+@pytest.mark.parametrize("limit", [np.inf, 3.0, -np.inf])
+def test_blocked_bootstrap_of_a_stack_is_one_call_per_cell(n, limit):
+    rng = np.random.default_rng(n)
+    totals = np.stack([np.column_stack([rng.normal(0.5, 2.0, n) * scale,
+                                        rng.integers(1, 21, n)])
+                       for scale in (1.0, 1e-3, 7.0)])
+    seeds = [11, 0, 11]
+    got = blocked_bootstrap(totals, 1000, seeds, _nan_above(limit * n))
+    assert got.shape == (3, 2)
+    for cell, seed, bounds in zip(totals, seeds, got):
+        alone = blocked_bootstrap([cell], 1000, [seed], _nan_above(limit * n))
+        assert bounds.tobytes() == alone[0].tobytes()
+    assert np.isnan(got).all() == (limit == -np.inf)
+
+
+def test_constant_columns_sum_as_np_sum_does():
+    # the resampled sums a statistic reads equal np.sum over each column's
+    # picked totals: a column of one nonnegative integer is not gathered,
+    # the others are; at 7 groups n * c would differ from np.sum for the
+    # fraction, the negative zero and the integer past 2^53 / n
+    n = 7
+    cols = [np.full(n, 20.0), np.full(n, 0.0), np.full(n, 0.1),
+            np.full(n, -0.0), np.full(n, -3.0), np.full(n, 2.0**52 + 1),
+            np.arange(n, dtype=float)]
+    seen = []
+    blocked_bootstrap([np.column_stack(cols)], 500, [3],
+                      lambda s: seen.append(s.copy()) or s[:, 0])
+    picks = np.random.default_rng(3).integers(0, n, size=(500, n))
+    want = np.stack([col[picks].sum(axis=1) for col in cols], axis=-1)
+    assert seen[0].tobytes() == want.tobytes()
+
+
+def test_block_totals_of_a_stack_are_one_call_per_series():
+    # series of several lengths, cut or padded to 20 blocks, with no NaN, a
+    # few, a whole NaN block and nothing but NaN
+    rng = np.random.default_rng(4)
+    series = [rng.standard_t(2.0, n) * 3.0 for n in (400, 410, 333, 400, 400)]
+    series[1][[3, 77, 78, 399]] = np.nan
+    series[3][40:60] = np.nan
+    series[4][:] = np.nan
+    got = stats._block_totals(series, 20)
+    assert got.shape == (5, 20, 2)
+    for errors, totals in zip(series, got):
+        assert totals.tobytes() == stats._block_totals([errors], 20)[0].tobytes()
+        assert np.array_equal(totals, _per_block_totals(errors, 20))
+
+
+def test_variance_ratios_takes_one_length_per_side():
+    rng = np.random.default_rng(0)
+    cells = [stats.TrialErrors(rng.normal(size=400), rng.normal(size=n))
+             for n in (400, 333)]
+    with pytest.raises(ValueError, match="one length per side"):
+        variance_ratios(cells, [0, 1])
+    assert variance_ratios([], []) == []
+    # the sides may differ in length from each other
+    cells[1] = stats.TrialErrors(cells[1].bdr, rng.normal(size=400))
+    reps = variance_ratios(cells[::-1], [1, 0])
+    assert reps == [variance_ratio(c.bdr, c.cls, seed=s)
+                    for c, s in zip(cells[::-1], [1, 0])]
 
 
 def test_holm_bonferroni():
@@ -343,6 +419,34 @@ def test_sweep_cell_is_run_trials_on_its_spec():
         rep.var_bdr, rep.var_cls, rep.ratio_R, rep.ci_low, rep.ci_high]
 
 
+# 5 blocks, summed in order, and 100 whole blocks plus 10 cut errors, summed
+# pairwise; heavy tails leave NaN distance errors, some blocks holding one
+@pytest.mark.parametrize("trials, positions", [(100, 200), (2010, 80)])
+def test_every_sweep_cell_is_variance_ratio_of_its_errors(trials, positions):
+    # the one variance_ratios call gives each cell the report of its own
+    # errors and seed alone; cell 0's errors are run_trials on its spec
+    noise = NoiseSpec(family="student_t", nu=1.2, scale=1.0)
+    kappas, strides = [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0]
+    cells, *_ = scaling_sweep(kappas, strides, positions, noise, trials, 21)
+    specs = [ExperimentSpec(grid=TimeGrid(stride=dt, num_positions=positions),
+                            kappa=kappa, boundary=float(positions // 2),
+                            noise=noise, num_trials=trials,
+                            master_seed=21 + i)
+             for i, (kappa, dt) in enumerate(
+                 (k, s) for k in kappas for s in strides)]
+    errors = sweep_errors(specs)
+    alone = run_trials(specs[0])
+    assert np.array_equal(errors[0].bdr, alone.bdr, equal_nan=True)
+    assert np.array_equal(errors[0].cls, alone.cls)
+    assert np.isnan(alone.bdr).any()
+    for cell, spec, errs in zip(cells, specs, errors):
+        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+        assert [cell[k] for k in ("var_bdr", "var_cls", "R", "ci_low",
+                                  "ci_high")] == [
+            rep.var_bdr, rep.var_cls, rep.ratio_R, rep.ci_low, rep.ci_high]
+        assert cell["x_dt2_over_kappa"] == spec.grid.stride**2 / spec.kappa
+
+
 def test_kappa_slope_draws_the_noise_once(monkeypatch):
     drawn = []
     sample = stats.sample_noise_matrix
@@ -425,9 +529,9 @@ def _per_block_totals(errors, nblocks):
 def test_block_totals_match_per_block_sums(n, nblocks, nans):
     errors = np.random.default_rng(n).standard_t(2.0, n) * 3.0
     errors[nans] = np.nan
-    got = stats._block_totals(errors, nblocks)
-    assert got.shape == (nblocks, 2)
-    assert np.array_equal(got, _per_block_totals(errors, nblocks))
+    got = stats._block_totals([errors], nblocks)
+    assert got.shape == (1, nblocks, 2)
+    assert np.array_equal(got[0], _per_block_totals(errors, nblocks))
 
 
 @pytest.mark.parametrize("dt", [3.0, 0.7])

@@ -12,10 +12,9 @@ def noise_row(spec, count, seed):
     return sample_noise_matrix(spec, seed, 1, count)[0]
 
 
-def test_grid_times_and_duration():
+def test_grid_times():
     g = TimeGrid(stride=2.0, num_positions=5)
     assert np.array_equal(g.times(), [0, 2, 4, 6, 8])
-    assert g.duration == 10.0
 
 
 def test_grid_validation():

@@ -27,6 +27,11 @@ COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
     ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
      "--seed", "7"],
+    # fewer than 8 bootstrap blocks, where np.sum adds a resample's picked
+    # block totals in order rather than pairwise: 5 blocks, the benchmark's
+    # 100 trials, and 7 blocks with the last 10 errors cut
+    ["scaling", "--trials", "100", "--seed", "3"],
+    ["scaling", "--trials", "150", "--seed", "4"],
     # fractional and non-power-of-two strides: every truth is
     # (boundary + phase) * dt with the boundary in grid positions, and
     # (30 * 0.7) / 0.7 != 30, so these sweeps move if a boundary passes
