@@ -25,7 +25,7 @@ the distance side never reads kappa and runs in grid units. The
 classification side searches the plateau window of each of the cell's
 truths, with stream 2 per cell. run_trials is the one-cell sweep.
 scaling_sweep runs the (kappa, stride) grid through sweep_errors and adds a
-bootstrap per cell and the slope fit. cls_variance_kappa_slope draws
+report per cell and the slope fit. cls_variance_kappa_slope draws
 streams 0 and 2 once per call, stream 2 for its widest kappa, and reuses
 them for every kappa.
 
@@ -36,15 +36,11 @@ windows, one neighbour each side and their smoothing support). A chunk
 holds as many trials as fit CLS_CHUNK_VALUES band values, which bounds its
 working memory.
 
-The distance side's readout and the bootstrap are batched too: one
+The distance side's readout and the reports are batched too: one
 extract_boundaries call finds the crossings of every fitted row, and
-variance_ratios reports every cell of a sweep in one pass. Its one
-_block_totals call reads every error series of every cell as one
-(series, blocks, BOOTSTRAP_BLOCK) array, and its one blocked_bootstrap call
-draws and gathers one cell at a time, each from its own seed, into one
-(cells, resamples) matrix of statistics that one percentile call reads.
-variance_ratio is the one-cell case. Each gives the bits of its per-trial,
-per-block and per-cell forms.
+variance_ratios reports every cell of a sweep in one pass, each cell's CI
+on R in closed form (the delta method on log R), so no report draws a
+random number. variance_ratio is the one-cell case.
 """
 
 from __future__ import annotations
@@ -73,9 +69,8 @@ CLS_SMOOTH_FACTOR = 1.5
 # side. Each pass holds a few temporaries of this size; batching every
 # trial at once would hold several copies of the whole noise matrix.
 CLS_CHUNK_VALUES = 64 * 200
-# variance_ratio's CI: consecutive trials per bootstrap block, and resamples.
-BOOTSTRAP_BLOCK = 20
-BOOTSTRAP_RESAMPLES = 2000
+# The standard normal's 97.5% quantile: variance_ratio's CI is 95%.
+Z_95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -349,80 +344,87 @@ def blocked_bootstrap(totals, num_resamples: int, seeds, statistic=None):
     return np.percentile(stat, [2.5, 97.5], axis=-1).T
 
 
-def _block_totals(series, nblocks: int) -> np.ndarray:
-    """Per-block [sum of squares, count] over the finite errors of each
-    error series: a (len(series), nblocks, 2) array, one row per block of
-    BOOTSTRAP_BLOCK consecutive errors.
-
-    Each series is cut or NaN-padded to nblocks whole blocks, and all of
-    them are read as one (series, nblocks, BOOTSTRAP_BLOCK) array. A reduce
-    along its last axis sums a block exactly as np.sum sums it alone; a
-    block with a non-finite error sums its finite squares on their own, as
-    zero-filling would regroup the pairwise sum.
-    """
-    blocks = np.full((len(series), nblocks * BOOTSTRAP_BLOCK), np.nan)
-    for row, errors in zip(blocks, series):
-        n = min(len(errors), row.size)
-        row[:n] = errors[:n]
-    blocks = blocks.reshape(len(series), nblocks, BOOTSTRAP_BLOCK)
-    finite = np.isfinite(blocks)
-    counts = finite.sum(axis=-1)
-    squares = np.square(blocks, out=blocks)
-    sums = np.add.reduce(squares, axis=-1)
-    for s, k in zip(*np.nonzero(counts < BOOTSTRAP_BLOCK)):
-        sums[s, k] = np.sum(squares[s, k][finite[s, k]])
-    return np.stack([sums, counts], axis=-1)
+def _relative_squares(errors: np.ndarray, mse: np.ndarray):
+    """(x^2 / m, finite) of a (cells, n) stack of errors x and each cell's
+    MSE m: 0 where an error is not finite or m is not positive."""
+    finite = np.isfinite(errors)
+    x = np.where(finite, errors, 0.0)
+    m = mse[:, None]
+    return np.divide(x * x, m, out=np.zeros_like(x), where=m > 0), finite
 
 
-def _ratio_of_mse(sums: np.ndarray) -> np.ndarray:
-    """MSE ratio per resample from [Σb², n_b, Σc², n_c]; NaN unless positive."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = sums[:, 2] / sums[:, 3]
-        return np.where(denom > 0, sums[:, 0] / sums[:, 1] / denom, np.nan)
+def _cov(x: np.ndarray, y: np.ndarray, mask: np.ndarray):
+    """(covariance with ddof 1, count) of each row of the finite x and y
+    over the row's masked entries; the covariance is 0 in a row with fewer
+    than 2."""
+    n = mask.sum(axis=1, keepdims=True)
+    xc, yc = ((v - (v * mask).sum(axis=1, keepdims=True) / np.maximum(n, 1))
+              * mask for v in (x, y))
+    return (xc * yc).sum(axis=1) / np.maximum(n[:, 0] - 1, 1), n[:, 0]
 
 
-def variance_ratios(errors, seeds) -> list:
+def _log_ratio_variance(eb: np.ndarray, ec: np.ndarray, mb: np.ndarray,
+                        mc: np.ndarray) -> np.ndarray:
+    """Delta-method variance of log(m_b / m_c) per cell of the (cells, n_b)
+    and (cells, n_c) error stacks, clamped at 0:
+
+        s2(b2) / (n_b m_b^2) + s2(c2) / (n_c m_c^2)
+        - 2 cov(b2, c2) n_bc / (n_b n_c m_b m_c)
+
+    over each side's n finite squared errors, s2 and cov with ddof 1, and
+    the covariance over the n_bc trials both series hold with both errors
+    finite. Each term is read off the squares over their side's MSE, so an
+    all-zero side (m = 0) adds 0 and divides nothing. A cell with a side of
+    fewer than 2 finite errors gives 0."""
+    u, fb = _relative_squares(eb, mb)
+    v, fc = _relative_squares(ec, mc)
+    var_u, nb = _cov(u, u, fb)
+    var_v, nc = _cov(v, v, fc)
+    k = min(u.shape[1], v.shape[1])
+    cov, nbc = _cov(u[:, :k], v[:, :k], fb[:, :k] & fc[:, :k])
+    nb1, nc1 = np.maximum(nb, 1), np.maximum(nc, 1)
+    var = var_u / nb1 + var_v / nc1 - 2.0 * cov * nbc / (nb1 * nc1)
+    return np.where((nb >= 2) & (nc >= 2), np.maximum(var, 0.0), 0.0)
+
+
+def variance_ratios(errors) -> list:
     """One VarianceReport per TrialErrors cell of `errors`, in order: the
-    variances about the truth (MSE form), their ratio, and a bootstrap CI
-    drawn from the cell's seed in `seeds`.
+    variances about the truth (MSE form), their ratio R and its 95% CI.
 
-    The CI resamples blocks of BOOTSTRAP_BLOCK consecutive trials jointly
-    for both estimators, playing the role of exchangeable groups. The cells'
-    bdr series share one length, and so do their cls series, so every cell
-    has the same blocks: one _block_totals call sums every series and one
-    blocked_bootstrap call resamples every cell, and each cell's report is
-    that of the cell alone bit for bit. With fewer than two blocks the CI is
-    the ratio itself; no cells give no reports.
+    The CI is the delta-method interval on log R: R exp(-+Z_95 sd) with sd
+    from _log_ratio_variance, so it always holds R, draws nothing and
+    needs no seed. The trials of a cell are independent, and the two series
+    of a cell may differ in length. The cells' bdr series share one length,
+    and so do their cls series, so every cell's interval comes from one
+    (cells, n) stack per side. A NaN R gives NaN bounds; no cells give no
+    reports.
     """
     if not errors:
         return []
-    eb = [np.asarray(e.bdr, dtype=float) for e in errors]
-    ec = [np.asarray(e.cls, dtype=float) for e in errors]
-    for side in (eb, ec):
+    sides = []
+    for side in ([e.bdr for e in errors], [e.cls for e in errors]):
+        side = [np.asarray(e, dtype=float) for e in side]
         if len({e.size for e in side}) != 1:
             raise ValueError("error series must have one length per side")
         if side[0].size == 0:
             raise ValueError("error series must be non-empty")
-    mses = [(_mse(b), _mse(c)) for b, c in zip(eb, ec)]
-    if not all(vc > 0 for _, vc in mses):
+        sides.append(np.stack(side))
+    eb, ec = sides
+    mb = np.array([_mse(e) for e in eb])
+    mc = np.array([_mse(e) for e in ec])
+    if not np.all(mc > 0):
         raise ValueError("degenerate denominator")
-    nblocks = max(eb[0].size, ec[0].size) // BOOTSTRAP_BLOCK
-    if nblocks >= 2:
-        totals = _block_totals(eb + ec, nblocks)
-        # each cell's groups hold [sum b^2, n_b, sum c^2, n_c]
-        bounds = blocked_bootstrap(
-            np.concatenate([totals[:len(eb)], totals[len(eb):]], axis=-1),
-            BOOTSTRAP_RESAMPLES, seeds, _ratio_of_mse).tolist()
-    else:
-        bounds = [(vb / vc,) * 2 for vb, vc in mses]
-    return [VarianceReport(vb, vc, vb / vc, lo, hi)
-            for (vb, vc), (lo, hi) in zip(mses, bounds)]
+    ratio = mb / mc
+    half = Z_95 * np.sqrt(_log_ratio_variance(eb, ec, mb, mc))
+    return [VarianceReport(*row) for row in zip(
+        mb.tolist(), mc.tolist(), ratio.tolist(),
+        (ratio * np.exp(-half)).tolist(), (ratio * np.exp(half)).tolist())]
 
 
-def variance_ratio(errors_bdr, errors_cls, seed: int = 0) -> VarianceReport:
+def variance_ratio(errors_bdr, errors_cls) -> VarianceReport:
     """The VarianceReport of one pair of error series: the one-cell
     variance_ratios."""
-    return variance_ratios([TrialErrors(errors_bdr, errors_cls)], [seed])[0]
+    return variance_ratios([TrialErrors(errors_bdr, errors_cls)])[0]
 
 
 def holm_bonferroni(p_values):
@@ -490,13 +492,13 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     (num_positions // 2 + phase) * dt. So var_bdr is exactly dt^2 times the
     stride-1 value and every cell reports the same failures, the count of
     its NaN distance errors. Cell i draws its classification noise (stream
-    2) and its bootstrap from master_seed + i, so the classification side
-    stays independent per cell; one variance_ratios call reports every
-    cell. Every cell's spec is built, and so validated, and the cells are
-    checked for a finite dt^2/kappa each and two distinct ones, which the
-    slope fit needs, before any fitting; a cell whose R is not finite and
-    positive, which the slope fit cannot take, raises ValueError naming
-    that cell.
+    2) from master_seed + i, so the classification side stays independent
+    per cell. One variance_ratios call reports every cell, each CI in
+    closed form, so the reports draw nothing. Every cell's spec is built,
+    and so validated, and the cells are checked for a finite dt^2/kappa
+    each and two distinct ones, which the slope fit needs, before any
+    fitting; a cell whose R is not finite and positive, which the slope
+    fit cannot take, raises ValueError naming that cell.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
@@ -523,7 +525,7 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     if len(set(xs)) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
     errors = sweep_errors(specs)
-    reports = variance_ratios(errors, [spec.master_seed for spec in specs])
+    reports = variance_ratios(errors)
     cells = []
     for (kappa, dt), x, errs, rep in zip(conds, xs, errors, reports):
         if not 0 < rep.ratio_R < np.inf:  # the slope fit takes log R
@@ -548,7 +550,7 @@ def correlation_robustness(base_spec: ExperimentSpec, rhos):
     errors = [run_trials(replace(base_spec, noise=replace(base_spec.noise,
                                                           rho=rho)))
               for rho in rhos]
-    reports = variance_ratios(errors, [base_spec.master_seed] * len(rhos))
+    reports = variance_ratios(errors)
     return {rho: rep.ratio_R for rho, rep in zip(rhos, reports)}
 
 

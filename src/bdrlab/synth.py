@@ -76,8 +76,10 @@ def make_distance_field(grid: TimeGrid, boundaries) -> np.ndarray:
     return t - b[idx]
 
 
-# The largest kernel width whose 2 kappa^2 is a finite float.
+# The largest kernel width whose 2 kappa^2 is a finite float, and the width
+# from which up 2 kappa^2 is a normal float; below about 1.5e-162 it is 0.
 KAPPA_MAX = math.sqrt(sys.float_info.max / 2)
+KAPPA_MIN = math.sqrt(sys.float_info.min / 2)
 
 
 def make_kernel_features(grid: TimeGrid, center, kappa: float,
@@ -87,15 +89,20 @@ def make_kernel_features(grid: TimeGrid, center, kappa: float,
     A scalar center gives one row of T values; an array of centers gives
     one row per center. `cols` keeps only those grid columns; they equal
     the same columns of the full rows bit for bit. A kappa above KAPPA_MAX
-    counts as not finite: its 2 kappa^2 overflows.
+    counts as not finite: its 2 kappa^2 overflows. A kappa below KAPPA_MIN
+    counts as not positive: its 2 kappa^2 may be subnormal, and is 0 below
+    about 1.5e-162, where the center's 0 / 0 would be NaN. Far from the
+    center, where the exponent's quotient overflows to inf, the feature is
+    exp(-inf) = 0, the bump's value there.
     """
-    if not 0.0 < kappa <= KAPPA_MAX:  # NaN fails the comparison too
+    if not KAPPA_MIN <= kappa <= KAPPA_MAX:  # NaN fails the comparison too
         raise ValueError("kappa must be finite and positive")
     c = np.asarray(center, dtype=float)[..., None]
     if not np.all(np.isfinite(c)):
         raise ValueError("centers must be finite")
     t = grid.times()[cols]
-    return np.exp(-((t - c) ** 2) / (2.0 * kappa**2))
+    with np.errstate(over="ignore"):
+        return np.exp(-((t - c) ** 2) / (2.0 * kappa**2))
 
 
 # Block length of the blocked scan: each row of its block matrix steps a

@@ -55,7 +55,7 @@ def test_width_stratified_monotonicity(full_sweep):
             boundary=100.0, noise=NoiseSpec(), num_trials=TRIALS,
             master_seed=2000 + i)
         errs = run_trials(spec)
-        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+        rep = variance_ratio(errs.bdr, errs.cls)
         rows.append((2 * kappa, dt, rep.ratio_R))
     bins = width_stratified_R(rows)
     assert all(b is not None for b in bins)

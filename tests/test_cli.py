@@ -147,11 +147,18 @@ def test_no_gate_overrides_a_config_gate(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# a kappa whose 2 kappa^2 overflows a float, alone or in a sweep
+# a kappa whose 2 kappa^2 overflows a float or underflows to 0, alone or in
+# a sweep; an underflowing one would divide 0 by 0 and write NaN
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--series", "features", "--kappa", "1e200"],
      "--kappa must be finite and positive"),
     (["scaling", "--kappas", "1e200,2,4", "--trials", "40",
+      "--num-positions", "60", "--seed", "1"],
+     "--kappas must be finite and positive"),
+    (["synth", "--series", "features", "--kappa", "1e-200",
+      "--num-positions", "6", "--boundaries", "2"],
+     "--kappa must be finite and positive"),
+    (["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "40",
       "--num-positions", "60", "--seed", "1"],
      "--kappas must be finite and positive")])
 def test_overflowing_kappa_exits_usage(tmp_path, capsys, argv, message):

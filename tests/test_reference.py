@@ -67,8 +67,7 @@ from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
                           _cls_band, _cls_errors, _noise_rows, _truths,
                           blocked_bootstrap,
-                          finite_sample_variance_check, loglog_slope,
-                          variance_ratio)
+                          finite_sample_variance_check, loglog_slope)
 from bdrlab.synth import (SCAN_BLOCK, SCAN_MIN_ROWS, NoiseSpec, TimeGrid,
                           _apply_ar1, _ar1_warmup, make_kernel_features,
                           sample_noise_matrix)
@@ -99,6 +98,29 @@ def reference_ratio_ci(eb, ec, block_size=20, num_resamples=2000, seed=0):
         return float(np.mean(b**2) / denom) if denom > 0 else np.nan
 
     return reference_bootstrap(pairs, num_resamples, seed, stat)
+
+
+def ratio_block_totals(eb, ec, block_size=20):
+    """Per block of block_size consecutive trials, [sum b^2, n_b, sum c^2,
+    n_c] over the block's finite errors, as one (1, nblocks, 4) stack."""
+    nblocks = max(len(eb), len(ec)) // block_size
+    rows = []
+    for i in range(nblocks):
+        row = []
+        for e in (eb, ec):
+            g = e[i * block_size:(i + 1) * block_size]
+            g = g[np.isfinite(g)]
+            row += [np.sum(g**2), g.size]
+        rows.append(row)
+    return np.array([rows], dtype=float)
+
+
+def ratio_of_mse(sums):
+    """MSE ratio per resample from [sum b^2, n_b, sum c^2, n_c]; NaN unless
+    the denominator is positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = sums[:, 2] / sums[:, 3]
+        return np.where(denom > 0, sums[:, 0] / sums[:, 1] / denom, np.nan)
 
 
 def huber_grad(r, delta, T):
@@ -340,7 +362,7 @@ def test_stacked_bootstrap_matches_one_cell_at_a_time(n, nan_share):
     seeds = [7, 8, 7, 1000]
 
     def statistic(sums):
-        ratio = stats._ratio_of_mse(sums)
+        ratio = ratio_of_mse(sums)
         ratio[sums[:, 0] < np.quantile(sums[:, 0], nan_share)] = np.nan
         return ratio
 
@@ -350,6 +372,8 @@ def test_stacked_bootstrap_matches_one_cell_at_a_time(n, nan_share):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+# the blocked bootstrap CI of the MSE ratio over 20-trial blocks, from the
+# blocks' totals, against the loop over resamples of the raw blocks
 @pytest.mark.parametrize("fail_rate", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("n_bdr,n_cls", [(400, 400), (410, 400), (333, 400)])
 def test_variance_ratio_ci_matches_reference(fail_rate, n_bdr, n_cls):
@@ -357,10 +381,11 @@ def test_variance_ratio_ci_matches_reference(fail_rate, n_bdr, n_cls):
     eb = rng.laplace(0.0, 0.7, n_bdr)
     eb[rng.uniform(size=n_bdr) < fail_rate] = np.nan  # failed extractions
     ec = rng.normal(0.0, 1.0, n_cls)
-    rep = variance_ratio(eb, ec, seed=3)
+    (got,) = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, [3],
+                               ratio_of_mse)
     lo, hi = reference_ratio_ci(eb, ec, seed=3)
-    assert rep.ci_low == pytest.approx(lo, rel=1e-12)
-    assert rep.ci_high == pytest.approx(hi, rel=1e-12)
+    assert got[0] == pytest.approx(lo, rel=1e-12)
+    assert got[1] == pytest.approx(hi, rel=1e-12)
 
 
 def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
@@ -368,10 +393,11 @@ def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
     eb = rng.laplace(0.0, 0.7, 100)
     eb[20:40] = np.nan
     ec = rng.normal(0.0, 1.0, 100)
-    rep = variance_ratio(eb, ec, seed=1)
+    (got,) = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, [1],
+                               ratio_of_mse)
     lo, hi = reference_ratio_ci(eb, ec, seed=1)
-    assert rep.ci_low == pytest.approx(lo, rel=1e-12)
-    assert rep.ci_high == pytest.approx(hi, rel=1e-12)
+    assert got[0] == pytest.approx(lo, rel=1e-12)
+    assert got[1] == pytest.approx(hi, rel=1e-12)
 
 
 def _noisy_rows(T, noise, stride, rows, seed):

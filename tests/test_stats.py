@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -241,33 +242,120 @@ def test_constant_columns_sum_as_np_sum_does():
     assert seen[0].tobytes() == want.tobytes()
 
 
-def test_block_totals_of_a_stack_are_one_call_per_series():
-    # series of several lengths, cut or padded to 20 blocks, with no NaN, a
-    # few, a whole NaN block and nothing but NaN
-    rng = np.random.default_rng(4)
-    series = [rng.standard_t(2.0, n) * 3.0 for n in (400, 410, 333, 400, 400)]
-    series[1][[3, 77, 78, 399]] = np.nan
-    series[3][40:60] = np.nan
-    series[4][:] = np.nan
-    got = stats._block_totals(series, 20)
-    assert got.shape == (5, 20, 2)
-    for errors, totals in zip(series, got):
-        assert totals.tobytes() == stats._block_totals([errors], 20)[0].tobytes()
-        assert np.array_equal(totals, _per_block_totals(errors, 20))
-
-
 def test_variance_ratios_takes_one_length_per_side():
     rng = np.random.default_rng(0)
     cells = [stats.TrialErrors(rng.normal(size=400), rng.normal(size=n))
              for n in (400, 333)]
     with pytest.raises(ValueError, match="one length per side"):
-        variance_ratios(cells, [0, 1])
-    assert variance_ratios([], []) == []
+        variance_ratios(cells)
+    assert variance_ratios([]) == []
     # the sides may differ in length from each other
     cells[1] = stats.TrialErrors(cells[1].bdr, rng.normal(size=400))
-    reps = variance_ratios(cells[::-1], [1, 0])
-    assert reps == [variance_ratio(c.bdr, c.cls, seed=s)
-                    for c, s in zip(cells[::-1], [1, 0])]
+    reps = variance_ratios(cells[::-1])
+    assert reps == [variance_ratio(c.bdr, c.cls) for c in cells[::-1]]
+
+
+def _formula_ci(eb, ec):
+    """The delta-method 95% CI on log R of one cell, term by term."""
+    fb, fc = np.isfinite(eb), np.isfinite(ec)
+    b2, c2 = eb[fb] ** 2, ec[fc] ** 2
+    mb, mc = np.mean(b2), np.mean(c2)
+    k = min(len(eb), len(ec))
+    both = fb[:k] & fc[:k]
+    pb, pc = eb[:k][both] ** 2, ec[:k][both] ** 2
+    cov = np.cov(pb, pc, ddof=1)[0, 1] if both.sum() >= 2 else 0.0
+    var = (np.var(b2, ddof=1) / (b2.size * mb**2)
+           + np.var(c2, ddof=1) / (c2.size * mc**2)
+           - 2 * cov * both.sum() / (b2.size * c2.size * mb * mc))
+    sd = np.sqrt(max(var, 0.0))
+    z = 1.959963984540054
+    return mb / mc * np.exp(-z * sd), mb / mc * np.exp(z * sd)
+
+
+# equal and unequal lengths (the longer side's extra trials have no
+# partner), NaN failures on either side, and distance errors tied to the
+# classification errors, which the covariance term narrows
+@pytest.mark.parametrize("n_bdr, n_cls, fail_rate, tie", [
+    (400, 400, 0.0, 0.0), (410, 400, 0.05, 0.0), (400, 410, 0.3, 0.0),
+    (333, 400, 0.05, 0.9), (400, 400, 0.0, 0.5)])
+def test_variance_ratios_match_the_formula_cell_by_cell(n_bdr, n_cls,
+                                                         fail_rate, tie):
+    rng = np.random.default_rng(n_bdr + n_cls)
+    cells = []
+    for scale in (0.7, 1.5, 0.2):
+        ec = rng.normal(0.0, 1.0, n_cls)
+        eb = rng.laplace(0.0, scale, n_bdr)
+        k = min(n_bdr, n_cls)
+        eb[:k] = tie * scale * ec[:k] + (1 - tie) * eb[:k]
+        eb[rng.uniform(size=n_bdr) < fail_rate] = np.nan
+        ec[rng.uniform(size=n_cls) < fail_rate / 2] = np.nan
+        cells.append(stats.TrialErrors(eb, ec))
+    for cell, rep in zip(cells, variance_ratios(cells)):
+        lo, hi = _formula_ci(cell.bdr, cell.cls)
+        assert rep.ci_low == pytest.approx(lo, rel=1e-12)
+        assert rep.ci_high == pytest.approx(hi, rel=1e-12)
+        assert rep.ci_low < rep.ratio_R < rep.ci_high
+
+
+def test_covariance_pairs_only_the_trials_both_series_hold():
+    # the 10 distance errors past the classification series and the trials
+    # where either error failed take no part in the covariance: changing
+    # them moves the CI only through the distance side's own variance, which
+    # a copy with those errors swapped among themselves keeps
+    rng = np.random.default_rng(3)
+    ec = rng.normal(0.0, 1.0, 400)
+    eb = 0.5 * ec + rng.normal(0.0, 0.1, 400)
+    eb = np.append(eb, rng.normal(0.0, 3.0, 10))
+    eb[[5, 17]] = np.nan
+    ec[[9, 17]] = np.nan
+    swapped = eb.copy()
+    moved = [400, 409, 9]  # unpaired, unpaired, paired with a failure
+    swapped[moved] = eb[moved[::-1]]
+    a, b = variance_ratio(eb, ec), variance_ratio(swapped, ec)
+    assert (a.ci_low, a.ci_high) == pytest.approx((b.ci_low, b.ci_high),
+                                                  rel=1e-12)
+    # ...while swapping two paired errors moves it
+    swapped[[0, 1]] = eb[[1, 0]]
+    c = variance_ratio(swapped, ec)
+    assert c.ci_low != pytest.approx(a.ci_low, rel=1e-6)
+    assert c.ratio_R == a.ratio_R
+
+
+def test_all_zero_distance_side_gives_a_zero_interval():
+    # R = 0; the variance term divides by no zero MSE, so no RuntimeWarning
+    ec = np.random.default_rng(0).normal(size=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = variance_ratio(np.zeros(100), ec)
+    assert (rep.ratio_R, rep.ci_low, rep.ci_high) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("eb, ec", [
+    ([np.nan, 2.0, np.nan], [1.0, 2.0, 3.0]),   # one finite distance error
+    ([1.0, 2.0, 3.0], [np.nan, np.nan, 2.0]),   # one finite cls error
+    ([5.0], [1.0])])                            # one trial
+def test_a_side_with_fewer_than_two_errors_gives_the_ratio(eb, ec):
+    rep = variance_ratio(np.array(eb), np.array(ec))
+    assert rep.ci_low == rep.ratio_R == rep.ci_high
+    assert np.isfinite(rep.ratio_R)
+
+
+def test_a_nan_ratio_gives_nan_bounds():
+    # every extraction failed: no distance MSE, so no R and no interval
+    rep = variance_ratio(np.full(50, np.nan), np.ones(50))
+    assert np.isnan([rep.var_bdr, rep.ratio_R, rep.ci_low, rep.ci_high]).all()
+
+
+def test_variance_ratios_is_variance_ratio_per_cell_bit_for_bit():
+    rng = np.random.default_rng(11)
+    bdr = [rng.laplace(0.0, 0.7, 300), np.zeros(300), np.full(300, np.nan),
+           rng.standard_t(1.5, 300)]
+    bdr[3][::9] = np.nan
+    bdr[0][299] = np.nan
+    cells = [stats.TrialErrors(b, rng.normal(0.0, 1.0, 280)) for b in bdr]
+    got = np.array([astuple(r) for r in variance_ratios(cells)])
+    want = np.array([astuple(variance_ratio(c.bdr, c.cls)) for c in cells])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_holm_bonferroni():
@@ -336,7 +424,7 @@ def test_correlation_rho_zero_matches_baseline():
     spec = _spec(num_trials=200, kappa=4.0)
     out = correlation_robustness(spec, [0.0])
     errs = run_trials(spec)
-    rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+    rep = variance_ratio(errs.bdr, errs.cls)
     assert out[0.0] == pytest.approx(rep.ratio_R)
 
 
@@ -379,7 +467,7 @@ def test_run_trials_depends_only_on_kappa_over_stride(kappa, dt):
                      boundary=50.0, noise=NoiseSpec(family="student_t"),
                      num_trials=400, master_seed=5)
         errs = run_trials(spec)
-        return errs, variance_ratio(errs.bdr, errs.cls, seed=5)
+        return errs, variance_ratio(errs.bdr, errs.cls)
 
     (a, rep_a), (b, rep_b) = cell(kappa, dt), cell(2 * kappa, 2 * dt)
     assert np.isnan(a.bdr).any()
@@ -413,18 +501,19 @@ def test_sweep_cell_is_run_trials_on_its_spec():
                           kappa=0.75, boundary=30.0, noise=NoiseSpec(),
                           num_trials=400, master_seed=9)
     errs = run_trials(spec)
-    rep = variance_ratio(errs.bdr, errs.cls, seed=9)
+    rep = variance_ratio(errs.bdr, errs.cls)
     assert [cells[0][k] for k in ("var_bdr", "var_cls", "R", "ci_low",
                                   "ci_high")] == [
         rep.var_bdr, rep.var_cls, rep.ratio_R, rep.ci_low, rep.ci_high]
 
 
-# 5 blocks, summed in order, and 100 whole blocks plus 10 cut errors, summed
-# pairwise; heavy tails leave NaN distance errors, some blocks holding one
+# the benchmark's 100 trials, and 2010 trials at a short T; heavy tails leave
+# NaN distance errors
 @pytest.mark.parametrize("trials, positions", [(100, 200), (2010, 80)])
 def test_every_sweep_cell_is_variance_ratio_of_its_errors(trials, positions):
     # the one variance_ratios call gives each cell the report of its own
-    # errors and seed alone; cell 0's errors are run_trials on its spec
+    # errors alone, its CI holding R; cell 0's errors are run_trials on its
+    # spec
     noise = NoiseSpec(family="student_t", nu=1.2, scale=1.0)
     kappas, strides = [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0]
     cells, *_ = scaling_sweep(kappas, strides, positions, noise, trials, 21)
@@ -440,10 +529,12 @@ def test_every_sweep_cell_is_variance_ratio_of_its_errors(trials, positions):
     assert np.array_equal(errors[0].cls, alone.cls)
     assert np.isnan(alone.bdr).any()
     for cell, spec, errs in zip(cells, specs, errors):
-        rep = variance_ratio(errs.bdr, errs.cls, seed=spec.master_seed)
+        rep = variance_ratio(errs.bdr, errs.cls)
         assert [cell[k] for k in ("var_bdr", "var_cls", "R", "ci_low",
                                   "ci_high")] == [
             rep.var_bdr, rep.var_cls, rep.ratio_R, rep.ci_low, rep.ci_high]
+        assert cell["ci_low"] <= cell["R"] <= cell["ci_high"]
+        assert cell["ci_low"] < cell["ci_high"]
         assert cell["x_dt2_over_kappa"] == spec.grid.stride**2 / spec.kappa
 
 
@@ -507,31 +598,6 @@ def test_nearest_crossing_errors_match_the_per_row_rule():
     assert np.array_equal(got, want, equal_nan=True)
     assert got[-2] == -5.0 and np.isnan(got[-1])
     assert np.isnan(got[:-2]).any()
-
-
-def _per_block_totals(errors, nblocks):
-    """[sum of squares, count] of the finite errors of each block alone."""
-    B = stats.BOOTSTRAP_BLOCK
-    out = []
-    for i in range(nblocks):
-        b = errors[i * B:(i + 1) * B]
-        out.append([np.sum(b[np.isfinite(b)] ** 2), np.isfinite(b).sum()])
-    return np.array(out, dtype=float)
-
-
-@pytest.mark.parametrize("n, nblocks, nans", [
-    (400, 20, []),                        # no NaN
-    (400, 20, [3, 77, 78, 399]),          # a few NaN
-    (400, 20, list(range(40, 60))),       # one all-NaN block
-    (2010, 100, [2005]),                  # a trailing partial block, cut
-    (333, 20, [5]),                       # the shorter of two series
-])
-def test_block_totals_match_per_block_sums(n, nblocks, nans):
-    errors = np.random.default_rng(n).standard_t(2.0, n) * 3.0
-    errors[nans] = np.nan
-    got = stats._block_totals([errors], nblocks)
-    assert got.shape == (1, nblocks, 2)
-    assert np.array_equal(got[0], _per_block_totals(errors, nblocks))
 
 
 @pytest.mark.parametrize("dt", [3.0, 0.7])

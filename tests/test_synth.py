@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdrlab.synth import (KAPPA_MAX, NoiseSpec, TimeGrid, _apply_ar1,
-                          make_distance_field, make_kernel_features,
-                          sample_noise_matrix)
+from bdrlab.synth import (KAPPA_MAX, KAPPA_MIN, NoiseSpec, TimeGrid,
+                          _apply_ar1, make_distance_field,
+                          make_kernel_features, sample_noise_matrix)
 
 
 def noise_row(spec, count, seed):
@@ -102,10 +102,15 @@ def test_kernel_feature_columns_equal_the_full_rows(cols):
 
 def test_kernel_kappa_validation():
     g = TimeGrid(stride=1.0, num_positions=10)
-    # 2 kappa^2 is finite up to KAPPA_MAX and overflows past it
+    # 2 kappa^2 is finite up to KAPPA_MAX and overflows past it; it is a
+    # normal float from KAPPA_MIN up, where every off-center quotient
+    # overflows and gives 0 without a warning
     assert np.all(make_kernel_features(g, 5.0, KAPPA_MAX) == 1.0)
+    assert np.array_equal(make_kernel_features(g, 5.0, KAPPA_MIN),
+                          np.arange(10) == 5)
     for kappa in (0.0, float("nan"), float("inf"),
-                  np.nextafter(KAPPA_MAX, np.inf), 1e200):
+                  np.nextafter(KAPPA_MAX, np.inf), 1e200,
+                  np.nextafter(KAPPA_MIN, 0.0), 1e-200, 5e-324):
         with pytest.raises(ValueError, match="kappa"):
             make_kernel_features(g, 5.0, kappa)
     with pytest.raises(ValueError, match="finite"):

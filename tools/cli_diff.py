@@ -27,9 +27,8 @@ COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
     ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
      "--seed", "7"],
-    # fewer than 8 bootstrap blocks, where np.sum adds a resample's picked
-    # block totals in order rather than pairwise: 5 blocks, the benchmark's
-    # 100 trials, and 7 blocks with the last 10 errors cut
+    # small sweeps, where the CIs are widest: the benchmark's 100 trials
+    # per cell, and 150
     ["scaling", "--trials", "100", "--seed", "3"],
     ["scaling", "--trials", "150", "--seed", "4"],
     # fractional and non-power-of-two strides: every truth is
@@ -41,8 +40,8 @@ COMMANDS = [
     ["scaling", "--kappas", "0.75,1.5,3", "--strides", "1.1,0.7,3",
      "--trials", "400", "--num-positions", "61", "--seed", "9"],
     # heavy tails: many fitted rows hold two or more crossings before
-    # suppression and some none, and 2010 trials end in a partial
-    # bootstrap block
+    # suppression and some none, so NaN distance errors enter every
+    # cell's report
     ["scaling", "--noise-family", "student_t", "--nu", "1.2",
      "--noise-scale", "1.0", "--trials", "2010", "--seed", "11"],
     *(["atr-sim", "--length", "250000", "--seed", str(s)] for s in SEEDS),
