@@ -51,7 +51,8 @@ import numpy as np
 
 from .estimators import (BDRLossConfig, FitConfig, extract_boundaries,
                          fit_distance, moving_average, quadratic_peak_offset)
-from .synth import NoiseSpec, TimeGrid, make_kernel_features, sample_noise_matrix
+from .synth import (KAPPA_MAX, KAPPA_MIN, NoiseSpec, TimeGrid,
+                    make_kernel_features, sample_noise_matrix)
 
 # Fit/search settings used by the variance experiments. The distance fitter
 # gets a stronger slope prior than the loss default: with free per-position
@@ -92,7 +93,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.grid.num_positions < 3:
             raise ValueError("num_positions must be >= 3")
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
+        if not KAPPA_MIN <= self.kappa <= KAPPA_MAX:  # as make_kernel_features
             raise ValueError("kappa must be finite and positive")
         if self.num_trials < 2:
             raise ValueError("num_trials must be >= 2")
@@ -298,50 +299,26 @@ def _mse(errors: np.ndarray) -> float:
     return float(np.mean(e**2)) if e.size else np.nan
 
 
-def blocked_bootstrap(totals, num_resamples: int, seeds, statistic=None):
-    """95% CIs from resampling whole groups with replacement, one per cell.
+def blocked_bootstrap(totals, num_resamples: int, seed, statistic=None):
+    """95% CI from resampling whole groups with replacement.
 
-    `totals` is a (cells, n_groups, k) stack of per-group totals and
-    `seeds` holds one seed per cell; one resample sums the totals of its
-    picked groups. `statistic` maps a cell's (num_resamples, k) resampled
-    sums to one value per resample (default: column 0 / column 1, a mean
-    from a sum and a count). Returns a (cells, 2) array of (low, high).
+    `totals` is an (n_groups, k) array of per-group totals; one resample
+    sums the totals of its picked groups. `statistic` maps the
+    (num_resamples, k) resampled sums to one value per resample (default:
+    column 0 / column 1, a mean from a sum and a count). Returns (low, high).
 
-    Each cell draws all its picks from its own default_rng(seed) in one
-    call, which gives the same picks as one draw per resample, and sums
-    each column's picked totals along the rows of the (num_resamples,
-    n_groups) gather, so a cell's bounds are those of a stack of that cell
-    alone, bit for bit. A column that holds one nonnegative integer c in
-    every group, such as a count of trials none of which failed, is not
-    gathered: every resample sums it to n_groups x c, exactly as np.sum
-    does, since every partial sum is an integer below 2^53. Only the
-    statistics are stacked, one row per cell, so one percentile call gives
-    every bound; a row holding NaN gives NaN bounds.
+    All picks come from default_rng(seed) in one call, which gives the same
+    picks as one draw per resample. A NaN statistic gives NaN bounds.
     """
     totals = np.asarray(totals, dtype=float)
-    cells, n, k = totals.shape
+    n = len(totals)
     if n < 2:
         raise ValueError("need at least 2 groups")
-    if len(seeds) != cells:
-        raise ValueError("need one seed per cell")
     if statistic is None:
         statistic = lambda s: s[:, 0] / s[:, 1]
-    first = totals[:, 0]
-    constant = (np.all(totals == first[:, None], axis=1)
-                & (first == np.trunc(first)) & ~np.signbit(first)
-                & (first * n < 2.0**53))
-    stat = np.empty((cells, num_resamples))
-    sums = np.empty((k, num_resamples))
-    for i, seed in enumerate(seeds):
-        picks = np.random.default_rng(seed).integers(
-            0, n, size=(num_resamples, n))
-        for col, out, same in zip(totals[i].T, sums, constant[i]):
-            if same:
-                out.fill(n * col[0])
-            else:
-                np.add.reduce(col[picks], axis=1, out=out)
-        stat[i] = statistic(sums.T)
-    return np.percentile(stat, [2.5, 97.5], axis=-1).T
+    picks = np.random.default_rng(seed).integers(0, n, size=(num_resamples, n))
+    sums = np.stack([col[picks].sum(axis=1) for col in totals.T], axis=-1)
+    return np.percentile(statistic(sums), [2.5, 97.5])
 
 
 def _relative_squares(errors: np.ndarray, mse: np.ndarray):

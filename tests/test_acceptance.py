@@ -173,8 +173,8 @@ def test_statistics_utilities():
     meta = 500
     for m in range(meta):
         groups = [rng.normal(0.0, 1.0, 1) for _ in range(50)]
-        (lo, hi), = blocked_bootstrap([[[g.sum(), g.size] for g in groups]],
-                                      1000, [m])
+        totals = [[g.sum(), g.size] for g in groups]
+        lo, hi = blocked_bootstrap(totals, 1000, m)
         hits += (lo <= 0.0 <= hi)
     assert abs(hits / meta - 0.95) <= 0.03
 

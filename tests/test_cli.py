@@ -172,7 +172,7 @@ def test_overflowing_kappa_exits_usage(tmp_path, capsys, argv, message):
 # a stride whose dt^2 overflows a float, and one whose dt^2/kappa does
 @pytest.mark.parametrize("axis", [
     ["--strides", "1e300,1,2"],
-    ["--strides", "1e150,1", "--kappas", "1e-200,1"]])
+    ["--strides", "1e150,1", "--kappas", "1e-150,1"]])
 def test_overflowing_stride_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                        capsys, axis):
     fits = []
@@ -239,13 +239,16 @@ def _record_fits(monkeypatch, fits):
 
 
 # the fifth case is a grid too short for the peak search's window, the
-# last two a gate band that no slope can be checked against
+# sixth and seventh a gate band that no slope can be checked against, the
+# last two a kappa below and above make_kernel_features' range
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
                                   ["--kappas", "1,0"], ["--strides", "1,inf"],
                                   ["--num-positions", "2"],
                                   ["--gate", "--band-low", "nan"],
                                   ["--gate", "--band-low", "1.3",
-                                   "--band-high", "0.8"]])
+                                   "--band-high", "0.8"],
+                                  ["--kappas", "1e-200,1"],
+                                  ["--kappas", "1e200,1"]])
 def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []

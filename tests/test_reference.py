@@ -13,8 +13,8 @@ the classification peak loop that smoothed, searched and refined one trial
 at a time, the batched classification side that computed every column of
 each row, the hold_previous hysteresis loop that indexed the numpy array,
 r_ece with a stable argsort that gathered both errors and sigmas, the calib
-scenario's rng.normal(0, sigma) draw, the bootstrap's two percentile
-calls and the bootstrap that resampled one cell per call.
+scenario's rng.normal(0, sigma) draw and the bootstrap's two percentile
+calls.
 
 The kernel's Huber gradient is a multiply and a clip, r * 1/(delta T)
 clipped to +-1/T, not the quotient clip(r/delta, -1, 1)/T; the two round
@@ -102,7 +102,7 @@ def reference_ratio_ci(eb, ec, block_size=20, num_resamples=2000, seed=0):
 
 def ratio_block_totals(eb, ec, block_size=20):
     """Per block of block_size consecutive trials, [sum b^2, n_b, sum c^2,
-    n_c] over the block's finite errors, as one (1, nblocks, 4) stack."""
+    n_c] over the block's finite errors, one row per block."""
     nblocks = max(len(eb), len(ec)) // block_size
     rows = []
     for i in range(nblocks):
@@ -112,7 +112,7 @@ def ratio_block_totals(eb, ec, block_size=20):
             g = g[np.isfinite(g)]
             row += [np.sum(g**2), g.size]
         rows.append(row)
-    return np.array([rows], dtype=float)
+    return np.array(rows, dtype=float)
 
 
 def ratio_of_mse(sums):
@@ -313,8 +313,7 @@ def test_bootstrap_mean_matches_reference():
     rng = np.random.default_rng(5)
     groups = [rng.normal(1.0, 2.0, rng.integers(1, 30)) for _ in range(40)]
     want = reference_bootstrap(groups, 1000, seed=9)
-    (got,) = blocked_bootstrap([[[g.sum(), g.size] for g in groups]], 1000,
-                               [9])
+    got = blocked_bootstrap([[g.sum(), g.size] for g in groups], 1000, 9)
     assert tuple(got) == pytest.approx(want, rel=1e-12)
 
 
@@ -333,14 +332,14 @@ def test_bootstrap_bounds_match_two_percentile_calls(nan_share, seed):
         drawn.append(stat)
         return stat
 
-    (got,) = blocked_bootstrap([totals], 2000, [seed], statistic=statistic)
+    got = blocked_bootstrap(totals, 2000, seed, statistic=statistic)
     (stat,) = drawn
     want = (float(np.percentile(stat, 2.5)), float(np.percentile(stat, 97.5)))
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def reference_cell_bootstrap(totals, num_resamples, seed, statistic):
-    """The earlier one-cell blocked_bootstrap: (low, high) of one
+    """A one-cell blocked bootstrap written out: (low, high) of one
     (n_groups, k) array of group totals, its column sums stacked as a
     (num_resamples, k) array and its bounds from one percentile call."""
     n = len(totals)
@@ -353,7 +352,7 @@ def reference_cell_bootstrap(totals, num_resamples, seed, statistic):
 # pairwise; the first NaN share gives none, the last all NaN statistics
 @pytest.mark.parametrize("n", [5, 7, 8, 100])
 @pytest.mark.parametrize("nan_share", [0.0, 0.3, 1.0])
-def test_stacked_bootstrap_matches_one_cell_at_a_time(n, nan_share):
+def test_one_cell_bootstrap_matches_the_reference(n, nan_share):
     rng = np.random.default_rng(n)
     totals = np.stack([
         np.column_stack([rng.laplace(0.0, 3.0, n) ** 2, rng.integers(15, 21, n),
@@ -366,10 +365,10 @@ def test_stacked_bootstrap_matches_one_cell_at_a_time(n, nan_share):
         ratio[sums[:, 0] < np.quantile(sums[:, 0], nan_share)] = np.nan
         return ratio
 
-    got = blocked_bootstrap(totals, 2000, seeds, statistic)
-    want = [reference_cell_bootstrap(cell, 2000, seed, statistic)
-            for cell, seed in zip(totals, seeds)]
-    assert got.tobytes() == np.array(want).tobytes()
+    for cell, seed in zip(totals, seeds):
+        got = blocked_bootstrap(cell, 2000, seed, statistic)
+        want = reference_cell_bootstrap(cell, 2000, seed, statistic)
+        assert got.tobytes() == want.tobytes()
 
 
 # the blocked bootstrap CI of the MSE ratio over 20-trial blocks, from the
@@ -381,8 +380,7 @@ def test_variance_ratio_ci_matches_reference(fail_rate, n_bdr, n_cls):
     eb = rng.laplace(0.0, 0.7, n_bdr)
     eb[rng.uniform(size=n_bdr) < fail_rate] = np.nan  # failed extractions
     ec = rng.normal(0.0, 1.0, n_cls)
-    (got,) = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, [3],
-                               ratio_of_mse)
+    got = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, 3, ratio_of_mse)
     lo, hi = reference_ratio_ci(eb, ec, seed=3)
     assert got[0] == pytest.approx(lo, rel=1e-12)
     assert got[1] == pytest.approx(hi, rel=1e-12)
@@ -393,8 +391,7 @@ def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
     eb = rng.laplace(0.0, 0.7, 100)
     eb[20:40] = np.nan
     ec = rng.normal(0.0, 1.0, 100)
-    (got,) = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, [1],
-                               ratio_of_mse)
+    got = blocked_bootstrap(ratio_block_totals(eb, ec), 2000, 1, ratio_of_mse)
     lo, hi = reference_ratio_ci(eb, ec, seed=1)
     assert got[0] == pytest.approx(lo, rel=1e-12)
     assert got[1] == pytest.approx(hi, rel=1e-12)

@@ -60,8 +60,7 @@ def ratio_of_mse(sums: np.ndarray) -> np.ndarray:
 def bootstrap_ci(bdr: np.ndarray, cls: np.ndarray, seed: int):
     """The blocked-bootstrap 95% CI of one cell's MSE ratio."""
     totals = np.hstack([block_totals(bdr), block_totals(cls)])
-    (bounds,) = blocked_bootstrap([totals], RESAMPLES, [seed], ratio_of_mse)
-    return tuple(bounds)
+    return tuple(blocked_bootstrap(totals, RESAMPLES, seed, ratio_of_mse))
 
 
 def coverage_row(num_trials: int, num_sweeps: int) -> dict:

@@ -65,8 +65,11 @@ COMMANDS = [
     # a command-line flag beats the file's value
     ["calib", "--config", {"samples": 100000, "bins": 5, "seed": 3},
      "--bins", "7"],
-    # a bad value: compared by exit code and the empty stdout
+    # bad values: compared by exit code and the empty stdout; the kappa is
+    # below the kernel's range
     ["calib", "--config", {"bins": "ten", "seed": 3}],
+    ["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "2000",
+     "--seed", "1"],
 ]
 FORMATS = ("csv", "json")
 
