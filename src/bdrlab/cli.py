@@ -36,10 +36,6 @@ IO_ERROR = 3
 USAGE_ERROR = 1
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
@@ -102,7 +98,8 @@ FIELD_FLAGS = {
 
 def _in_flag_terms(command: str, exc: ValueError) -> str:
     """The library's message with the field it starts with replaced by the
-    flag that sets it, e.g. "--trials must be >= 2"."""
+    flag that sets it, e.g. "--trials must be >= 2"; a message that starts
+    with no such field, as the CLI's own do, is kept as it is."""
     field, _, rest = str(exc).partition(" ")
     flag = FIELD_FLAGS.get(command, {}).get(field)
     return f"{flag} {rest}" if flag else str(exc)
@@ -119,11 +116,11 @@ def cmd_synth(args) -> int:
         values = make_distance_field(grid, args.boundaries)
     elif args.series == "features":
         if len(args.boundaries) != 1:
-            raise UsageError("--series features takes exactly one boundary")
+            raise ValueError("--series features takes exactly one boundary")
         values = make_kernel_features(grid, args.boundaries[0], args.kappa)
     else:  # noisy observations of the distance field
         if args.seed is None:
-            raise UsageError("--seed is required for noisy generation")
+            raise ValueError("--seed is required for noisy generation")
         clean = make_distance_field(grid, args.boundaries)
         eps = sample_noise_matrix(_noise_from(args), args.seed, 1,
                                   grid.num_positions)[0]
@@ -136,10 +133,10 @@ def cmd_synth(args) -> int:
 
 def cmd_scaling(args) -> int:
     if args.seed is None:
-        raise UsageError("--seed is required")
+        raise ValueError("--seed is required")
     if not (np.isfinite(args.band_low) and np.isfinite(args.band_high)
             and args.band_low <= args.band_high):
-        raise UsageError("--band-low and --band-high must be finite and ordered")
+        raise ValueError("--band-low and --band-high must be finite and ordered")
     cells, slope, intercept, r2, bins = scaling_sweep(
         args.kappas, args.strides, args.num_positions, _noise_from(args),
         args.trials, args.seed)
@@ -164,7 +161,7 @@ def cmd_flops(args) -> int:
         try:
             plp, total = per_layer_pruned_cost(keep), total_flops(keep, tau)
         except ValueError as exc:  # the library names the field
-            raise UsageError(f"--points pair {tau!r}:{keep!r}: {exc}")
+            raise ValueError(f"--points pair {tau!r}:{keep!r}: {exc}")
         rows.append((tau, keep, BACKBONE_G, SHALLOW_LAYERS * plp,
                      tau * DEEP_LAYERS * plp, HEADS_G, PREDICTORS_G, plp,
                      total))
@@ -186,7 +183,7 @@ def _read_error_sigma_csv(path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise UsageError("empty input file")
+        raise ValueError("empty input file")
     errors, sigmas = [], []
     for ln, line in enumerate(lines, start=1):
         parts = line.split(",")
@@ -195,29 +192,29 @@ def _read_error_sigma_csv(path):
         except (IndexError, ValueError):
             if ln == 1 or not line.strip():  # the header or a blank line
                 continue
-            raise UsageError(f"malformed CSV at line {ln}: {line!r}")
+            raise ValueError(f"malformed CSV at line {ln}: {line!r}")
         if ln == 1:
-            raise UsageError(f"--input line 1 must be a header, not {line!r}")
+            raise ValueError(f"--input line 1 must be a header, not {line!r}")
         errors.append(error)
         sigmas.append(sigma)
     if not errors:
-        raise UsageError("input file has no data rows")
+        raise ValueError("input file has no data rows")
     return np.array(errors), np.array(sigmas)
 
 
 def cmd_calib(args) -> int:
     if args.bins < 2:
-        raise UsageError("--bins must be at least 2")
+        raise ValueError("--bins must be at least 2")
     if args.input:
         errors, sigmas = _read_error_sigma_csv(args.input)
         if errors.size < args.bins:
-            raise UsageError(f"--input has {errors.size} data rows, fewer "
+            raise ValueError(f"--input has {errors.size} data rows, fewer "
                              f"than --bins {args.bins}")
     else:
         if args.seed is None:
-            raise UsageError("--seed is required for synthetic scenarios")
+            raise ValueError("--seed is required for synthetic scenarios")
         if args.samples < args.bins:
-            raise UsageError(f"--samples must be at least --bins {args.bins}")
+            raise ValueError(f"--samples must be at least --bins {args.bins}")
         errors, sigmas = _calib_scenario(args.scenario, args.samples, args.seed)
     cfg = CalibrationConfig(num_bins=args.bins)
     value, rows = r_ece(errors, sigmas, cfg, return_bins=True)
@@ -245,9 +242,9 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
 
 def cmd_atr_sim(args) -> int:
     if args.seed is None:
-        raise UsageError("--seed is required")
+        raise ValueError("--seed is required")
     if args.length < 2:
-        raise UsageError("--length must be at least 2: flip rates need a pair")
+        raise ValueError("--length must be at least 2: flip rates need a pair")
     tau = tau_scenario(args.length, args.trace_rho, args.gain, args.seed)
     raw_flip = flip_rate(tau)
     header = ("mode", "gamma", "flip_rate_raw", "flip_rate_stabilized",
@@ -379,26 +376,26 @@ def _config_flags(command: str, path: str):
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+        raise ValueError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     sub = next(a for a in PARSER._actions if a.dest == "command").choices[command]
     actions = {a.dest: a for a in sub._actions
                if a.option_strings and a.dest not in ("help", "config")}
     for key, value in cfg.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise UsageError(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key: {key}")
         flag = action.option_strings[0]
         if action.nargs == 0:  # a switch such as --gate
             if not isinstance(value, bool):
-                raise UsageError(f"config key {key!r} must be true or false")
+                raise ValueError(f"config key {key!r} must be true or false")
             if value:
                 yield flag
         elif isinstance(value, (bool, list, dict)) or value is None:
-            raise UsageError(f"config key {key!r} must be a string or a number")
+            raise ValueError(f"config key {key!r} must be a string or a number")
         else:
             yield f"{flag}={value}"
 
@@ -406,23 +403,19 @@ def _config_flags(command: str, path: str):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        try:
-            args = PARSER.parse_args(argv)
-            if args.config:
-                # the file's flags go right after the subcommand name, so a
-                # command-line flag in any spelling comes later and wins
-                at = argv.index(args.command) + 1
-                args = PARSER.parse_args(
-                    [*argv[:at], *_config_flags(args.command, args.config),
-                     *argv[at:]])
-        except SystemExit as exc:  # argparse exits 2 on bad flags; remap
-            return 0 if exc.code in (0, None) else USAGE_ERROR
-        try:
-            return args.func(args)
-        except ValueError as exc:
-            raise UsageError(_in_flag_terms(args.command, exc)) from None
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = PARSER.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the subcommand name, so a
+            # command-line flag in any spelling comes later and wins
+            at = argv.index(args.command) + 1
+            args = PARSER.parse_args(
+                [*argv[:at], *_config_flags(args.command, args.config),
+                 *argv[at:]])
+        return args.func(args)
+    except SystemExit as exc:  # argparse exits 2 on bad flags; remap
+        return 0 if exc.code in (0, None) else USAGE_ERROR
+    except ValueError as exc:  # the CLI's own checks and the library's
+        print(f"error: {_in_flag_terms(args.command, exc)}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:  # a size too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -54,10 +54,10 @@ def _check_positions(what: str, *arrays) -> None:
 
 
 def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
-                          delta: float, scale: float, grad, inc, q):
-    """A zero-argument step that writes `scale` times the gradient of
+                          delta: float, scale: float):
+    """A zero-argument step that returns `scale` times the gradient of
     bdr_loss_smoothed (batched rows, Huber width `delta`) at the current
-    `prediction` into `grad` and returns it.
+    `prediction`.
 
     The Huber term's gradient is the clipped residual clip(r/delta, -1, 1)
     over T, computed as r * (scale/(delta T)) clipped to +-scale/T: one
@@ -72,22 +72,24 @@ def _smoothed_grad_kernel(target, prediction, stride: float, alpha: float,
     that rounds exactly like scaling the gradient afterwards.
 
     Everything that does not change between steps is made here, once: the
-    flat views, their slices and the constants. The step itself makes
-    only ufunc calls that write into `grad` and the two scratch arrays `inc`
-    (increments) and `q` (hinge gradient), so a caller that steps many
-    times, reading the prediction afresh each time, allocates nothing per
-    step. The prediction and the three arrays must be C-contiguous and of
-    one shape, and the target must broadcast to it: the increments and the
-    hinge gradient run over the flattened rows, with each row's last column,
-    the one that would straddle two rows, set to zero. The increments' last
-    entry is never written, so it must hold a finite value.
+    gradient and the two scratch arrays, increments and hinge gradient, of
+    the prediction's shape, their flat views and slices, and the constants.
+    The step itself makes only ufunc calls that write into those arrays, so
+    a caller that steps many times, reading the prediction afresh each
+    time, allocates nothing per step; each call returns the same gradient
+    array, overwritten. The prediction must be C-contiguous and the target
+    must broadcast to it: the increments and the hinge gradient run over the
+    flattened rows, with each row's last column, the one that would
+    straddle two rows, set to zero.
     """
-    arrays = prediction, inc, q, grad
-    # a reshape of any other array copies, and the step would read or write
-    # the copy instead of the caller's buffer
-    if not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError("kernel arrays must be C-contiguous")
-    flat_p, flat_inc, flat_q, flat_g = (a.reshape(-1) for a in arrays)
+    # a reshape of any other array copies, and the step would read the copy
+    # instead of the caller's prediction
+    if not prediction.flags.c_contiguous:
+        raise ValueError("prediction must be C-contiguous")
+    # the increments' last entry is never written, and zeros keep it finite
+    grad, inc, q = (np.zeros(prediction.shape) for _ in range(3))
+    flat_p, flat_inc, flat_q, flat_g = (a.reshape(-1)
+                                        for a in (prediction, inc, q, grad))
     p_next, p_prev, inc_head = flat_p[1:], flat_p[:-1], flat_inc[:-1]
     q_head, q_last = flat_q[:-1], q[..., -1]
     g_head, g_tail = flat_g[:-1], flat_g[1:]
@@ -148,11 +150,8 @@ def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
     # one prediction scored against a batch of targets is broadcast, and a
     # strided one copied, into the contiguous layout the kernel steps on
     prediction = np.ascontiguousarray(np.broadcast_to(prediction, shape))
-    grad = _smoothed_grad_kernel(target, prediction, stride, cfg.alpha,
-                                 cfg.huber_delta * stride, 1.0,
-                                 np.empty(shape), np.zeros(shape),
-                                 np.empty(shape))
-    return grad()
+    return _smoothed_grad_kernel(target, prediction, stride, cfg.alpha,
+                                 cfg.huber_delta * stride, 1.0)()
 
 
 def _curvature_bound(T: int, alpha: float, delta: float) -> float:
@@ -179,10 +178,9 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     clip(r/delta, -1, 1)/T, outside the band it is that bit for bit.
 
     Rows are fitted in chunks of 128, each stepped in place in the output,
-    which starts as a copy of the observations. The kernel's gradient and
-    two scratch arrays are allocated once per call, sized for one chunk. The
-    kernel is built once per chunk, on that chunk's rows, so its views,
-    slices and constants are made once, not on every step.
+    which starts as a copy of the observations. The kernel is built once per
+    chunk, on that chunk's rows, so its gradient and two scratch arrays, its
+    views, slices and constants are made once per chunk, not on every step.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
@@ -198,16 +196,11 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     # rows are independent; small chunks keep the iteration working set in
     # cache, which is worth ~1.6x on long batches
     chunk = 128
-    shape = (min(chunk, full.shape[0]),) + full.shape[1:]
-    # gradient, increments, hinge gradient; the increments' last entry is
-    # never written, and zeros keep it finite
-    bufs = [np.empty(shape), np.zeros(shape), np.empty(shape)]
     for start in range(0, full.shape[0], chunk):
         # a block of whole rows of `out`, so C-contiguous as the kernel needs
         d = out[start:start + chunk]
-        work = (b[:d.shape[0]] for b in bufs)
         scaled_grad = _smoothed_grad_kernel(full[start:start + chunk], d, 1.0,
-                                            alpha, delta, step, *work)
+                                            alpha, delta, step)
         for _ in range(FIT_ITERATIONS):
             d -= scaled_grad()
     out *= grid.stride

@@ -174,9 +174,10 @@ def _readout(spec: ExperimentSpec):
     return m, r
 
 
-def _windows(spec: ExperimentSpec, truth: np.ndarray, m: int, r: float):
+def _windows(spec: ExperimentSpec, truth: np.ndarray):
     """(lo, hi, a, b): each truth's search window [lo, hi) and the band
-    [a, b) of columns the readout of those windows reads.
+    [a, b) of columns the spec's readout (m, r) = _readout(spec) of those
+    windows reads.
 
     A window holds the samples within r of its truth, or the nearest
     interior sample if that holds none. Smoothed column j (width m,
@@ -185,6 +186,7 @@ def _windows(spec: ExperimentSpec, truth: np.ndarray, m: int, r: float):
     to [0, T). lo and hi never decrease as the truth grows.
     """
     stride, T = spec.grid.stride, spec.grid.num_positions
+    m, r = _readout(spec)
     lo = np.maximum(np.ceil((truth - r) / stride), 1)
     hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
     empty = hi <= lo
@@ -203,10 +205,8 @@ def _cls_band(spec: ExperimentSpec):
     rounding is monotone, so every truth lies between them; window ends
     never decrease as the truth grows, so the two ends bound them. The band
     grows with kappa."""
-    m, r = _readout(spec)
     support = (spec.boundary + np.array([0.0, 1.0])) * spec.grid.stride
-    _, _, a0, b0 = _windows(spec, support, m, r)
-    return a0, b0
+    return _windows(spec, support)[2:]
 
 
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
@@ -228,22 +228,20 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     order, on the same inputs as on full rows, and a band cut at a sequence
     edge gets the same zero padding, so the errors are those of the full
     rows bit for bit. A chunk holds CLS_CHUNK_VALUES // w trials, w being
-    one row's band width plus one column for truths that spread within a
-    stride, as those of sweep_errors and cls_variance_kappa_slope do; truths
-    that spread wider widen the chunk's band with them.
+    the width b0 - a0 of the spec's band _cls_band, which holds the band of
+    every chunk whose truths lie in the prior support, as those of
+    sweep_errors and cls_variance_kappa_slope do; truths that spread wider
+    widen the chunk's band with them.
     """
     grid, kappa = spec.grid, spec.kappa
-    stride, T = grid.stride, grid.num_positions
-    m, r = _readout(spec)
-    # widest window (floor(2r / stride) + 1 columns), its two neighbours,
-    # m - 1 columns of smoothing support and one of spread
-    width = min(T, int(2 * r / stride) + m + 3)
-    chunk = max(1, CLS_CHUNK_VALUES // width)
+    m, _ = _readout(spec)
+    a, b = _cls_band(spec)
+    chunk = max(1, CLS_CHUNK_VALUES // (b - a))
     errors = np.empty(len(truths))
     for start in range(0, len(truths), chunk):
         rows = slice(start, start + chunk)
         truth = truths[rows]
-        lo, hi, a, b = _windows(spec, truth, m, r)
+        lo, hi, a, b = _windows(spec, truth)
         if a < a0 or b > a0 + noise.shape[1]:
             raise ValueError(f"the readout reads columns [{a}, {b}), the "
                              f"noise holds [{a0}, {a0 + noise.shape[1]})")
@@ -256,24 +254,32 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
         k = np.arange(len(i))
         off = quadratic_peak_offset(ps[k, i - 1], ps[k, i], ps[k, i + 1])
         off[hi - lo < 3] = 0.0
-        errors[rows] = (i + a + off) * stride - truth
+        errors[rows] = (i + a + off) * grid.stride - truth
     return errors
 
 
 def sweep_errors(specs) -> list:
-    """Signed errors in frames, one TrialErrors per spec, in spec order.
+    """Signed errors in frames, one TrialErrors per spec, in spec order;
+    no specs give no errors.
 
-    The specs share num_positions, boundary, noise and num_trials. Every
-    cell shares the distance side of the stride-1 copy of specs[0]: its
-    phases (stream 0) and distance noise (stream 1) are drawn once, fitted
-    once and read out once, in grid units. A cell of stride dt takes those
-    errors times dt, and runs _cls_errors on those truths times dt, its own
-    _truths at specs[0]'s master_seed, with stream 2 drawn from its own
-    master_seed. This is valid because the distance estimator never reads
-    kappa and fits and extracts in grid units, so at a power-of-two stride
-    a fit on the cell's own grid gives the same errors times dt bit for
-    bit. Failed extractions are recorded as NaN, not raised.
+    The specs must share num_positions, boundary, noise and num_trials, or
+    ValueError is raised before any draw. Every cell shares the distance
+    side of the stride-1 copy of specs[0]: its phases (stream 0) and
+    distance noise (stream 1) are drawn once, fitted once and read out
+    once, in grid units. A cell of stride dt takes those errors times dt,
+    and runs _cls_errors on those truths times dt, its own _truths at
+    specs[0]'s master_seed, with stream 2 drawn from its own master_seed.
+    This is valid because the distance estimator never reads kappa and
+    fits and extracts in grid units, so at a power-of-two stride a fit on
+    the cell's own grid gives the same errors times dt bit for bit. Failed
+    extractions are recorded as NaN, not raised.
     """
+    if not specs:
+        return []
+    if len({(s.grid.num_positions, s.boundary, s.noise, s.num_trials)
+            for s in specs}) > 1:
+        raise ValueError("specs must share num_positions, boundary, noise "
+                         "and num_trials")
     unit = replace(specs[0], grid=replace(specs[0].grid, stride=1.0))
     truths, dhat = _fit_distance_side(unit)
     e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
@@ -409,13 +415,11 @@ def holm_bonferroni(p_values):
     p = np.asarray(p_values, dtype=float)
     if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p-values must be in [0, 1]")
-    n = p.size
     order = np.argsort(p, kind="stable")
-    adj = np.empty(n)
-    running = 0.0
-    for rank, idx in enumerate(order):
-        running = max(running, (n - rank) * p[idx])
-        adj[idx] = min(running, 1.0)
+    adj = np.empty(p.size)
+    # the running maximum of (n - rank) p over the ranks
+    adj[order] = np.minimum(
+        np.maximum.accumulate(np.arange(p.size, 0, -1) * p[order]), 1.0)
     return adj
 
 

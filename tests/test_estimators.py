@@ -210,14 +210,11 @@ def test_fit_builds_the_kernel_once_per_chunk(monkeypatch, rows, chunks):
 
 def test_grad_kernel_rejects_arrays_it_cannot_step_in_place():
     # a reshape of a strided array copies, so the kernel would read a stale
-    # prediction or write into a copy
-    a = np.zeros((4, 10))
-    for i in range(4):
-        arrays = [a.copy() for _ in range(4)]
-        arrays[i] = np.zeros((4, 20))[:, ::2]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            estimators._smoothed_grad_kernel(a, arrays[0], 1.0, 0.1, 0.01,
-                                             1.0, *arrays[1:])
+    # prediction
+    with pytest.raises(ValueError, match="C-contiguous"):
+        estimators._smoothed_grad_kernel(np.zeros((4, 10)),
+                                         np.zeros((4, 20))[:, ::2], 1.0, 0.1,
+                                         0.01, 1.0)
 
 
 @pytest.mark.parametrize("loss", [bdr_loss_smoothed, bdr_loss_smoothed_grad])

@@ -13,8 +13,8 @@ the classification peak loop that smoothed, searched and refined one trial
 at a time, the batched classification side that computed every column of
 each row, the hold_previous hysteresis loop that indexed the numpy array,
 r_ece with a stable argsort that gathered both errors and sigmas, the calib
-scenario's rng.normal(0, sigma) draw and the bootstrap's two percentile
-calls.
+scenario's rng.normal(0, sigma) draw, the bootstrap's two percentile calls
+and Holm's adjustment as a loop over the ranks.
 
 The kernel's Huber gradient is a multiply and a clip, r * 1/(delta T)
 clipped to +-1/T, not the quotient clip(r/delta, -1, 1)/T; the two round
@@ -67,7 +67,8 @@ from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
                           _cls_band, _cls_errors, _noise_rows, _truths,
                           blocked_bootstrap,
-                          finite_sample_variance_check, loglog_slope)
+                          finite_sample_variance_check, holm_bonferroni,
+                          loglog_slope)
 from bdrlab.synth import (SCAN_BLOCK, SCAN_MIN_ROWS, NoiseSpec, TimeGrid,
                           _apply_ar1, _ar1_warmup, make_kernel_features,
                           sample_noise_matrix)
@@ -209,10 +210,7 @@ def test_smoothed_loss_and_grad_match_fused_reference(layout, stride, alpha):
 def _huber_kernel_grad(r, delta, scale):
     """The kernel's Huber gradient alone (alpha 0) at residuals r, rows of
     T; with a zero target the kernel's residual is r itself."""
-    step = estimators._smoothed_grad_kernel(
-        0.0, r, 1.0, 0.0, delta, scale, np.empty(r.shape), np.zeros(r.shape),
-        np.empty(r.shape))
-    return step()
+    return estimators._smoothed_grad_kernel(0.0, r, 1.0, 0.0, delta, scale)()
 
 
 def _residuals_around_the_band(rng, delta, T):
@@ -395,6 +393,31 @@ def test_variance_ratio_ci_with_an_all_failed_block_matches_reference():
     lo, hi = reference_ratio_ci(eb, ec, seed=1)
     assert got[0] == pytest.approx(lo, rel=1e-12)
     assert got[1] == pytest.approx(hi, rel=1e-12)
+
+
+def reference_holm_bonferroni(p_values):
+    """Holm's step-down adjustment as a loop over the ranks: the running
+    maximum of (n - rank) p, clipped at 1."""
+    p = np.asarray(p_values, dtype=float)
+    n = p.size
+    adj = np.empty(n)
+    running = 0.0
+    for rank, idx in enumerate(np.argsort(p, kind="stable")):
+        running = max(running, (n - rank) * p[idx])
+        adj[idx] = min(running, 1.0)
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_holm_bonferroni_matches_the_loop(seed):
+    # ties from p-values rounded to 2 decimals, exact 0 and 1, and sizes
+    # where (n - rank) p crosses 1
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 10, 50):
+        for p in (rng.random(n), rng.random(n).round(2),
+                  rng.choice([0.0, 0.01, 0.5, 1.0], n), rng.random(n) / n):
+            got = holm_bonferroni(p)
+            assert got.tobytes() == reference_holm_bonferroni(p).tobytes()
 
 
 def _noisy_rows(T, noise, stride, rows, seed):
@@ -806,12 +829,9 @@ CLS_KAPPAS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 30.0)
 
 
 def _band_width(spec):
-    """One row's band as _cls_errors documents it: window, two neighbours,
-    the smoothing support and one column of spread, at most T."""
-    stride, kappa = spec.grid.stride, spec.kappa
-    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
-    r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
-    return min(spec.grid.num_positions, int(2 * r / stride) + 1 + 2 + m - 1 + 1)
+    """The width of the spec's band, which _cls_errors sizes its chunks by."""
+    a0, b0 = _cls_band(spec)
+    return b0 - a0
 
 
 def _check_cls_against_full_width(spec, truths, band, a0, padded):

@@ -515,6 +515,35 @@ def test_every_sweep_cell_is_variance_ratio_of_its_errors(trials, positions):
         assert cell["x_dt2_over_kappa"] == spec.grid.stride**2 / spec.kappa
 
 
+def test_sweep_errors_of_no_specs_is_empty():
+    assert sweep_errors([]) == []
+
+
+@pytest.mark.parametrize("field", ["num_positions", "boundary", "noise",
+                                   "num_trials"])
+def test_sweep_errors_refuses_specs_that_do_not_share_a_field(monkeypatch,
+                                                               field):
+    # the cells share one distance side, so every field it reads must agree;
+    # at a stride and a kappa of its own, the second spec differs from the
+    # first in `field` alone
+    first = _spec()
+    second = replace(first, grid=TimeGrid(stride=2.0, num_positions=100),
+                     kappa=3.0, master_seed=1)
+    second = replace(second, **{
+        "num_positions": {"grid": TimeGrid(stride=2.0, num_positions=120)},
+        "boundary": {"boundary": 40.0},
+        "noise": {"noise": NoiseSpec(scale=0.8)},
+        "num_trials": {"num_trials": 60}}[field])
+    drawn = []
+    monkeypatch.setattr(stats, "_truths", lambda spec: drawn.append(spec))
+    monkeypatch.setattr(stats, "sample_noise_matrix",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="specs must share num_positions, "
+                       "boundary, noise and num_trials"):
+        sweep_errors([first, second])
+    assert drawn == []
+
+
 def test_kappa_slope_draws_the_noise_once(monkeypatch):
     drawn = []
     sample = stats.sample_noise_matrix

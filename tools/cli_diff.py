@@ -7,9 +7,10 @@ command of COMMANDS runs in both trees as `python3 -m bdrlab.cli` with
 PYTHONPATH=<tree>/src, once with `--format csv` and once with
 `--format json`, writing to stdout. A dict in a command stands for a config
 file: the tool writes it as JSON to a temporary directory and passes its
-path, the same path to both trees. The tool prints each run whose exit code
-or output bytes differ between the trees, and exits 1 if any differ and 0
-otherwise. Standard error is not compared.
+path, the same path to both trees. The tool prints each run whose exit
+code, standard output bytes or standard error bytes differ between the
+trees, naming which of the three differ, and exits 1 if any run differs and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,22 +66,31 @@ COMMANDS = [
     # a command-line flag beats the file's value
     ["calib", "--config", {"samples": 100000, "bins": 5, "seed": 3},
      "--bins", "7"],
-    # bad values: compared by exit code and the empty stdout; the kappa is
-    # below the kernel's range
+    # bad values, compared by exit code, the empty stdout and the error
+    # message: a config value, a kappa below the kernel's range, one bad
+    # value each for scaling, calib, flops and atr-sim, and an unknown
+    # config key
     ["calib", "--config", {"bins": "ten", "seed": 3}],
     ["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "2000",
      "--seed", "1"],
+    ["scaling", "--trials", "1", "--seed", "1"],
+    ["calib", "--bins", "1", "--seed", "1"],
+    ["flops", "--points", "0.5:2"],
+    ["atr-sim", "--length", "1", "--seed", "1"],
+    ["calib", "--config", {"bins": 12, "colour": "red", "seed": 1}],
 ]
 FORMATS = ("csv", "json")
+# what run_cli returns, in order
+STREAMS = ("exit code", "stdout", "stderr")
 
 
 def run_cli(tree: Path, argv: list) -> tuple:
-    """(exit code, stdout bytes) of the tree's CLI on argv."""
+    """(exit code, stdout bytes, stderr bytes) of the tree's CLI on argv."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "bdrlab.cli", *argv],
                           cwd=tree, env=env, capture_output=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def with_config_files(command: list, path: Path) -> list:
@@ -109,12 +119,16 @@ def main(argv=None) -> int:
                  "--format", fmt]
                 for i, command in enumerate(COMMANDS) for fmt in FORMATS]
         for run in runs:
-            (p_code, p_out), (c_code, c_out) = (run_cli(tree, run) for tree in
-                                                (args.parent, args.change))
-            if (p_code, p_out) != (c_code, c_out):
+            parent, change = (run_cli(tree, run) for tree in
+                              (args.parent, args.change))
+            if parent != change:
                 differ += 1
-                print(f"differs: {' '.join(run)} (exit {p_code} -> {c_code}, "
-                      f"{len(p_out)} -> {len(c_out)} bytes)")
+                which = [name for name, p, c in zip(STREAMS, parent, change)
+                         if p != c]
+                print(f"differs: {' '.join(run)} ({', '.join(which)}: exit "
+                      f"{parent[0]} -> {change[0]}, stdout {len(parent[1])} "
+                      f"-> {len(change[1])} bytes, stderr {len(parent[2])} "
+                      f"-> {len(change[2])} bytes)")
     print(f"{len(runs) - differ} of {len(runs)} runs byte-identical")
     return 1 if differ else 0
 
