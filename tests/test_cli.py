@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bdrlab import cli
 from bdrlab.cli import _metadata, build_parser, main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
-from bdrlab.estimators import fit_distance
+from bdrlab.estimators import FIT_MAX_INCREMENT, fit_distance
 from bdrlab.stats import ExperimentSpec, run_trials
 from bdrlab.synth import NoiseSpec, TimeGrid
 
@@ -183,6 +184,21 @@ def test_overflowing_stride_exits_usage_before_any_fit(tmp_path, monkeypatch,
     assert capsys.readouterr().err == (
         "error: --strides must keep every dt^2/kappa finite\n")
     assert not out.exists() and fits == []
+
+
+def test_noise_beyond_the_fitters_range_exits_usage(tmp_path, capsys):
+    # at this scale the distance observations change by more per step than
+    # the fitter's float32 residual can take; the fit refuses them before
+    # any step, so nothing overflows and nothing warns
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["scaling", "--trials", "50", "--seed", "1",
+                    "--noise-scale", "1e39", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: observations must change by at most {FIT_MAX_INCREMENT:.3g}"
+        " strides per grid step\n")
+    assert not out.exists()
 
 
 def test_scaling_failures_count_the_nan_distance_errors(tmp_path):

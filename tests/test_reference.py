@@ -126,12 +126,14 @@ def ratio_of_mse(sums):
 
 def huber_grad(r, delta, T):
     """The Huber term's gradient clip(r/delta, -1, 1)/T as a multiply and a
-    clip: r times 1/(delta T), that multiplier rounded up while delta times
-    it falls short of 1/T, clipped to +-1/T."""
-    mul = 1.0 / (delta * T)
-    while delta * mul < 1.0 / T:
-        mul = np.nextafter(mul, np.inf)
-    return np.clip(r * mul, -1.0 / T, 1.0 / T)
+    clip in r's dtype: r times 1/(delta T), that multiplier rounded up while
+    delta times it falls short of 1/T, clipped to +-1/T, every constant
+    rounded to r's dtype."""
+    dtype = np.asarray(r).dtype.type
+    bound, mul, delta = dtype(1.0 / T), dtype(1.0 / (delta * T)), dtype(delta)
+    while delta * mul < bound:
+        mul = np.nextafter(mul, dtype(np.inf))
+    return np.clip(r * mul, -bound, bound)
 
 
 def division_huber_grad(r, delta, T, scale=1.0):
@@ -142,16 +144,21 @@ def division_huber_grad(r, delta, T, scale=1.0):
 
 def reference_smoothed_loss_and_grad(target, prediction, stride, alpha,
                                      delta):
-    """The fused kernel: the Huber terms c*r - delta*c^2/2 summed in one
-    scratch array, which then takes the increments over the flattened rows,
-    the hinge excess in the other, the Huber gradient (huber_grad) taken
-    from the residual into the gradient first."""
+    """The fused kernel, its gradient's hinge in the residual order: the
+    Huber terms c*r - delta*c^2/2 summed in one scratch array, which then
+    takes the prediction's increments over the flattened rows for the
+    loss's hinge, the hinge excess in the other; the Huber gradient
+    (huber_grad) taken from the residual r = prediction - target into the
+    gradient first, and the gradient's hinge excess taken from the
+    increments of r plus the target's."""
     prediction = np.asarray(prediction, dtype=float)
     shape = np.broadcast_shapes(prediction.shape, np.shape(target))
     prediction = np.broadcast_to(prediction, shape)
+    target = np.broadcast_to(np.asarray(target, dtype=float), shape)
     grad, r, q = np.empty(shape), np.empty(shape), np.empty(shape)
     T = prediction.shape[-1]
     np.subtract(prediction, target, out=r)
+    residual = r.copy()
     grad[...] = huber_grad(r, delta, T)
     c = np.clip(r / delta, -1.0, 1.0)
     np.multiply(c, r, out=r)
@@ -167,6 +174,11 @@ def reference_smoothed_loss_and_grad(target, prediction, stride, alpha,
     q[..., -1] = 0.0
     sq = np.multiply(q, q, out=inc)
     loss = data + alpha / (T - 1) * np.add.reduce(sq[..., :-1], axis=-1)
+    flat_e = residual.reshape(-1)
+    np.subtract(flat_e[1:], flat_e[:-1], out=flat_inc[:-1])
+    inc[..., :-1] += np.diff(target, axis=-1)
+    np.subtract(inc, np.clip(inc, -stride, stride, out=q), out=q)
+    q[..., -1] = 0.0
     q *= 2.0 * alpha / (T - 1)
     flat_g[:-1] -= flat_q[:-1]
     flat_g[1:] += flat_q[:-1]
@@ -207,10 +219,51 @@ def test_smoothed_loss_and_grad_match_fused_reference(layout, stride, alpha):
         assert np.array_equal(got_grad, grad)
 
 
+def prediction_order_grad(target, prediction, stride, alpha, delta):
+    """The gradient as the kernel computed it before it stepped residuals:
+    the hinge excess taken from the prediction's own increments."""
+    prediction = np.asarray(prediction, dtype=float)
+    shape = np.broadcast_shapes(prediction.shape, np.shape(target))
+    prediction = np.broadcast_to(prediction, shape)
+    T = shape[-1]
+    grad = huber_grad(prediction - target, delta, T)
+    inc = np.diff(prediction, axis=-1)
+    q = (inc - np.clip(inc, -stride, stride)) * (2.0 * alpha / (T - 1))
+    grad[..., :-1] -= q
+    grad[..., 1:] += q
+    return grad
+
+
+@pytest.mark.parametrize("layout", ["2-D", "strided", "1-D", "broadcast"])
+@pytest.mark.parametrize("stride", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 4.0])
+def test_smoothed_grad_within_rounding_of_the_prediction_order(layout, stride,
+                                                               alpha):
+    # The Huber term reads the same residual in both orders. The hinge's
+    # increments diff(p - t) + diff(t) and diff(p) each differ from the
+    # exact increment by at most 5 eps M and 1 eps M, M the row's largest
+    # |p| plus its largest |t|; a gradient entry reads two increments, times
+    # 2 alpha/(T-1), and rounds twice more, by up to 4 ULP of itself.
+    cfg = BDRLossConfig(alpha=alpha)
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        target, pred = _loss_inputs(layout, stride, seed)
+        got = bdr_loss_smoothed_grad(target, pred, stride, cfg)
+        want = prediction_order_grad(target, pred, stride, alpha,
+                                     cfg.huber_delta * stride)
+        T = got.shape[-1]
+        size = (np.max(np.abs(np.broadcast_to(target, got.shape)), axis=-1)
+                + np.max(np.abs(np.broadcast_to(pred, got.shape)), axis=-1))
+        slack = (2 * 6 * eps * 2 * alpha / (T - 1) * size[..., None]
+                 + 4 * np.spacing(np.abs(want)))
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= slack)
+
+
 def _huber_kernel_grad(r, delta, scale):
     """The kernel's Huber gradient alone (alpha 0) at residuals r, rows of
-    T; with a zero target the kernel's residual is r itself."""
-    return estimators._smoothed_grad_kernel(0.0, r, 1.0, 0.0, delta, scale)()
+    T, the target's increments zero."""
+    return estimators._smoothed_grad_kernel(r, 0.0, 1.0, 0.0, delta, scale)()
 
 
 def _residuals_around_the_band(rng, delta, T):
@@ -284,19 +337,47 @@ def reference_fit(observations, grid, loss_cfg):
     return d * grid.stride, rejected
 
 
-def reference_fixed_step_fit(observations, grid, loss_cfg):
-    """300 steps of one size: 2, halved while step * L >= 2 for the
-    gradient's Lipschitz bound L = 1/(delta T) + 8 alpha/(T - 1)."""
-    o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
-    alpha, delta = loss_cfg.alpha, loss_cfg.huber_delta
-    T = o.shape[-1]
+def _fixed_step(T, alpha, delta):
+    """2, halved while step * L >= 2 for the gradient's Lipschitz bound
+    L = 1/(delta T) + 8 alpha/(T - 1)."""
     step = 2.0
     while step * (1.0 / (delta * T) + 8.0 * alpha / (T - 1)) >= 2.0:
         step *= 0.5
+    return step
+
+
+def reference_fixed_step_fit(observations, grid, loss_cfg):
+    """300 steps of one size (_fixed_step) on the fit itself, in float64."""
+    o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
+    alpha, delta = loss_cfg.alpha, loss_cfg.huber_delta
+    step = _fixed_step(o.shape[-1], alpha, delta)
     d = o.copy()
     for _ in range(300):
         d = d - step * _reference_loss_and_grad(o, d, alpha, delta)[1]
     return d * grid.stride
+
+
+def reference_residual_fit(observations, grid, loss_cfg, dtype=np.float32):
+    """The same 300 steps taken on the residual e = d - o in `dtype`, from
+    e = 0: the Huber gradient reads e, the hinge the increments
+    diff(e) + diff(o), with diff(o) formed in float64 and rounded once to
+    `dtype`. Returns (o + e) * stride in float64."""
+    o = np.atleast_2d(np.asarray(observations, dtype=float)) / grid.stride
+    alpha, delta = loss_cfg.alpha, loss_cfg.huber_delta
+    T = o.shape[-1]
+    step = _fixed_step(T, alpha, delta)
+    o_inc = np.diff(o, axis=-1).astype(dtype)
+    hinge = dtype(2.0 * alpha / (T - 1))
+    e = np.zeros(o.shape, dtype)
+    for _ in range(300):
+        inc = np.diff(e, axis=-1) + o_inc
+        excess = np.maximum(dtype(0.0), np.abs(inc) - dtype(1.0))
+        pg = hinge * excess * np.sign(inc)
+        g = huber_grad(e, delta, T)
+        g[..., :-1] -= pg
+        g[..., 1:] += pg
+        e = e - dtype(step) * g
+    return (o + e) * grid.stride
 
 
 @pytest.mark.parametrize("n", [5, 10, 50, 500])
@@ -428,6 +509,11 @@ def _noisy_rows(T, noise, stride, rows, seed):
     return grid, clean + stride * noise
 
 
+# How far, in frames, a float32 fit may lie from the same steps taken in
+# float64 on the fit itself
+FIT_FLOAT64_FRAMES = 1e-5
+
+
 def _check_fit_against_reference(T, noise, stride, rows,
                                  alpha=SWEEP_FIT_ALPHA):
     grid, obs = _noisy_rows(T, noise, stride, rows, seed=T)
@@ -436,13 +522,15 @@ def _check_fit_against_reference(T, noise, stride, rows,
     # The reference scales each gradient by the step after computing it,
     # where the fitter folds the power-of-two step into the gradient's
     # constants; the rounding is the same, so the fits agree bit for bit.
-    assert np.array_equal(got, reference_fixed_step_fit(obs, grid, loss))
+    assert np.array_equal(got, reference_residual_fit(obs, grid, loss))
+    want = reference_fixed_step_fit(obs, grid, loss)
+    assert np.max(np.abs(got - want)) <= FIT_FLOAT64_FRAMES
     if T >= 133 and alpha == SWEEP_FIT_ALPHA:
         # at alpha 4 the bound keeps step 2 from T = 133 on, where the
         # earlier reject-and-halve fitter rejected no step
-        want, rejected = reference_fit(obs, grid, loss)
+        earlier, rejected = reference_fit(obs, grid, loss)
         assert rejected == 0
-        assert np.array_equal(got, want)
+        assert np.array_equal(earlier, want)
 
 
 # (T, rho, stride, rows, alpha); 300 rows cross two 128-row chunk edges,
@@ -473,12 +561,28 @@ def test_one_series_fit_matches_reference(T):
     loss = BDRLossConfig(alpha=SWEEP_FIT_ALPHA)
     got = fit_distance(obs[0], grid, FitConfig(loss=loss))
     assert got.shape == (T,)
-    assert np.array_equal(got, reference_fixed_step_fit(obs[0], grid, loss)[0])
+    assert np.array_equal(got, reference_residual_fit(obs[0], grid, loss)[0])
+    want = reference_fixed_step_fit(obs[0], grid, loss)[0]
+    assert np.max(np.abs(got - want)) <= FIT_FLOAT64_FRAMES
 
 
 def test_student_t_fit_matches_reference():
     for T in (50, 132, 133):
         _check_fit_against_reference(T, NoiseSpec(family="student_t"), 1.0, 25)
+
+
+@pytest.mark.parametrize("T", [50, 200, 800, 10_000])
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_fit_tracks_the_float64_fit_at_any_length(T, rho):
+    # the rows' values reach T/2 strides, but the residual the fitter steps
+    # stays the size of the noise, so float32 keeps its accuracy at any T;
+    # a float32 fit of the values themselves drifts by about 0.06 frames
+    # at T = 10^4
+    grid, obs = _noisy_rows(T, NoiseSpec(rho=rho), 1.0, 4, seed=T)
+    loss = BDRLossConfig(alpha=SWEEP_FIT_ALPHA)
+    got = fit_distance(obs, grid, FitConfig(loss=loss))
+    want = reference_fixed_step_fit(obs, grid, loss)
+    assert np.max(np.abs(got - want)) <= FIT_FLOAT64_FRAMES
 
 
 def reference_finite_sample(base_spec, lengths):
