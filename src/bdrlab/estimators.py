@@ -77,9 +77,9 @@ def _smoothed_grad_kernel(residual, target_inc, stride: float, alpha: float,
     The kernel reads the prediction only through its residual e from the
     target and the target's increments `target_inc`, which broadcast to the
     (..., T - 1) increments: the Huber term reads e, the hinge the
-    prediction's increments diff(e) + target_inc. Every value it holds is then the size
-    of the residual, not of the target, which is what lets the fitter step
-    in float32.
+    prediction's increments diff(e) + target_inc. Every value it holds is
+    then the size of the residual, not of the target, which is what lets
+    the fitter step in float32.
 
     The Huber term's gradient is the clipped residual clip(e/delta, -1, 1)
     over T, computed as e * (scale/(delta T)) clipped to +-scale/T: one
@@ -88,8 +88,7 @@ def _smoothed_grad_kernel(residual, target_inc, stride: float, alpha: float,
     delta times it falls short of scale/T, so every |e| >= delta lands on
     the bound. In float64 that bound is the quotient form's 1/(T/scale) bit
     for bit, and inside the band the two forms differ by rounding, at most
-    3 ULP. The hinge's
-    gradient is 2 alpha/(T-1) * q for the signed excess
+    3 ULP. The hinge's gradient is 2 alpha/(T-1) * q for the signed excess
     q = inc - clip(inc, -stride, stride) of each increment, exactly,
     because q is the excess times sign(inc). `scale` is folded into the
     constants; for a power of two, as the fitter's step is, that rounds

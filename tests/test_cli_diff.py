@@ -1,5 +1,5 @@
 """tools/cli_diff.py on the repository and on a copy with one output byte,
-or one error byte, changed."""
+or one error byte, changed, and its --rtol comparison by value."""
 
 import importlib.util
 import shutil
@@ -66,3 +66,65 @@ def test_tree_without_sources_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli_diff.main([str(ROOT), str(tmp_path)])
     assert exc.value.code == 2
+
+
+def _copy_with(tmp_path, module, old, new):
+    """A copy of the sources with `old` replaced by `new`, once, in one
+    module."""
+    shutil.copytree(ROOT / "src" / "bdrlab", tmp_path / "src" / "bdrlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "bdrlab" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def test_floats_within_rtol_pass(monkeypatch, tmp_path, capsys):
+    # a relative change of 1e-9 in one cost shows in the JSON's full floats
+    # and not in the CSV's six digits
+    monkeypatch.setattr(cli_diff, "COMMANDS", [["flops", "--points",
+                                                "0.16:0.8"]])
+    change = _copy_with(tmp_path, "atr.py", "PREDICTORS_G = 0.12",
+                        "PREDICTORS_G = 0.12 * (1 + 1e-9)")
+    assert cli_diff.main([str(ROOT), str(change), "--rtol", "1e-6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "within --rtol: flops --points 0.16:0.8 --format json (largest "
+        "relative difference 1e-09)",
+        "1 of 2 runs byte-identical, 1 more within --rtol 1e-06"]
+    assert cli_diff.main([str(ROOT), str(change), "--rtol", "1e-10"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: flops --points 0.16:0.8 --format json (largest relative "
+        "difference 1e-09, 0 other fields differ)",
+        "1 of 2 runs byte-identical, 0 more within --rtol 1e-10"]
+
+
+def test_other_fields_must_be_equal(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli_diff, "COMMANDS", [TINY[1]])
+    change = _copy_with(tmp_path, "cli.py", '"time_frames"', '"time_frameZ"')
+    assert cli_diff.main([str(ROOT), str(change), "--rtol", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("differs: synth --num-positions 6 --format csv "
+                        "(largest relative difference 0, 1 other fields "
+                        "differ)")
+    assert lines[1] == "  output[0][1]: 'time_frames' -> 'time_frameZ'"
+    # one renamed key in each of the six JSON records
+    assert lines[2] == ("differs: synth --num-positions 6 --format json "
+                        "(largest relative difference 0, 6 other fields "
+                        "differ)")
+    assert len(lines) == 10 and all("time_frameZ" in x for x in lines[3:9])
+    assert lines[-1] == "0 of 2 runs byte-identical, 0 more within --rtol 1"
+
+
+@pytest.mark.parametrize("parent,change,worst,other", [
+    # one unit in the last printed digit is rounding, two are not
+    (b"a,n\n0.106893,3\n", b"a,n\n0.106894,3\n", 0.0, []),
+    (b"a,n\n0.106893,3\n", b"a,n\n0.106895,3\n", 1e-6 / 0.106895, []),
+    (b"a,n\n0.5,3\n", b"a,n\n0.5,4\n", 0.0, ["output[1][1]: 3 -> 4"]),
+    (b"a\nnan\n", b"a\nnan\n", 0.0, []),
+    (b"a\nnan\n", b"a\n1.5\n", float("inf"), [])])
+def test_csv_floats_are_compared_beyond_their_printed_digits(parent, change,
+                                                             worst, other):
+    got = cli_diff.compare(cli_diff.parse_output(parent, "csv"),
+                           cli_diff.parse_output(change, "csv"))
+    assert got == (pytest.approx(worst, rel=1e-9), other)

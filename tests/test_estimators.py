@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bdrlab import estimators
 from bdrlab.estimators import (FIT_CHUNK_VALUES, FIT_MAX_INCREMENT, FIT_STEP,
-                               BDRLossConfig, FitConfig, _curvature_bound, bdr_loss_smoothed,
-                               bdr_loss_smoothed_grad, extract_boundaries,
+                               BDRLossConfig, FitConfig, _curvature_bound,
+                               bdr_loss_smoothed, bdr_loss_smoothed_grad,
+                               extract_boundaries,
                                fit_distance, moving_average, nms_1d,
                                quadratic_peak_offset)
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
@@ -228,12 +229,14 @@ def test_fit_builds_the_kernel_once_per_chunk(monkeypatch, rows, chunks):
     assert _chunk_rows(monkeypatch, (rows, T)) == chunks
 
 
-def test_fit_chunks_hold_a_fixed_number_of_values(monkeypatch):
+@pytest.mark.parametrize("T,rows,chunks", [
+    (20, 2 * (FIT_CHUNK_VALUES // 20) + 1, [FIT_CHUNK_VALUES // 20] * 2 + [1]),
+    (FIT_CHUNK_VALUES + 1, 2, [1, 1])])
+def test_fit_chunks_hold_a_fixed_number_of_values(monkeypatch, T, rows,
+                                                  chunks):
     # short rows fill a chunk with many, a row longer than a chunk is a
     # chunk of its own
-    rows = FIT_CHUNK_VALUES // 20
-    assert _chunk_rows(monkeypatch, (2 * rows + 1, 20)) == [rows, rows, 1]
-    assert _chunk_rows(monkeypatch, (2, FIT_CHUNK_VALUES + 1)) == [1, 1]
+    assert _chunk_rows(monkeypatch, (rows, T)) == chunks
 
 
 def test_grad_kernel_rejects_arrays_it_cannot_step_in_place():

@@ -35,9 +35,14 @@ reach. The classification references read that draw placed in all T
 columns with NaN in every other column, so a column the band omits would
 turn an error into NaN.
 
-The fitter builds its gradient kernel's views once per 128-row chunk, so
-fits are compared on one series and on batches that fill a chunk exactly,
-cross chunk edges or end on a one-row chunk.
+The fitter steps the residual of the fit from the observations in float32.
+Its fits are compared bit for bit with the same steps written as whole-array
+numpy expressions in float32 (reference_residual_fit), and within 1e-5
+frames with the float64 fitter that stepped the fit itself
+(reference_fixed_step_fit), at row lengths up to 10^4. It builds its
+gradient kernel once per chunk of FIT_CHUNK_VALUES values, 256 rows at
+T = 200, so fits are compared on one series and on batches that fill a
+chunk exactly, cross chunk edges or end on a one-row chunk.
 
 One AR(1) series and the hold_previous sweep run as synth._blocked_scan,
 which steps overlapping blocks of a long series together and redoes with
@@ -533,8 +538,9 @@ def _check_fit_against_reference(T, noise, stride, rows,
         assert np.array_equal(earlier, want)
 
 
-# (T, rho, stride, rows, alpha); 300 rows cross two 128-row chunk edges,
-# 128 rows fill one chunk exactly and 129 end on a one-row chunk
+# (T, rho, stride, rows, alpha); at T = 200 a chunk holds 256 rows, so 256
+# rows fill one chunk exactly and 513 cross two chunk edges and end on a
+# one-row chunk
 FIT_CASES = [(200, 0.0, 2.0, 160, 4.0), (800, 0.6, 1.0, 40, 4.0),
              (133, 0.0, 1.0, 40, 4.0), (133, 0.6, 1.0, 40, 4.0),
              (50, 0.0, 1.0, 25, 4.0), (50, 0.6, 1.0, 25, 4.0),
@@ -543,7 +549,8 @@ FIT_CASES = [(200, 0.0, 2.0, 160, 4.0), (800, 0.6, 1.0, 40, 4.0),
              (50, 0.0, 1.0, 25, 0.0), (200, 0.6, 1.0, 40, 0.0),
              (50, 0.6, 2.0, 25, 0.1), (400, 0.0, 4.0, 40, 0.1),
              (50, 0.6, 1.0, 1, 4.0), (200, 0.0, 1.0, 128, 4.0),
-             (200, 0.6, 1.0, 129, 4.0)]
+             (200, 0.6, 1.0, 129, 4.0), (200, 0.0, 1.0, 256, 4.0),
+             (200, 0.6, 1.0, 513, 4.0)]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""Check that two source trees give byte-identical CLI output.
+"""Check that two source trees give the same CLI output.
 
-    python3 tools/cli_diff.py PARENT_TREE CHANGE_TREE
+    python3 tools/cli_diff.py PARENT_TREE CHANGE_TREE [--rtol R]
 
 Each tree is a checkout of this repository (it holds `src/bdrlab`). Every
 command of COMMANDS runs in both trees as `python3 -m bdrlab.cli` with
@@ -11,23 +11,40 @@ path, the same path to both trees. The tool prints each run whose exit
 code, standard output bytes or standard error bytes differ between the
 trees, naming which of the three differ, and exits 1 if any run differs and
 0 otherwise.
+
+With --rtol R, a run whose exit code and standard error match but whose
+standard output bytes differ is compared by value: both outputs are parsed,
+as JSON or as CSV, and the tool prints the largest relative difference
+between their floats and every other field that differs. The run passes
+when every float is within R of its partner and every other field, integers
+and strings included, is equal. A CSV float is printed to a few digits, so
+its relative difference counts only what is left of the gap between the two
+printed values after half a unit in each one's last digit.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 SEEDS = range(1, 6)
 COMMANDS = [
     ["scaling", "--trials", "10000", "--seed", "1000"],
     ["scaling", "--trials", "2000", "--num-positions", "800", "--rho", "0.6",
      "--seed", "7"],
+    # long rows, whose values reach 5000 strides: a float32 fit of the values
+    # themselves would drift by 0.06 frames here
+    ["scaling", "--num-positions", "10000", "--trials", "20", "--seed", "3"],
     # small sweeps, where the CIs are widest: the benchmark's 100 trials
     # per cell, and 150
     ["scaling", "--trials", "100", "--seed", "3"],
@@ -105,15 +122,85 @@ def with_config_files(command: list, path: Path) -> list:
     return argv
 
 
+class Printed(NamedTuple):
+    """A float read from an output: its value, and one unit in the last
+    digit printed (0 for JSON, which prints every float in full)."""
+
+    value: float
+    unit: float
+
+
+def _csv_cell(cell: str):
+    """An int, a Printed float or the string itself."""
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        value = float(cell)
+    except ValueError:
+        return cell
+    exponent = Decimal(cell).as_tuple().exponent
+    return Printed(value, 10.0 ** exponent if math.isfinite(value) else 0.0)
+
+
+def parse_output(stdout: bytes, fmt: str):
+    """A run's standard output as JSON, or as CSV rows of cells, every float
+    a Printed."""
+    text = stdout.decode("utf-8")
+    if fmt == "json":
+        full = lambda s: Printed(float(s), 0.0)
+        return json.loads(text, parse_float=full, parse_constant=full)
+    return [[_csv_cell(cell) for cell in row]
+            for row in csv.reader(io.StringIO(text))]
+
+
+def relative_difference(a: Printed, b: Printed) -> float:
+    """|a - b| less half a printed unit of each, over the larger magnitude;
+    0 for equal values or two NaNs, inf where only one is finite."""
+    if a.value == b.value or (math.isnan(a.value) and math.isnan(b.value)):
+        return 0.0
+    if not (math.isfinite(a.value) and math.isfinite(b.value)):
+        return math.inf
+    gap = abs(a.value - b.value) - (a.unit + b.unit) / 2
+    return max(gap, 0.0) / max(abs(a.value), abs(b.value))
+
+
+def compare(parent, change, where: str = "output") -> tuple:
+    """(largest relative difference between the floats of two parsed
+    outputs, every other difference as a "where: parent -> change" line)."""
+    if isinstance(parent, Printed) and isinstance(change, Printed):
+        return relative_difference(parent, change), []
+    if (isinstance(parent, dict) and isinstance(change, dict)
+            and parent.keys() == change.keys()):
+        pairs = [(f"{where}.{k}", parent[k], change[k]) for k in parent]
+    elif (isinstance(parent, list) and isinstance(change, list)
+            and len(parent) == len(change)):
+        pairs = [(f"{where}[{i}]", p, c)
+                 for i, (p, c) in enumerate(zip(parent, change))]
+    elif type(parent) is type(change) and parent == change:
+        return 0.0, []
+    else:
+        return 0.0, [f"{where}: {parent!r} -> {change!r}"]
+    worst, other = 0.0, []
+    for at, p, c in pairs:
+        diff, lines = compare(p, c, at)
+        worst, other = max(worst, diff), other + lines
+    return worst, other
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="compare differing outputs by value: floats within "
+                         "this relative difference, every other field equal")
     args = ap.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / "src" / "bdrlab").is_dir():
             ap.error(f"{tree} holds no src/bdrlab")
-    differ = 0
+    differ = close = 0
     with tempfile.TemporaryDirectory() as tmp:
         runs = [[*with_config_files(command, Path(tmp) / f"config{i}.json"),
                  "--format", fmt]
@@ -121,15 +208,37 @@ def main(argv=None) -> int:
         for run in runs:
             parent, change = (run_cli(tree, run) for tree in
                               (args.parent, args.change))
-            if parent != change:
+            if parent == change:
+                continue
+            which = [name for name, p, c in zip(STREAMS, parent, change)
+                     if p != c]
+            if args.rtol is None or which != ["stdout"]:
                 differ += 1
-                which = [name for name, p, c in zip(STREAMS, parent, change)
-                         if p != c]
                 print(f"differs: {' '.join(run)} ({', '.join(which)}: exit "
                       f"{parent[0]} -> {change[0]}, stdout {len(parent[1])} "
                       f"-> {len(change[1])} bytes, stderr {len(parent[2])} "
                       f"-> {len(change[2])} bytes)")
-    print(f"{len(runs) - differ} of {len(runs)} runs byte-identical")
+                continue
+            try:
+                worst, other = compare(*(parse_output(side[1], run[-1])
+                                         for side in (parent, change)))
+            except ValueError as exc:  # JSON and Unicode errors among them
+                worst, other = 0.0, [f"output does not parse: {exc}"]
+            if worst <= args.rtol and not other:
+                close += 1
+                print(f"within --rtol: {' '.join(run)} (largest relative "
+                      f"difference {worst:.2g})")
+                continue
+            differ += 1
+            print(f"differs: {' '.join(run)} (largest relative difference "
+                  f"{worst:.2g}, {len(other)} other fields differ)")
+            for line in other:
+                print(f"  {line}")
+    same = len(runs) - differ - close
+    summary = f"{same} of {len(runs)} runs byte-identical"
+    if args.rtol is not None:
+        summary += f", {close} more within --rtol {args.rtol:g}"
+    print(summary)
     return 1 if differ else 0
 
 
