@@ -240,22 +240,30 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
         raise ValueError("observations must be finite")
     _check_positions("observations", obs)
     T = obs.shape[-1]
-    # an overflow here gives inf or NaN increments, which the test refuses
+    # rows are independent; chunks of a fixed number of values keep the
+    # kernel's working set in cache on long batches and short rows alike
+    chunk = max(1, FIT_CHUNK_VALUES // T)
+    # an overflow here gives inf or NaN increments, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         full = obs.reshape(-1, T) / grid.stride
-        target_inc = np.diff(full, axis=-1)
-    if not np.all(np.abs(target_inc) <= FIT_MAX_INCREMENT):
-        raise ValueError("observations must change by at most "
-                         f"{FIT_MAX_INCREMENT:.3g} strides per grid step")
-    target_inc = target_inc.astype(np.float32)
+    # the float64 increments are formed a chunk at a time, so the fit holds
+    # no more than the float64 fit did: the observations in strides and two
+    # float32 arrays
+    target_inc = np.empty((len(full), T - 1), np.float32)
+    for start in range(0, len(full), chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            inc = np.diff(full[start:start + chunk], axis=-1)
+        # NaN fails both comparisons
+        if not (inc.max() <= FIT_MAX_INCREMENT
+                and inc.min() >= -FIT_MAX_INCREMENT):
+            raise ValueError("observations must change by at most "
+                             f"{FIT_MAX_INCREMENT:.3g} strides per grid step")
+        target_inc[start:start + chunk] = inc
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
     step, bound = FIT_STEP, _curvature_bound(T, alpha, delta)
     while step * bound >= 2.0:
         step *= 0.5
     residual = np.zeros(full.shape, np.float32)
-    # rows are independent; chunks of a fixed number of values keep the
-    # kernel's working set in cache on long batches and short rows alike
-    chunk = max(1, FIT_CHUNK_VALUES // T)
     for start in range(0, len(full), chunk):
         # a block of whole rows, so C-contiguous as the kernel needs
         e = residual[start:start + chunk]
