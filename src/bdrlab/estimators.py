@@ -246,9 +246,9 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     # an overflow here gives inf or NaN increments, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         full = obs.reshape(-1, T) / grid.stride
-    # the float64 increments are formed a chunk at a time, so the fit holds
-    # no more than the float64 fit did: the observations in strides and two
-    # float32 arrays
+    # the float64 increments are formed a chunk at a time, so beside the
+    # observations in strides the fit holds only two float32 arrays, the
+    # increments and the residual
     target_inc = np.empty((len(full), T - 1), np.float32)
     for start in range(0, len(full), chunk):
         with np.errstate(over="ignore", invalid="ignore"):
