@@ -83,14 +83,17 @@ def _emit(args, header, rows):
 
 # The library names the field a bad value was given for at the start of its
 # ValueError ("num_trials must be >= 2"); per command, the flag that sets
-# each such field, which the message names instead.
+# each such field, which the message names instead. A sweep's distance
+# observations are the unit-stride field plus noise, so their range is set by
+# --noise-scale.
 NOISE_FLAGS = {"scale": "--noise-scale", "rho": "--rho", "nu": "--nu"}
 FIELD_FLAGS = {
     "synth": {"num_positions": "--num-positions", "stride": "--stride",
               "kappa": "--kappa", "boundaries": "--boundaries",
               "centers": "--boundaries", **NOISE_FLAGS},
     "scaling": {"num_trials": "--trials", "num_positions": "--num-positions",
-                "kappa": "--kappas", "stride": "--strides", **NOISE_FLAGS},
+                "kappa": "--kappas", "stride": "--strides",
+                "observations": "--noise-scale", **NOISE_FLAGS},
     "atr-sim": {"trace_rho": "--trace-rho", "gain": "--gain",
                 "gamma": "--gamma"},
 }

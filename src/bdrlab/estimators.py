@@ -3,11 +3,12 @@
 fit_distance descends the smoothed loss on the residual of the fit from the
 observations, in float32, and returns the fit in float64. The residual stays
 the size of the noise, so the fit tracks the same steps taken in float64
-within 1e-5 strides at unit-scale noise, whatever the rows' length. It refuses
-observations whose increments exceed FIT_MAX_INCREMENT strides, under which
-no float32 value overflows, and steps rows in chunks of FIT_CHUNK_VALUES
-values. One gradient kernel serves the fitter and bdr_loss_smoothed_grad,
-which runs it in float64.
+within 1e-5 strides at unit-scale noise, whatever the rows' length. It fits
+rows in chunks of FIT_CHUNK_VALUES values, each in one pass, and refuses a
+chunk whose increments exceed FIT_MAX_INCREMENT strides, under which no
+float32 value overflows, before stepping it. One gradient kernel, which owns
+its residual, serves the fitter and bdr_loss_smoothed_grad, which runs it in
+float64.
 """
 
 from __future__ import annotations
@@ -68,57 +69,55 @@ def _check_positions(what: str, *arrays) -> None:
         raise ValueError(f"{what} need at least 2 positions")
 
 
-def _smoothed_grad_kernel(residual, target_inc, stride: float, alpha: float,
+def _smoothed_grad_kernel(target_inc, dtype, stride: float, alpha: float,
                           delta: float, scale: float):
-    """A zero-argument step that returns `scale` times the gradient of
+    """(residual, step), both in `dtype`: the residual e, zeroed, with one
+    more column than the target's increments `target_inc`, and a
+    zero-argument step that returns `scale` times the gradient of
     bdr_loss_smoothed (batched rows, Huber width `delta`) at the prediction
-    target + `residual`, in the residual's dtype.
+    target + e.
 
-    The kernel reads the prediction only through its residual e from the
-    target and the target's increments `target_inc`, which broadcast to the
-    (..., T - 1) increments: the Huber term reads e, the hinge the
-    prediction's increments diff(e) + target_inc. Every value it holds is
-    then the size of the residual, not of the target, which is what lets
-    the fitter step in float32.
+    The caller writes e in place, once or between steps. The kernel reads
+    the prediction only through e and `target_inc`, rounded once to
+    `dtype`: the Huber term reads e, the hinge the prediction's increments
+    diff(e) + target_inc. Every value it holds is then the size of the
+    residual, not of the target, which is what lets the fitter step in
+    float32.
 
     The Huber term's gradient is the clipped residual clip(e/delta, -1, 1)
     over T, computed as e * (scale/(delta T)) clipped to +-scale/T: one
-    multiply and a clip, no divide. Both constants are in the residual's
-    dtype, and the multiplier is rounded up there, one ULP at a time, while
-    delta times it falls short of scale/T, so every |e| >= delta lands on
-    the bound. In float64 that bound is the quotient form's 1/(T/scale) bit
-    for bit, and inside the band the two forms differ by rounding, at most
-    3 ULP. The hinge's gradient is 2 alpha/(T-1) * q for the signed excess
+    multiply and a clip, no divide. Both constants are in `dtype`, and the
+    multiplier is rounded up there, one ULP at a time, while delta times it
+    falls short of scale/T, so every |e| >= delta lands on the bound. In
+    float64 that bound is the quotient form's 1/(T/scale) bit for bit, and
+    inside the band the two forms differ by rounding, at most 3 ULP. The
+    hinge's gradient is 2 alpha/(T-1) * q for the signed excess
     q = inc - clip(inc, -stride, stride) of each increment, exactly,
     because q is the excess times sign(inc). `scale` is folded into the
     constants; for a power of two, as the fitter's step is, that rounds
     exactly like scaling the gradient afterwards.
 
     Everything that does not change between steps is made here, once: the
-    gradient, the target's increments laid out like the residual and the
-    two scratch arrays, increments and hinge gradient, their flat views and
-    slices, and the constants. The step itself makes only ufunc calls that
-    write into those arrays, so a caller that steps many times, reading the
-    residual afresh each time, allocates nothing per step; each call
-    returns the same gradient array, overwritten. The residual must be
-    C-contiguous: the increments and the hinge gradient run over the
-    flattened rows, with each row's last column, the one that would
-    straddle two rows, set to zero.
+    residual, the gradient, the target's increments laid out like the
+    residual and the two scratch arrays, increments and hinge gradient,
+    their flat views and slices, and the constants. The increments and the
+    hinge gradient run over the flattened rows, with each row's last
+    column, the one that would straddle two rows, set to zero. The step
+    itself makes only ufunc calls that write into those arrays, so it
+    allocates nothing; each call returns the same gradient array,
+    overwritten.
     """
-    # a reshape of any other array copies, and the step would read the copy
-    # instead of the caller's residual
-    if not residual.flags.c_contiguous:
-        raise ValueError("residual must be C-contiguous")
-    dtype = residual.dtype.type
+    dtype = np.dtype(dtype).type
+    shape = target_inc.shape[:-1] + (target_inc.shape[-1] + 1,)
     # the increments' last entry only ever adds two zeros, so stays finite
-    grad, inc, q, t_inc = (np.zeros(residual.shape, dtype) for _ in range(4))
+    residual, grad, inc, q, t_inc = (np.zeros(shape, dtype) for _ in range(5))
     t_inc[..., :-1] = target_inc
     flat_e, flat_inc, flat_q, flat_g = (a.reshape(-1)
                                         for a in (residual, inc, q, grad))
     e_next, e_prev, inc_head = flat_e[1:], flat_e[:-1], flat_inc[:-1]
     q_head, q_last = flat_q[:-1], q[..., -1]
     g_head, g_tail = flat_g[:-1], flat_g[1:]
-    T = residual.shape[-1]
+    T = shape[-1]
     huber_bound = dtype(scale / T)
     huber_mul, delta = dtype(scale / (delta * T)), dtype(delta)
     while delta * huber_mul < huber_bound:
@@ -140,7 +139,7 @@ def _smoothed_grad_kernel(residual, target_inc, stride: float, alpha: float,
         add(g_tail, q_head, out=g_tail)
         return grad
 
-    return step
+    return residual, step
 
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
@@ -174,13 +173,14 @@ def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
     _check_positions("target and prediction", target, prediction)
     target = np.asarray(target, dtype=float)
     # one prediction scored against a batch of targets, or the other way
-    # round, is broadcast, and a strided residual copied, into the
-    # contiguous layout the kernel steps on
-    residual = np.ascontiguousarray(np.subtract(prediction, target,
-                                                dtype=float))
-    target_inc = np.diff(np.broadcast_to(target, residual.shape), axis=-1)
-    return _smoothed_grad_kernel(residual, target_inc, stride, cfg.alpha,
-                                 cfg.huber_delta * stride, 1.0)()
+    # round, is broadcast into the kernel's residual
+    shape = np.broadcast_shapes(np.shape(prediction), target.shape)
+    target_inc = np.diff(np.broadcast_to(target, shape), axis=-1)
+    residual, grad = _smoothed_grad_kernel(target_inc, np.float64, stride,
+                                           cfg.alpha, cfg.huber_delta * stride,
+                                           1.0)
+    np.subtract(prediction, target, out=residual)
+    return grad()
 
 
 def _curvature_bound(T: int, alpha: float, delta: float) -> float:
@@ -209,7 +209,7 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     The fitter steps the residual e = d - o of the fit d from the
     observations o, both in grid units, in float32, starting from e = 0,
     and returns (o + e) * stride in float64. The kernel reads e and the
-    increments diff(e) + diff(o), diff(o) formed once per call in float64
+    increments diff(e) + diff(o), diff(o) formed once per chunk in float64
     and rounded once to float32, so every value it holds is the size of the
     noise whatever the row's length or offset: at unit-scale noise the fit
     stays within 1e-5 grid units of the same steps taken in float64 (at
@@ -218,8 +218,8 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
 
     Observations whose grid-unit increments exceed FIT_MAX_INCREMENT =
     float32 max / (8 FIT_ITERATIONS), about 1.4e35 strides, raise
-    ValueError before any step: under that bound no float32 value can
-    overflow in FIT_ITERATIONS steps. Because step L < 2, the Huber
+    ValueError before their chunk steps: under that bound no float32 value
+    can overflow in FIT_ITERATIONS steps. Because step L < 2, the Huber
     multiplier step/(delta T) and the hinge multiplier 2 step alpha/(T-1)
     are below 2 and 1/2. A step of the hinge then never raises the largest
     increment |diff(d)| of a row, and the Huber term moves each value by at
@@ -230,49 +230,45 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     is slack for rounding.
 
     Rows are fitted in chunks of FIT_CHUNK_VALUES // T rows, at least one,
-    each stepped in place in its block of the residual. The kernel is built
-    once per chunk, on that chunk's rows, so its arrays, views, slices and
-    constants are made once per chunk, not on every step. Rows are
-    independent, so the fit does not depend on the chunk size.
+    each from start to finish in one pass: its increments are formed and
+    checked, the kernel is built on them, the kernel's residual takes
+    FIT_ITERATIONS steps in place and (o + e) * stride is written back into
+    that chunk of the output. So the arrays, views, slices and constants of
+    the kernel are made once per chunk, not on every step, and beside the
+    output the fit holds only one chunk's arrays. Rows are independent, so
+    the fit does not depend on the chunk size; a refused row raises after
+    the chunks before it have stepped, and no output is returned.
     """
     obs = np.asarray(observations, dtype=float)
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
     _check_positions("observations", obs)
     T = obs.shape[-1]
+    alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
+    step, bound = FIT_STEP, _curvature_bound(T, alpha, delta)
+    while step * bound >= 2.0:
+        step *= 0.5
     # rows are independent; chunks of a fixed number of values keep the
     # kernel's working set in cache on long batches and short rows alike
     chunk = max(1, FIT_CHUNK_VALUES // T)
     # an overflow here gives inf or NaN increments, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         full = obs.reshape(-1, T) / grid.stride
-    # the float64 increments are formed a chunk at a time, so beside the
-    # observations in strides the fit holds only two float32 arrays, the
-    # increments and the residual
-    target_inc = np.empty((len(full), T - 1), np.float32)
     for start in range(0, len(full), chunk):
+        d = full[start:start + chunk]
         with np.errstate(over="ignore", invalid="ignore"):
-            inc = np.diff(full[start:start + chunk], axis=-1)
+            inc = np.diff(d, axis=-1)
         # NaN fails both comparisons
         if not (inc.max() <= FIT_MAX_INCREMENT
                 and inc.min() >= -FIT_MAX_INCREMENT):
             raise ValueError("observations must change by at most "
                              f"{FIT_MAX_INCREMENT:.3g} strides per grid step")
-        target_inc[start:start + chunk] = inc
-    alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
-    step, bound = FIT_STEP, _curvature_bound(T, alpha, delta)
-    while step * bound >= 2.0:
-        step *= 0.5
-    residual = np.zeros(full.shape, np.float32)
-    for start in range(0, len(full), chunk):
-        # a block of whole rows, so C-contiguous as the kernel needs
-        e = residual[start:start + chunk]
-        scaled_grad = _smoothed_grad_kernel(e, target_inc[start:start + chunk],
-                                            1.0, alpha, delta, step)
+        e, scaled_grad = _smoothed_grad_kernel(inc, np.float32, 1.0, alpha,
+                                               delta, step)
         for _ in range(FIT_ITERATIONS):
             e -= scaled_grad()
-    full += residual
-    full *= grid.stride
+        d += e
+        d *= grid.stride
     return full.reshape(obs.shape)
 
 

@@ -167,9 +167,19 @@ def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
 def _readout(spec: ExperimentSpec):
     """(m, r) of the spec's peak readout: the smoothing width m in columns
     and the search radius r in frames, half a stride plus CLS_WINDOW_FACTOR
-    times the part of kappa that resolves beyond half a stride."""
+    times the part of kappa that resolves beyond half a stride.
+
+    m is round(CLS_SMOOTH_FACTOR kappa / stride) | 1, at most 2T - 1 for
+    rows of T columns. From that width on, every smoothed column sums the
+    whole row in the same order, so a wider m would give the same first
+    maximum, the same zero quadratic offset and the same band, at a cost
+    that grows as 1/stride."""
     stride, kappa = spec.grid.stride, spec.kappa
-    m = max(1, int(round(CLS_SMOOTH_FACTOR * kappa / stride)) | 1)
+    # 2T - 1 is odd, so capping the width before rounding gives the same m
+    # as capping m, and an infinite width never reaches int()
+    width = min(CLS_SMOOTH_FACTOR * kappa / stride,
+                2 * spec.grid.num_positions - 1)
+    m = max(1, int(round(width)) | 1)
     r = 0.5 * stride + CLS_WINDOW_FACTOR * max(0.0, kappa - 0.5 * stride)
     return m, r
 
@@ -476,10 +486,10 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     2) from master_seed + i, so the classification side stays independent
     per cell. One variance_ratios call reports every cell, each CI in
     closed form, so the reports draw nothing. Every cell's spec is built,
-    and so validated, and the cells are checked for a finite dt^2/kappa
-    each and two distinct ones, which the slope fit needs, before any
-    fitting; a cell whose R is not finite and positive, which the slope
-    fit cannot take, raises ValueError naming that cell.
+    and so validated, and the cells are checked for a finite, nonzero
+    dt^2/kappa each and two distinct ones, which the slope fit needs,
+    before any fitting; a cell whose R is not finite and positive, which
+    the slope fit cannot take, raises ValueError naming that cell.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
@@ -503,6 +513,8 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         xs = [np.inf]
     if not np.isfinite(xs).all():
         raise ValueError("stride must keep every dt^2/kappa finite")
+    if min(xs) <= 0:  # dt^2 underflows to 0, which the slope fit cannot log
+        raise ValueError("stride must keep every dt^2/kappa above zero")
     if len(set(xs)) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
     errors = sweep_errors(specs)

@@ -196,7 +196,7 @@ def test_noise_beyond_the_fitters_range_exits_usage(tmp_path, capsys):
         assert run(["scaling", "--trials", "50", "--seed", "1",
                     "--noise-scale", "1e39", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: observations must change by at most {FIT_MAX_INCREMENT:.3g}"
+        f"error: --noise-scale must change by at most {FIT_MAX_INCREMENT:.3g}"
         " strides per grid step\n")
     assert not out.exists()
 
@@ -256,7 +256,9 @@ def _record_fits(monkeypatch, fits):
 
 # the fifth case is a grid too short for the peak search's window, the
 # sixth and seventh a gate band that no slope can be checked against, the
-# last two a kappa below and above make_kernel_features' range
+# eighth and ninth a kappa below and above make_kernel_features' range, the
+# last two a stride whose dt^2/kappa underflows to 0; every message names
+# the flag given last
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
                                   ["--kappas", "1,0"], ["--strides", "1,inf"],
                                   ["--num-positions", "2"],
@@ -264,7 +266,9 @@ def _record_fits(monkeypatch, fits):
                                   ["--gate", "--band-low", "1.3",
                                    "--band-high", "0.8"],
                                   ["--kappas", "1e-200,1"],
-                                  ["--kappas", "1e200,1"]])
+                                  ["--kappas", "1e200,1"],
+                                  ["--strides", "1e-200,1"],
+                                  ["--strides", "1e-300,1"]])
 def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []
@@ -276,6 +280,7 @@ def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert axis[-2] in err
     assert fits == []
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from bdrlab.estimators import (FIT_CHUNK_VALUES, FIT_MAX_INCREMENT, FIT_STEP,
                                extract_boundaries,
                                fit_distance, moving_average, nms_1d,
                                quadratic_peak_offset)
+from bdrlab.stats import SWEEP_FIT
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
                           make_kernel_features, sample_noise_matrix)
 
@@ -173,8 +175,8 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
            + sample_noise_matrix(NoiseSpec(rho=rho), T, 100, T))
     build, losses = estimators._smoothed_grad_kernel, []
 
-    def spy(residual, target_inc, *args):
-        step = build(residual, target_inc, *args)
+    def spy(*args):
+        residual, step = build(*args)
 
         def spied_step():
             # the grid-unit loss of the fit obs + e before the step, e being
@@ -183,7 +185,7 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
                                             cfg.loss))
             return step()
 
-        return spied_step
+        return residual, spied_step
 
     monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
     fit_distance(obs, grid, cfg)
@@ -206,9 +208,9 @@ def _chunk_rows(monkeypatch, shape):
     kernel for, one step each."""
     build, built = estimators._smoothed_grad_kernel, []
 
-    def spy(residual, *args):
-        built.append(len(residual))
-        return build(residual, *args)
+    def spy(target_inc, *args):
+        built.append(len(target_inc))
+        return build(target_inc, *args)
 
     monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
     monkeypatch.setattr(estimators, "FIT_ITERATIONS", 1)
@@ -235,19 +237,28 @@ def test_fit_chunks_hold_a_fixed_number_of_values(monkeypatch, T, rows,
     assert _chunk_rows(monkeypatch, (rows, T)) == chunks
 
 
-def test_grad_kernel_rejects_arrays_it_cannot_step_in_place():
-    # a reshape of a strided array copies, so the kernel would read a stale
-    # residual
-    with pytest.raises(ValueError, match="C-contiguous"):
-        estimators._smoothed_grad_kernel(np.zeros((4, 20))[:, ::2],
-                                         np.zeros((4, 9)), 1.0, 0.1, 0.01, 1.0)
+def test_fit_memory_is_the_output_plus_one_chunk():
+    # each chunk is fitted in one pass, so beside its output the fit holds
+    # one chunk's increments and kernel arrays, not batch-sized ones
+    grid = TimeGrid(stride=1.0, num_positions=200)
+    obs = (grid.times() - 100.0
+           + sample_noise_matrix(NoiseSpec(), 7, 2000, 200))
+    tracemalloc.start()
+    try:
+        fit = fit_distance(obs, grid, SWEEP_FIT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fit.nbytes + 3 * 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grad_kernel_steps_in_the_residuals_dtype(dtype):
-    residual = np.linspace(-1.0, 1.0, 30, dtype=dtype).reshape(3, 10)
-    step = estimators._smoothed_grad_kernel(residual, np.full((3, 9), 1.5),
-                                            1.0, 4.0, 0.01, 0.5)
+    residual, step = estimators._smoothed_grad_kernel(
+        np.full((3, 9), 1.5), dtype, 1.0, 4.0, 0.01, 0.5)
+    assert residual.shape == (3, 10) and residual.dtype == dtype
+    assert not residual.any()
+    residual[...] = np.linspace(-1.0, 1.0, 30).reshape(3, 10)
     assert step().dtype == dtype
 
 
@@ -301,13 +312,18 @@ def test_fit_takes_increments_up_to_the_float32_bound(alpha, T):
 
 
 @pytest.mark.parametrize("stride", [1.0, 0.5])
-def test_fit_rejects_increments_above_the_float32_bound(stride):
+def test_fit_rejects_increments_above_the_float32_bound(monkeypatch, stride):
     grid = TimeGrid(stride=stride, num_positions=40)
     jump = np.nextafter(FIT_MAX_INCREMENT, np.inf) * stride
     obs = np.concatenate([np.zeros((3, 40)), _jump_rows(40, jump)])
     for rows in (obs[3:4], obs[4:], obs):
         with pytest.raises(ValueError, match="strides per grid step"):
             fit_distance(rows, grid)
+    # one row per chunk: the first over-range row comes after three chunks
+    # that have already stepped
+    monkeypatch.setattr(estimators, "FIT_CHUNK_VALUES", 40)
+    with pytest.raises(ValueError, match="strides per grid step"):
+        fit_distance(obs, grid)
 
 
 @pytest.mark.parametrize("obs", [np.full(10, 1e300),

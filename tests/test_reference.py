@@ -284,7 +284,11 @@ def test_smoothed_grad_within_rounding_of_the_prediction_order(layout, stride,
 def _huber_kernel_grad(r, delta, scale):
     """The kernel's Huber gradient alone (alpha 0) at residuals r, rows of
     T, the target's increments zero."""
-    return estimators._smoothed_grad_kernel(r, 0.0, 1.0, 0.0, delta, scale)()
+    residual, step = estimators._smoothed_grad_kernel(
+        np.zeros(r.shape[:-1] + (r.shape[-1] - 1,)), r.dtype, 1.0, 0.0, delta,
+        scale)
+    residual[...] = r
+    return step()
 
 
 def _residuals_around_the_band(rng, delta, T):
@@ -952,7 +956,7 @@ def reference_full_width_cls_errors(spec, truths, noise):
 
 
 ALL_CLS_NOISES = dict(CLS_NOISES, student_t=NoiseSpec(family="student_t"))
-CLS_KAPPAS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 30.0)
+CLS_KAPPAS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 30.0, 300.0)
 
 
 def _band_width(spec):

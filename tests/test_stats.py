@@ -584,6 +584,16 @@ def test_classification_side_memory_stays_chunked():
     assert peak < noise.nbytes + 2 * 2**20
 
 
+@pytest.mark.parametrize("T", [60, 200])
+@pytest.mark.parametrize("stride", [1e-9, 5e-324])
+def test_readout_width_stops_at_the_whole_row(T, stride):
+    # from 2T - 1 columns on every smoothed column sums the whole row, so a
+    # small stride widens the smoothing no further; 1.5 kappa / 5e-324 is inf
+    spec = _spec(grid=TimeGrid(stride=stride, num_positions=T),
+                 boundary=T / 2)
+    assert stats._readout(spec)[0] == 2 * T - 1
+
+
 def test_nearest_crossing_errors_match_the_per_row_rule():
     # each row's crossing nearest its truth, by np.argmin over the row's own
     # extraction: ties to the earlier crossing, NaN for a row with none

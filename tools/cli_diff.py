@@ -57,6 +57,10 @@ COMMANDS = [
      "--trials", "400", "--num-positions", "60", "--seed", "9"],
     ["scaling", "--kappas", "0.75,1.5,3", "--strides", "1.1,0.7,3",
      "--trials", "400", "--num-positions", "61", "--seed", "9"],
+    # a stride so small that the peak readout's smoothing width is capped at
+    # the whole row
+    ["scaling", "--kappas", "1,2", "--strides", "1e-3,1", "--trials", "400",
+     "--num-positions", "60", "--seed", "2"],
     # heavy tails: many fitted rows hold two or more crossings before
     # suppression and some none, so NaN distance errors enter every
     # cell's report
@@ -85,8 +89,8 @@ COMMANDS = [
      "--bins", "7"],
     # bad values, compared by exit code, the empty stdout and the error
     # message: a config value, a kappa below the kernel's range, one bad
-    # value each for scaling, calib, flops and atr-sim, and an unknown
-    # config key
+    # value each for scaling, calib, flops and atr-sim, noise beyond the
+    # fitter's range, and an unknown config key
     ["calib", "--config", {"bins": "ten", "seed": 3}],
     ["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "2000",
      "--seed", "1"],
@@ -94,6 +98,7 @@ COMMANDS = [
     ["calib", "--bins", "1", "--seed", "1"],
     ["flops", "--points", "0.5:2"],
     ["atr-sim", "--length", "1", "--seed", "1"],
+    ["scaling", "--trials", "50", "--seed", "1", "--noise-scale", "1e39"],
     ["calib", "--config", {"bins": 12, "colour": "red", "seed": 1}],
 ]
 FORMATS = ("csv", "json")
