@@ -17,17 +17,25 @@ A spec's boundary is in grid positions: trial k's truth is
 (boundary + phase_k) x stride frames, built by _truths, and the prior support
 _cls_band reads is (boundary + [0, 1]) x stride. No other code converts it.
 
-sweep_errors runs both estimators on a list of cells that share streams 0
-and 1 (common random numbers): the distance side fits with SWEEP_FIT and
-extracts its zero crossings once, on the stride-1 copy of the first cell,
-and each cell takes those errors times its stride, which is valid because
-the distance side never reads kappa and runs in grid units. The
-classification side searches the plateau window of each of the cell's
-truths, with stream 2 per cell. run_trials is the one-cell sweep.
-scaling_sweep runs the (kappa, stride) grid through sweep_errors and adds a
-report per cell and the slope fit. cls_variance_kappa_slope draws
-streams 0 and 2 once per call, stream 2 for its widest kappa, and reuses
-them for every kappa.
+Each estimator side has one path, which every entry point takes. The
+distance side is _distance_errors(spec, readout): it draws streams 0 and 1,
+fits them with SWEEP_FIT on the spec's grid and returns the truths and the
+errors of a readout, which returns one estimate per row (NaN where a row
+has none). The classification side is _cls_draw(spec), the one stream-2
+draw over the spec's band, read by _cls_errors.
+
+sweep_errors runs both sides on a list of cells that share streams 0 and 1
+(common random numbers): _distance_errors with the _nearest_crossing
+readout runs once, on the stride-1 copy of the first cell, and each cell
+takes those errors times its stride, which is valid because the distance
+side never reads kappa and runs in grid units. Each cell makes its own
+_cls_draw, and _cls_errors searches the plateau window of each of the
+cell's truths. run_trials is the one-cell sweep. scaling_sweep runs the
+(kappa, stride) grid through sweep_errors and adds a report per cell and
+the slope fit. finite_sample_variance_check runs _distance_errors with the
+pooled_boundary_estimate readout once per length. cls_variance_kappa_slope
+makes one _cls_draw, for its widest kappa, and reads every kappa off it
+with the same truths.
 
 The classification side is batched: features, smoothing, the windowed
 argmax and the quadratic refinement each run once per chunk of trials, and
@@ -45,6 +53,7 @@ random number. variance_ratio is the one-cell case.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +103,8 @@ class ExperimentSpec:
         if self.grid.num_positions < 3:
             raise ValueError("num_positions must be >= 3")
         if not KAPPA_MIN <= self.kappa <= KAPPA_MAX:  # as make_kernel_features
-            raise ValueError("kappa must be finite and positive")
+            raise ValueError(
+                f"kappa must be in [{KAPPA_MIN:.3g}, {KAPPA_MAX:.3g}]")
         if self.num_trials < 2:
             raise ValueError("num_trials must be >= 2")
         if not 0.0 < self.boundary < self.grid.num_positions:
@@ -130,38 +140,44 @@ def _truths(spec: ExperimentSpec) -> np.ndarray:
 
 def _noise_rows(spec: ExperimentSpec, label: int, count: int) -> np.ndarray:
     """One noise row of `count` values per trial from stream `label`: all T
-    columns of the distance noise (1), or the b0 - a0 columns of the
-    classification noise's band _cls_band(spec) (2)."""
+    columns of the distance noise (1) for _distance_errors, or the b0 - a0
+    columns of the classification noise's band _cls_band(spec) (2) for
+    _cls_draw."""
     return sample_noise_matrix(spec.noise, (spec.master_seed, label),
                                spec.num_trials, count)
 
 
-def _fit_distance_side(spec: ExperimentSpec):
-    """(truths, fitted rows) of the spec's distance side.
+def _distance_errors(spec: ExperimentSpec, readout):
+    """(truths, errors) in frames of the spec's distance side: the one
+    place that draws streams 0 and 1 and fits them.
 
     The observations are the clean signed-distance field plus noise in
     stride units (one noise unit per grid step), matching the regression
-    error model the scaling analysis is phrased in.
+    error model the scaling analysis is phrased in. They are fitted with
+    SWEEP_FIT on the spec's own grid, and each row's error is
+    readout(fits, truths, grid) - truths. Every readout returns one
+    estimate per row, NaN where a row has none: _nearest_crossing for
+    sweep_errors, pooled_boundary_estimate for finite_sample_variance_check.
     """
     grid = spec.grid
     truths, noise = _truths(spec), _noise_rows(spec, 1, grid.num_positions)
     clean = grid.times()[None, :] - truths[:, None]
-    return truths, fit_distance(clean + grid.stride * noise, grid, SWEEP_FIT)
+    fits = fit_distance(clean + grid.stride * noise, grid, SWEEP_FIT)
+    return truths, readout(fits, truths, grid) - truths
 
 
-def _nearest_crossing_errors(dhat: np.ndarray, truths: np.ndarray,
-                             grid: TimeGrid) -> np.ndarray:
-    """Signed error of the crossing nearest each truth, ties going to the
-    earlier crossing; NaN where a row has no crossing. One
-    extract_boundaries call reads every row."""
+def _nearest_crossing(dhat: np.ndarray, truths: np.ndarray,
+                      grid: TimeGrid) -> np.ndarray:
+    """The crossing nearest each truth, ties going to the earlier crossing;
+    NaN where a row has no crossing. One extract_boundaries call reads
+    every row."""
     row, cands = extract_boundaries(dhat, grid)
-    err = cands - truths[row]
     # lexsort is stable: within a row, equal distances keep crossing order
-    order = np.lexsort((np.abs(err), row))
+    order = np.lexsort((np.abs(cands - truths[row]), row))
     first = order[np.diff(row[order], prepend=-1) != 0]
-    errors = np.full(len(truths), np.nan)
-    errors[row[first]] = err[first]
-    return errors
+    estimates = np.full(len(truths), np.nan)
+    estimates[row[first]] = cands[first]
+    return estimates
 
 
 def _readout(spec: ExperimentSpec):
@@ -219,14 +235,23 @@ def _cls_band(spec: ExperimentSpec):
     return _windows(spec, support)[2:]
 
 
+def _cls_draw(spec: ExperimentSpec):
+    """(noise, a0): the spec's classification noise, stream 2 over its band
+    [a0, b0) = _cls_band(spec), one row of b0 - a0 values per trial, as
+    _cls_errors reads it. The one classification draw: sweep_errors makes
+    it per cell, cls_variance_kappa_slope once, for its widest kappa."""
+    a0, b0 = _cls_band(spec)
+    return _noise_rows(spec, 2, b0 - a0), a0
+
+
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
                 a0: int) -> np.ndarray:
     """Signed classification-peak error per trial, one noise row per truth.
 
     Row k of `noise` holds the classification noise of grid columns
-    a0 .. a0 + noise.shape[1] - 1 for truth k: the _cls_band draw of
-    _noise_rows with its a0, or full rows with a0 = 0. A chunk whose band
-    falls outside those columns raises ValueError.
+    a0 .. a0 + noise.shape[1] - 1 for truth k: the draw of _cls_draw with
+    its a0, or full rows with a0 = 0. A chunk whose band falls outside
+    those columns raises ValueError.
 
     A trial's estimate is the first maximum of its clipped, smoothed feature
     row within the search window of its truth (_windows). Quadratic
@@ -274,15 +299,16 @@ def sweep_errors(specs) -> list:
 
     The specs must share num_positions, boundary, noise and num_trials, or
     ValueError is raised before any draw. Every cell shares the distance
-    side of the stride-1 copy of specs[0]: its phases (stream 0) and
-    distance noise (stream 1) are drawn once, fitted once and read out
-    once, in grid units. A cell of stride dt takes those errors times dt,
-    and runs _cls_errors on those truths times dt, its own _truths at
-    specs[0]'s master_seed, with stream 2 drawn from its own master_seed.
-    This is valid because the distance estimator never reads kappa and
-    fits and extracts in grid units, so at a power-of-two stride a fit on
-    the cell's own grid gives the same errors times dt bit for bit. Failed
-    extractions are recorded as NaN, not raised.
+    side of the stride-1 copy of specs[0]: one _distance_errors call with
+    the _nearest_crossing readout draws its phases (stream 0) and distance
+    noise (stream 1), fits them and reads them out, in grid units. A cell
+    of stride dt takes those errors times dt, and runs _cls_errors on those
+    truths times dt, its own _truths at specs[0]'s master_seed, with its
+    own _cls_draw, from its own master_seed. This is valid because the
+    distance estimator never reads kappa and fits and extracts in grid
+    units, so at a power-of-two stride a fit on the cell's own grid gives
+    the same errors times dt bit for bit. Failed extractions are recorded
+    as NaN, not raised.
     """
     if not specs:
         return []
@@ -291,16 +317,11 @@ def sweep_errors(specs) -> list:
         raise ValueError("specs must share num_positions, boundary, noise "
                          "and num_trials")
     unit = replace(specs[0], grid=replace(specs[0].grid, stride=1.0))
-    truths, dhat = _fit_distance_side(unit)
-    e_unit = _nearest_crossing_errors(dhat, truths, unit.grid)
-    out = []
-    for spec in specs:
-        a0, b0 = _cls_band(spec)
-        out.append(TrialErrors(
-            bdr=e_unit * spec.grid.stride,
-            cls=_cls_errors(spec, truths * spec.grid.stride,
-                            _noise_rows(spec, 2, b0 - a0), a0)))
-    return out
+    truths, e_unit = _distance_errors(unit, _nearest_crossing)
+    return [TrialErrors(bdr=e_unit * spec.grid.stride,
+                        cls=_cls_errors(spec, truths * spec.grid.stride,
+                                        *_cls_draw(spec)))
+            for spec in specs]
 
 
 def run_trials(spec: ExperimentSpec) -> TrialErrors:
@@ -486,10 +507,12 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
     2) from master_seed + i, so the classification side stays independent
     per cell. One variance_ratios call reports every cell, each CI in
     closed form, so the reports draw nothing. Every cell's spec is built,
-    and so validated, and the cells are checked for a finite, nonzero
-    dt^2/kappa each and two distinct ones, which the slope fit needs,
-    before any fitting; a cell whose R is not finite and positive, which
-    the slope fit cannot take, raises ValueError naming that cell.
+    and so validated, and the cells are checked for a finite dt^2/kappa
+    each, at least the smallest normal float, and two distinct ones, which
+    the slope fit needs, before any fitting. A cell whose R is not finite
+    and positive, which the slope fit cannot take, or whose var_bdr or
+    var_cls is subnormal, and so holds too few digits, raises ValueError
+    naming that cell.
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
@@ -513,8 +536,9 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         xs = [np.inf]
     if not np.isfinite(xs).all():
         raise ValueError("stride must keep every dt^2/kappa finite")
-    if min(xs) <= 0:  # dt^2 underflows to 0, which the slope fit cannot log
-        raise ValueError("stride must keep every dt^2/kappa above zero")
+    if min(xs) < sys.float_info.min:  # dt^2 is subnormal or underflows to 0
+        raise ValueError("stride must keep every dt^2/kappa at least "
+                         f"{sys.float_info.min:.3g}")
     if len(set(xs)) < 2:
         raise ValueError("need at least 2 distinct dt^2/kappa values")
     errors = sweep_errors(specs)
@@ -524,6 +548,11 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
         if not 0 < rep.ratio_R < np.inf:  # the slope fit takes log R
             raise ValueError(f"cell (kappa={kappa:g}, dt={dt:g}) has R = "
                              f"{rep.ratio_R:g}, not finite and positive")
+        low = min(rep.var_bdr, rep.var_cls)
+        if low < sys.float_info.min:  # a subnormal holds too few digits
+            raise ValueError(f"cell (kappa={kappa:g}, dt={dt:g}) has a "
+                             f"variance of {low:g}, below "
+                             f"{sys.float_info.min:.3g}")
         cells.append({"kappa": kappa, "stride": dt, "x_dt2_over_kappa": x,
                       "var_bdr": rep.var_bdr, "var_cls": rep.var_cls,
                       "R": rep.ratio_R, "ci_low": rep.ci_low,
@@ -569,27 +598,28 @@ def _variance_slope(variances: dict):
 def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     """Slope of log Var[pooled boundary estimate] vs log T.
 
-    Returns (slope, {T: variance}), or ("degenerate", variances) when the
-    noise-free setup leaves nothing to measure.
+    Each length T runs _distance_errors with the pooled_boundary_estimate
+    readout on base_spec's grid cut to T positions, boundary T // 2, and
+    takes the MSE of its errors. Returns (slope, {T: variance}), or
+    ("degenerate", variances) when the noise-free setup leaves nothing to
+    measure.
     """
     if len(lengths) < 3:
         raise ValueError("need at least 3 sequence lengths")
-    variances = {}
-    for T in lengths:
-        grid = TimeGrid(stride=base_spec.grid.stride, num_positions=int(T))
-        spec = replace(base_spec, grid=grid, boundary=float(int(T) // 2))
-        truths, dhat = _fit_distance_side(spec)
-        est = pooled_boundary_estimate(dhat, grid)
-        variances[int(T)] = float(np.mean((est - truths) ** 2))
-    return _variance_slope(variances)
+    specs = [replace(base_spec, grid=replace(base_spec.grid, num_positions=T),
+                     boundary=float(T // 2)) for T in map(int, lengths)]
+    pooled = lambda fits, _, grid: pooled_boundary_estimate(fits, grid)
+    return _variance_slope({
+        spec.grid.num_positions: _mse(_distance_errors(spec, pooled)[1])
+        for spec in specs})
 
 
 def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     """Slope of log Var[classification peak] vs log kappa.
 
     The phases and the classification noise do not depend on kappa, so
-    they are drawn once and every kappa reuses them. The noise is the band
-    of the widest kappa, which holds the band of every narrower one, so
+    they are drawn once and every kappa reuses them. The noise is the
+    _cls_draw of the widest kappa, whose band holds every narrower one's, so
     that kappa's errors equal the classification errors of run_trials at
     that kappa bit for bit, at any stride, as both build the truths with
     _truths' formula, and every kappa's errors equal _cls_errors on the
@@ -598,9 +628,8 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     if len(kappas) < 3:
         raise ValueError("need at least 3 kappas")
     specs = [replace(base_spec, kappa=float(k)) for k in kappas]
-    widest = max(specs, key=lambda spec: spec.kappa)
-    a0, b0 = _cls_band(widest)
-    truths, noise = _truths(base_spec), _noise_rows(widest, 2, b0 - a0)
+    truths = _truths(base_spec)
+    noise, a0 = _cls_draw(max(specs, key=lambda spec: spec.kappa))
     return _variance_slope({
         spec.kappa: _mse(_cls_errors(spec, truths, noise, a0))
         for spec in specs})

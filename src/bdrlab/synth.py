@@ -96,7 +96,7 @@ def make_kernel_features(grid: TimeGrid, center, kappa: float,
     exp(-inf) = 0, the bump's value there.
     """
     if not KAPPA_MIN <= kappa <= KAPPA_MAX:  # NaN fails the comparison too
-        raise ValueError("kappa must be finite and positive")
+        raise ValueError(f"kappa must be in [{KAPPA_MIN:.3g}, {KAPPA_MAX:.3g}]")
     c = np.asarray(center, dtype=float)[..., None]
     if not np.all(np.isfinite(c)):
         raise ValueError("centers must be finite")

@@ -148,20 +148,24 @@ def test_no_gate_overrides_a_config_gate(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the kappas whose 2 kappa^2 is a normal float, KAPPA_MIN to KAPPA_MAX
+KAPPA_RANGE = "must be in [1.05e-154, 9.48e+153]"
+
+
 # a kappa whose 2 kappa^2 overflows a float or underflows to 0, alone or in
 # a sweep; an underflowing one would divide 0 by 0 and write NaN
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--series", "features", "--kappa", "1e200"],
-     "--kappa must be finite and positive"),
+     f"--kappa {KAPPA_RANGE}"),
     (["scaling", "--kappas", "1e200,2,4", "--trials", "40",
       "--num-positions", "60", "--seed", "1"],
-     "--kappas must be finite and positive"),
+     f"--kappas {KAPPA_RANGE}"),
     (["synth", "--series", "features", "--kappa", "1e-200",
       "--num-positions", "6", "--boundaries", "2"],
-     "--kappa must be finite and positive"),
+     f"--kappa {KAPPA_RANGE}"),
     (["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "40",
       "--num-positions", "60", "--seed", "1"],
-     "--kappas must be finite and positive")])
+     f"--kappas {KAPPA_RANGE}")])
 def test_overflowing_kappa_exits_usage(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
     assert run([*argv, "--out", str(out)]) == 1
@@ -257,8 +261,8 @@ def _record_fits(monkeypatch, fits):
 # the fifth case is a grid too short for the peak search's window, the
 # sixth and seventh a gate band that no slope can be checked against, the
 # eighth and ninth a kappa below and above make_kernel_features' range, the
-# last two a stride whose dt^2/kappa underflows to 0; every message names
-# the flag given last
+# next two a stride whose dt^2/kappa underflows to 0, the last one whose
+# dt^2/kappa is subnormal; every message names the flag given last
 @pytest.mark.parametrize("axis", [["--kappas", "inf,1"], ["--kappas", "nan,1"],
                                   ["--kappas", "1,0"], ["--strides", "1,inf"],
                                   ["--num-positions", "2"],
@@ -268,7 +272,8 @@ def _record_fits(monkeypatch, fits):
                                   ["--kappas", "1e-200,1"],
                                   ["--kappas", "1e200,1"],
                                   ["--strides", "1e-200,1"],
-                                  ["--strides", "1e-300,1"]])
+                                  ["--strides", "1e-300,1"],
+                                  ["--strides", "1e-160,1"]])
 def test_bad_sweep_axis_exits_usage_before_any_fit(tmp_path, monkeypatch,
                                                    capsys, axis):
     fits = []
@@ -627,7 +632,7 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
 
 @pytest.mark.parametrize("argv, message", [
     (["scaling", "--trials", "1"], "--trials must be >= 2"),
-    (["scaling", "--kappas", "0"], "--kappas must be finite and positive"),
+    (["scaling", "--kappas", "0"], f"--kappas {KAPPA_RANGE}"),
     (["scaling", "--strides", "1,0"], "--strides must be finite and positive"),
     (["scaling", "--num-positions", "2"], "--num-positions must be >= 3"),
     (["scaling", "--noise-scale", "-1"],
@@ -636,7 +641,7 @@ def test_flops_bad_keep_ratio_exits_usage(tmp_path, capsys, points):
     (["synth", "--num-positions", "0"], "--num-positions must be >= 2"),
     (["synth", "--stride", "0"], "--stride must be finite and positive"),
     (["synth", "--series", "features", "--kappa", "0"],
-     "--kappa must be finite and positive"),
+     f"--kappa {KAPPA_RANGE}"),
     (["synth", "--series", "noisy", "--noise-family", "student_t",
       "--nu", "0"], "--nu must be finite and positive"),
     (["flops", "--points", "0.1"],

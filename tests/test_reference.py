@@ -70,7 +70,7 @@ from bdrlab.estimators import (BDRLossConfig, FitConfig, bdr_loss_smoothed,
                                moving_average, quadratic_peak_offset)
 from bdrlab.stats import (CLS_SMOOTH_FACTOR, CLS_WINDOW_FACTOR,
                           SWEEP_FIT, SWEEP_FIT_ALPHA, ExperimentSpec,
-                          _cls_band, _cls_errors, _noise_rows, _truths,
+                          _cls_band, _cls_draw, _cls_errors, _truths,
                           blocked_bootstrap,
                           finite_sample_variance_check, holm_bonferroni,
                           loglog_slope)
@@ -864,10 +864,9 @@ def _band_draw(spec):
     _cls_errors reads it, and the same rows in all T columns with NaN in
     every column outside the band, so that a reference reading a column
     the band omits gets NaN."""
-    a0, b0 = _cls_band(spec)
-    band = _noise_rows(spec, 2, b0 - a0)
+    band, a0 = _cls_draw(spec)
     padded = np.full((len(band), spec.grid.num_positions), np.nan)
-    padded[:, a0:b0] = band
+    padded[:, a0:a0 + band.shape[1]] = band
     return band, a0, padded
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import astuple, replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from bdrlab import stats
+from bdrlab.estimators import EXTRACT_THETA_GRAD
 from bdrlab.stats import (ExperimentSpec, blocked_bootstrap,
                           cls_variance_kappa_slope,
                           correlation_robustness, finite_sample_variance_check,
@@ -26,8 +28,19 @@ def _spec(**kw):
 
 def _cls_noise(spec):
     """The spec's classification noise: stream 2 over its _cls_band."""
-    a0, b0 = stats._cls_band(spec)
-    return stats._noise_rows(spec, 2, b0 - a0)
+    return stats._cls_draw(spec)[0]
+
+
+def _recorded_distance_side(spec):
+    """(fits, truths, errors): the spec's distance side as sweep_errors
+    reads it, with the fitted rows its readout was given."""
+    fits = []
+
+    def readout(dhat, truths, grid):
+        fits.append(dhat)
+        return stats._nearest_crossing(dhat, truths, grid)
+    truths, errors = stats._distance_errors(spec, readout)
+    return fits[0], truths, errors
 
 
 def test_spec_validation():
@@ -42,7 +55,8 @@ def test_spec_validation():
     for kappa in (0.0, -1.0, float("inf"), float("nan"),
                   float(np.nextafter(KAPPA_MIN, 0.0)),
                   float(np.nextafter(KAPPA_MAX, np.inf))):
-        with pytest.raises(ValueError, match="kappa must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                "kappa must be in [1.05e-154, 9.48e+153]")):
             _spec(kappa=kappa)
     # the peak search needs an interior sample with a neighbour on each side
     with pytest.raises(ValueError, match="num_positions"):
@@ -81,8 +95,7 @@ def test_run_trials_is_a_prefix_of_a_longer_run():
 
 def test_cls_errors_do_not_depend_on_chunk_size(monkeypatch):
     spec = _spec(kappa=4.0, num_trials=150, master_seed=5)
-    truths, noise = stats._truths(spec), _cls_noise(spec)
-    a0, _ = stats._cls_band(spec)
+    truths, (noise, a0) = stats._truths(spec), stats._cls_draw(spec)
     want = stats._cls_errors(spec, truths, noise, a0)
     # kappa 4 at stride 1 has a 32-column band: 7 trials per chunk
     monkeypatch.setattr(stats, "CLS_CHUNK_VALUES", 7 * 32)
@@ -156,8 +169,7 @@ def test_cls_errors_depend_only_on_kappa_over_stride(cells):
     base = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
                  boundary=100.0, num_trials=300, master_seed=23)
     # the base spec's kappa / dt of 2 has the widest band of these cells
-    truths, noise = stats._truths(base), _cls_noise(base)
-    a0, _ = stats._cls_band(base)
+    truths, (noise, a0) = stats._truths(base), stats._cls_draw(base)
     scaled = [stats._cls_errors(
         replace(base, grid=TimeGrid(stride=dt, num_positions=200),
                 kappa=kappa), truths * dt, noise, a0) / dt
@@ -428,8 +440,7 @@ def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
                  boundary=50.0, noise=NoiseSpec(family="student_t"),
                  num_trials=60, master_seed=1)
-    truths, dhat = stats._fit_distance_side(spec)
-    own_grid = stats._nearest_crossing_errors(dhat, truths, spec.grid)
+    _, own_grid = stats._distance_errors(spec, stats._nearest_crossing)
     assert np.isnan(own_grid).any()
     assert np.array_equal(run_trials(spec).bdr, own_grid, equal_nan=True)
 
@@ -466,6 +477,36 @@ def test_sweep_shares_the_distance_side_across_cells():
     assert cells[0]["failures"] > 0
     # the classification side still draws its own noise per cell
     assert unit[1.0]["var_cls"] != unit[2.0]["var_cls"]
+
+
+def test_sweep_refuses_a_subnormal_variance():
+    # every dt^2/kappa is a normal float, but at dt = 1e-154 var_bdr is dt^2
+    # times the stride-1 value, about 7.8e-310: a subnormal with two or
+    # three significant digits, which the sweep refuses after its reports
+    with pytest.raises(ValueError, match=re.escape(
+            "cell (kappa=0.001, dt=1e-154) has a variance of 7.80451e-310, "
+            "below 2.23e-308")):
+        scaling_sweep([1e-3, 1e-2], [1e-154, 1], 60, NoiseSpec(), 200, 1)
+
+
+def test_failed_extractions_are_shallow_crossings():
+    # the sweep's stride-1 distance side at seed 1000 fails on some rows;
+    # each such row holds one ascending sign change within a frame of its
+    # truth, dropped only because its forward difference is below the
+    # extraction threshold
+    spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200),
+                 boundary=100.0, num_trials=2000, master_seed=1000)
+    fits, truths, errors = _recorded_distance_side(spec)
+    failed = np.flatnonzero(np.isnan(errors))
+    assert failed.size > 0
+    for d, truth in zip(fits[failed], truths[failed]):
+        up = np.flatnonzero((np.sign(d[:-1]) != np.sign(d[1:]))
+                            & (d[:-1] < d[1:]))
+        assert up.size == 1
+        j = up[0]
+        fwd = d[j + 1] - d[j]
+        assert abs(j - d[j] / fwd - truth) < 1.0
+        assert fwd <= EXTRACT_THETA_GRAD
 
 
 def test_sweep_cell_is_run_trials_on_its_spec():
@@ -556,8 +597,7 @@ def test_kappa_slope_draws_the_noise_once(monkeypatch):
     # run_trials, and every kappa reads its errors off the shared draw
     widest = replace(base, kappa=8.0)
     assert variances[8.0] == np.mean(run_trials(widest).cls ** 2)
-    truths, noise = stats._truths(base), _cls_noise(widest)
-    a0, _ = stats._cls_band(widest)
+    truths, (noise, a0) = stats._truths(base), stats._cls_draw(widest)
     for kappa, v in variances.items():
         errs = stats._cls_errors(replace(base, kappa=kappa), truths, noise, a0)
         assert v == np.mean(errs ** 2)
@@ -574,10 +614,10 @@ def test_classification_side_memory_stays_chunked():
     # never copies of the whole (trials, positions) matrix
     spec = _spec(grid=TimeGrid(stride=1.0, num_positions=200), kappa=8.0,
                  boundary=100.0, num_trials=10_000)
-    truths, noise = stats._truths(spec), _cls_noise(spec)
+    truths, (noise, a0) = stats._truths(spec), stats._cls_draw(spec)
     tracemalloc.start()
     try:
-        stats._cls_errors(spec, truths, noise, stats._cls_band(spec)[0])
+        stats._cls_errors(spec, truths, noise, a0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -600,20 +640,22 @@ def test_nearest_crossing_errors_match_the_per_row_rule():
     spec = _spec(grid=TimeGrid(stride=1.0, num_positions=120), boundary=60.0,
                  noise=NoiseSpec(family="student_t", nu=1.2, scale=1.0),
                  num_trials=600, master_seed=3)
-    truths, dhat = stats._fit_distance_side(spec)
+    fits, truths, errors = _recorded_distance_side(spec)
     tie = -np.ones(120)
     tie[41:43] = tie[51:53] = 1.0  # crossings at 40.5 and 50.5
-    dhat = np.vstack([dhat, tie, -np.ones(120)])
+    dhat = np.vstack([fits, tie, -np.ones(120)])
     truths = np.append(truths, [45.5, 60.0])
     want = np.full(len(truths), np.nan)
     for k, truth in enumerate(truths):
         cands = stats.extract_boundaries(dhat[k], spec.grid)
         if cands.size:
             want[k] = cands[np.argmin(np.abs(cands - truth))] - truth
-    got = stats._nearest_crossing_errors(dhat, truths, spec.grid)
+    got = stats._nearest_crossing(dhat, truths, spec.grid) - truths
     assert np.array_equal(got, want, equal_nan=True)
     assert got[-2] == -5.0 and np.isnan(got[-1])
     assert np.isnan(got[:-2]).any()
+    # the fitted rows' errors are those _distance_errors returns
+    assert np.array_equal(got[:-2], errors, equal_nan=True)
 
 
 @pytest.mark.parametrize("dt", [3.0, 0.7])

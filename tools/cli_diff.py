@@ -88,12 +88,20 @@ COMMANDS = [
     ["calib", "--config", {"samples": 100000, "bins": 5, "seed": 3},
      "--bins", "7"],
     # bad values, compared by exit code, the empty stdout and the error
-    # message: a config value, a kappa below the kernel's range, one bad
-    # value each for scaling, calib, flops and atr-sim, noise beyond the
-    # fitter's range, and an unknown config key
+    # message: a config value, a kappa below and one above the kernel's
+    # range, a subnormal dt^2/kappa, a cell whose variance is subnormal
+    # although every dt^2/kappa is normal, one bad value each for scaling,
+    # calib, flops and atr-sim, noise beyond the fitter's range, and an
+    # unknown config key
     ["calib", "--config", {"bins": "ten", "seed": 3}],
     ["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "2000",
      "--seed", "1"],
+    ["scaling", "--kappas", "1e200,1", "--strides", "1,2", "--trials", "20",
+     "--num-positions", "60", "--seed", "1"],
+    ["scaling", "--strides", "1e-160,1", "--kappas", "1,2", "--trials", "200",
+     "--num-positions", "60", "--seed", "1"],
+    ["scaling", "--kappas", "0.001,0.01", "--strides", "1e-154,1",
+     "--trials", "200", "--num-positions", "60", "--seed", "1"],
     ["scaling", "--trials", "1", "--seed", "1"],
     ["calib", "--bins", "1", "--seed", "1"],
     ["flops", "--points", "0.5:2"],
