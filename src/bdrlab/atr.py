@@ -56,12 +56,15 @@ HOLD_WARMUP = 256
 
 
 def _hold_columns(cols: np.ndarray, gamma: float):
-    """hold_previous down axis 0 of cols, in place, every column at once."""
+    """hold_previous down axis 0 of cols, in place, every column at once.
+    gamma is a 0-d float64 array and the ufuncs' outputs are passed by
+    position, so no call converts a scalar or parses a keyword."""
     tmp = np.empty(cols.shape[1:])
     near = np.empty(cols.shape[1:], dtype=bool)
+    gamma = np.array(gamma, np.float64)
     subtract, absolute, less, copyto = np.subtract, np.abs, np.less, np.copyto
     for prev, cur in zip(cols, cols[1:]):
-        less(absolute(subtract(cur, prev, out=tmp), out=tmp), gamma, out=near)
+        less(absolute(subtract(cur, prev, tmp), tmp), gamma, near)
         copyto(cur, prev, where=near)
 
 

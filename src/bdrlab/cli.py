@@ -113,21 +113,35 @@ def _noise_from(args) -> NoiseSpec:
                      rho=args.rho, nu=args.nu)
 
 
+def _require_finite(values, message: str):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(message)
+
+
 def cmd_synth(args) -> int:
     grid = TimeGrid(stride=args.stride, num_positions=args.num_positions)
-    if args.series == "distance":
-        values = make_distance_field(grid, args.boundaries)
-    elif args.series == "features":
+    # the last time, as grid.times() computes it
+    if not np.isfinite((grid.num_positions - 1) * grid.stride):
+        raise ValueError("--stride must keep every time finite at this "
+                         "--num-positions")
+    if args.series == "features":
         if len(args.boundaries) != 1:
             raise ValueError("--series features takes exactly one boundary")
         values = make_kernel_features(grid, args.boundaries[0], args.kappa)
-    else:  # noisy observations of the distance field
-        if args.seed is None:
+    else:
+        if args.series == "noisy" and args.seed is None:
             raise ValueError("--seed is required for noisy generation")
-        clean = make_distance_field(grid, args.boundaries)
-        eps = sample_noise_matrix(_noise_from(args), args.seed, 1,
-                                  grid.num_positions)[0]
-        values = clean + grid.stride * eps
+        # an overflow gives inf or NaN values, which are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = make_distance_field(grid, args.boundaries)
+            _require_finite(values, "--boundaries must keep every distance "
+                                    "finite")
+            if args.series == "noisy":  # observations of the distance field
+                eps = sample_noise_matrix(_noise_from(args), args.seed, 1,
+                                          grid.num_positions)[0]
+                values = values + grid.stride * eps
+                _require_finite(values, "--noise-scale must keep every value "
+                                        "finite")
     t = grid.times()
     rows = [(i, t[i], float(values[i])) for i in range(grid.num_positions)]
     _emit(args, ("position", "time_frames", "value"), rows)

@@ -105,7 +105,10 @@ def _smoothed_grad_kernel(target_inc, dtype, stride: float, alpha: float,
     column, the one that would straddle two rows, set to zero. The step
     itself makes only ufunc calls that write into those arrays, so it
     allocates nothing; each call returns the same gradient array,
-    overwritten.
+    overwritten. Its constants, the clips' bounds of both signs and the
+    zero among them, are 0-d arrays in `dtype` and every output is passed
+    by position, so no call converts a scalar or parses a keyword: the
+    same operations in the same order, with less of numpy's per-call work.
     """
     dtype = np.dtype(dtype).type
     shape = target_inc.shape[:-1] + (target_inc.shape[-1] + 1,)
@@ -124,19 +127,22 @@ def _smoothed_grad_kernel(target_inc, dtype, stride: float, alpha: float,
         huber_mul = np.nextafter(huber_mul, dtype(np.inf))
     hinge_mul = dtype(2.0 * alpha / (T - 1) * scale)
     stride = dtype(stride)
+    huber_mul, hinge_mul, low, high, inc_low, inc_high, zero = (
+        np.array(c, dtype) for c in (huber_mul, hinge_mul, -huber_bound,
+                                     huber_bound, -stride, stride, 0.0))
     multiply, subtract, add = np.multiply, np.subtract, np.add
     clip_grad, clip_inc = grad.clip, inc.clip
 
     def step():
-        multiply(residual, huber_mul, out=grad)
-        clip_grad(-huber_bound, huber_bound, out=grad)
-        subtract(e_next, e_prev, out=inc_head)
-        add(inc, t_inc, out=inc)
-        subtract(inc, clip_inc(-stride, stride, out=q), out=q)
-        q_last[...] = 0.0
-        multiply(q, hinge_mul, out=q)
-        subtract(g_head, q_head, out=g_head)
-        add(g_tail, q_head, out=g_tail)
+        multiply(residual, huber_mul, grad)
+        clip_grad(low, high, grad)
+        subtract(e_next, e_prev, inc_head)
+        add(inc, t_inc, inc)
+        subtract(inc, clip_inc(inc_low, inc_high, q), q)
+        q_last[...] = zero
+        multiply(q, hinge_mul, q)
+        subtract(g_head, q_head, g_head)
+        add(g_tail, q_head, g_tail)
         return grad
 
     return residual, step
@@ -266,7 +272,7 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
         e, scaled_grad = _smoothed_grad_kernel(inc, np.float32, 1.0, alpha,
                                                delta, step)
         for _ in range(FIT_ITERATIONS):
-            e -= scaled_grad()
+            np.subtract(e, scaled_grad(), e)
         d += e
         d *= grid.stride
     return full.reshape(obs.shape)
@@ -279,7 +285,7 @@ def nms_1d(positions, scores, window: float) -> list:
     anything within `window` of an accepted position. Returns accepted
     positions sorted ascending.
     """
-    if window < 1:
+    if not window >= 1:  # NaN fails the comparison too
         raise ValueError("window must be >= 1")
     pos = np.asarray(positions, dtype=float)
     score = np.asarray(scores, dtype=float)

@@ -30,8 +30,11 @@ readout runs once, on the stride-1 copy of the first cell, and each cell
 takes those errors times its stride, which is valid because the distance
 side never reads kappa and runs in grid units. Each cell makes its own
 _cls_draw, and _cls_errors searches the plateau window of each of the
-cell's truths. run_trials is the one-cell sweep. scaling_sweep runs the
-(kappa, stride) grid through sweep_errors and adds a report per cell and
+cell's truths, through _sweep_cls_errors, which computes the cell's band
+and its truths' windows once. A cell in which every window holds one
+sample, as a kappa <= dt/2 cell's do, draws no stream 2 and builds no
+features: that sample is its estimate whatever the data. run_trials is
+the one-cell sweep. scaling_sweep runs the (kappa, stride) grid through sweep_errors and adds a report per cell and
 the slope fit. finite_sample_variance_check runs _distance_errors with the
 pooled_boundary_estimate readout once per length. cls_variance_kappa_slope
 makes one _cls_draw, for its widest kappa, and reads every kappa off it
@@ -201,27 +204,33 @@ def _readout(spec: ExperimentSpec):
 
 
 def _windows(spec: ExperimentSpec, truth: np.ndarray):
-    """(lo, hi, a, b): each truth's search window [lo, hi) and the band
-    [a, b) of columns the spec's readout (m, r) = _readout(spec) of those
-    windows reads.
+    """(lo, hi): each truth's search window [lo, hi), in grid columns.
 
-    A window holds the samples within r of its truth, or the nearest
-    interior sample if that holds none. Smoothed column j (width m,
-    h = m // 2) sums inputs j - h .. j + m-1-h, and the readout uses columns
-    lo-1 .. hi, so a = min(lo) - 1 - h and b = max(hi) + 1 + (m-1-h), cut
-    to [0, T). lo and hi never decrease as the truth grows.
+    A window holds the samples within r of its truth, (m, r) =
+    _readout(spec), or the nearest interior sample if that holds none. lo
+    and hi never decrease as the truth grows. Each truth's window depends
+    on that truth alone, so the windows of a slice of truths are that slice
+    of the windows.
     """
     stride, T = spec.grid.stride, spec.grid.num_positions
-    m, r = _readout(spec)
+    _, r = _readout(spec)
     lo = np.maximum(np.ceil((truth - r) / stride), 1)
     hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
     empty = hi <= lo
     lo[empty] = np.clip(np.round(truth[empty] / stride), 1, T - 2)
     hi[empty] = lo[empty] + 1
+    return lo, hi
+
+
+def _reach(spec: ExperimentSpec, lo: np.ndarray, hi: np.ndarray):
+    """[a, b): the band of columns the spec's readout of the windows
+    [lo, hi) reads. Smoothed column j (width m, h = m // 2) sums inputs
+    j - h .. j + m-1-h, and the readout uses columns lo-1 .. hi, so
+    a = min(lo) - 1 - h and b = max(hi) + 1 + (m-1-h), cut to [0, T)."""
+    m, _ = _readout(spec)
     h = m // 2
-    a = max(0, int(lo.min()) - 1 - h)
-    b = min(T, int(hi.max()) + 1 + (m - 1 - h))
-    return lo, hi, a, b
+    return (max(0, int(lo.min()) - 1 - h),
+            min(spec.grid.num_positions, int(hi.max()) + 1 + (m - 1 - h)))
 
 
 def _cls_band(spec: ExperimentSpec):
@@ -232,51 +241,56 @@ def _cls_band(spec: ExperimentSpec):
     never decrease as the truth grows, so the two ends bound them. The band
     grows with kappa."""
     support = (spec.boundary + np.array([0.0, 1.0])) * spec.grid.stride
-    return _windows(spec, support)[2:]
+    return _reach(spec, *_windows(spec, support))
 
 
 def _cls_draw(spec: ExperimentSpec):
     """(noise, a0): the spec's classification noise, stream 2 over its band
     [a0, b0) = _cls_band(spec), one row of b0 - a0 values per trial, as
-    _cls_errors reads it. The one classification draw: sweep_errors makes
-    it per cell, cls_variance_kappa_slope once, for its widest kappa."""
+    _cls_errors reads it. The one classification draw: a sweep cell makes
+    it unless every window of the cell holds one sample
+    (_sweep_cls_errors), cls_variance_kappa_slope once, for its widest
+    kappa."""
     a0, b0 = _cls_band(spec)
     return _noise_rows(spec, 2, b0 - a0), a0
 
 
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
-                a0: int) -> np.ndarray:
+                a0: int, band=None, windows=None) -> np.ndarray:
     """Signed classification-peak error per trial, one noise row per truth.
 
     Row k of `noise` holds the classification noise of grid columns
     a0 .. a0 + noise.shape[1] - 1 for truth k: the draw of _cls_draw with
     its a0, or full rows with a0 = 0. A chunk whose band falls outside
-    those columns raises ValueError.
+    those columns raises ValueError. `band` and `windows`, where the caller
+    has computed them, are _cls_band(spec) and _windows(spec, truths).
 
     A trial's estimate is the first maximum of its clipped, smoothed feature
     row within the search window of its truth (_windows). Quadratic
     refinement is only meaningful when the window holds at least three
     samples.
 
-    Each chunk computes only the band [a, b) of columns its readout reads
-    (_windows). Those columns get the same float operations, in the same
-    order, on the same inputs as on full rows, and a band cut at a sequence
-    edge gets the same zero padding, so the errors are those of the full
-    rows bit for bit. A chunk holds CLS_CHUNK_VALUES // w trials, w being
-    the width b0 - a0 of the spec's band _cls_band, which holds the band of
-    every chunk whose truths lie in the prior support, as those of
-    sweep_errors and cls_variance_kappa_slope do; truths that spread wider
-    widen the chunk's band with them.
+    The windows of all truths are computed once, and each chunk computes
+    only the band [a, b) of columns its readout reads (_reach). Those
+    columns get the same float operations, in the same order, on the same
+    inputs as on full rows, and a band cut at a sequence edge gets the same
+    zero padding, so the errors are those of the full rows bit for bit. A
+    chunk holds CLS_CHUNK_VALUES // w trials, w being the width b0 - a0 of
+    the spec's band _cls_band, which holds the band of every chunk whose
+    truths lie in the prior support, as those of sweep_errors and
+    cls_variance_kappa_slope do; truths that spread wider widen the chunk's
+    band with them.
     """
     grid, kappa = spec.grid, spec.kappa
     m, _ = _readout(spec)
-    a, b = _cls_band(spec)
+    a, b = _cls_band(spec) if band is None else band
+    lo_all, hi_all = _windows(spec, truths) if windows is None else windows
     chunk = max(1, CLS_CHUNK_VALUES // (b - a))
     errors = np.empty(len(truths))
     for start in range(0, len(truths), chunk):
         rows = slice(start, start + chunk)
-        truth = truths[rows]
-        lo, hi, a, b = _windows(spec, truth)
+        truth, lo, hi = truths[rows], lo_all[rows], hi_all[rows]
+        a, b = _reach(spec, lo, hi)
         if a < a0 or b > a0 + noise.shape[1]:
             raise ValueError(f"the readout reads columns [{a}, {b}), the "
                              f"noise holds [{a0}, {a0 + noise.shape[1]})")
@@ -293,6 +307,28 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     return errors
 
 
+def _sweep_cls_errors(spec: ExperimentSpec, truths: np.ndarray) -> np.ndarray:
+    """One sweep cell's classification errors: _cls_errors on the cell's
+    own _cls_draw, with the cell's band and its truths' windows computed
+    once.
+
+    A cell in which every truth's window holds one sample, as every cell
+    with kappa <= dt/2 whose truths miss the half-strides does, draws
+    nothing and builds no features: its errors are lo * stride - truths,
+    those of _cls_errors bit for bit whatever the noise. A one-sample
+    window's first maximum is that sample, as every other column is -inf,
+    and its quadratic offset is set to 0. Each cell draws stream 2 from its
+    own generator, so no other cell's draw moves. Truths that overflowed to
+    inf take _cls_errors, whose features refuse them.
+    """
+    windows = lo, hi = _windows(spec, truths)
+    if np.all(hi - lo == 1) and np.isfinite(truths).all():
+        return lo * spec.grid.stride - truths
+    noise, a0 = _cls_draw(spec)  # its rows span the band [a0, b0)
+    return _cls_errors(spec, truths, noise, a0, (a0, a0 + noise.shape[1]),
+                       windows)
+
+
 def sweep_errors(specs) -> list:
     """Signed errors in frames, one TrialErrors per spec, in spec order;
     no specs give no errors.
@@ -302,9 +338,10 @@ def sweep_errors(specs) -> list:
     side of the stride-1 copy of specs[0]: one _distance_errors call with
     the _nearest_crossing readout draws its phases (stream 0) and distance
     noise (stream 1), fits them and reads them out, in grid units. A cell
-    of stride dt takes those errors times dt, and runs _cls_errors on those
-    truths times dt, its own _truths at specs[0]'s master_seed, with its
-    own _cls_draw, from its own master_seed. This is valid because the
+    of stride dt takes those errors times dt, and runs _sweep_cls_errors on
+    those truths times dt, its own _truths at specs[0]'s master_seed: its
+    own _cls_draw, from its own master_seed, read by _cls_errors, or no
+    draw where every window holds one sample. This is valid because the
     distance estimator never reads kappa and fits and extracts in grid
     units, so at a power-of-two stride a fit on the cell's own grid gives
     the same errors times dt bit for bit. Failed extractions are recorded
@@ -319,8 +356,8 @@ def sweep_errors(specs) -> list:
     unit = replace(specs[0], grid=replace(specs[0].grid, stride=1.0))
     truths, e_unit = _distance_errors(unit, _nearest_crossing)
     return [TrialErrors(bdr=e_unit * spec.grid.stride,
-                        cls=_cls_errors(spec, truths * spec.grid.stride,
-                                        *_cls_draw(spec)))
+                        cls=_sweep_cls_errors(spec,
+                                              truths * spec.grid.stride))
             for spec in specs]
 
 
@@ -516,10 +553,11 @@ def scaling_sweep(kappas, strides, num_positions: int, noise: NoiseSpec,
 
     Known limitation: in a cell with kappa <= dt/2 the peak-search window
     holds one sample, so the classification error is the phase's rounding
-    error times dt, whatever the noise and kappa. With shared phases all
-    such cells (six of the 4x4 grid) therefore share one classification
-    error in grid units, hence one var_cls / dt^2 and one R: they are one
-    estimate, not several independent ones.
+    error times dt, whatever the noise and kappa, and such a cell draws no
+    stream 2. With shared phases all such cells (six of the 4x4 grid)
+    therefore share one classification error in grid units, hence one
+    var_cls / dt^2 and one R: they are one estimate, not several
+    independent ones.
     """
     conds = [(float(k), float(dt)) for k in kappas for dt in strides]
     if len(conds) < 3:

@@ -180,11 +180,14 @@ def _ar1_warmup(rho: float) -> int:
 
 def _ar1_columns(cols: np.ndarray, rho: float):
     """x[j] = rho x[j-1] + x[j] down axis 0 of cols, in place, two ufunc calls
-    per step over every column at once."""
+    per step over every column at once. rho is a 0-d float64 array and the
+    outputs are passed by position, so no call converts a scalar or parses
+    a keyword; the products are those of the Python float."""
     tmp = np.empty(cols.shape[1:])
+    rho = np.array(rho, np.float64)
     multiply, add = np.multiply, np.add
     for prev, cur in zip(cols, cols[1:]):
-        add(multiply(prev, rho, out=tmp), cur, out=cur)
+        add(multiply(prev, rho, tmp), cur, cur)
 
 
 def _ar1_scan(x: memoryview, start: int, stop: int, rho: float):

@@ -569,6 +569,40 @@ def test_synth_non_finite_input_exits_usage(tmp_path, capsys, flags):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--series", "noisy", "--noise-scale", "1e308", "--format", "json"],
+     "--noise-scale must keep every value finite"),
+    (["--series", "distance", "--stride", "1e308"],
+     "--stride must keep every time finite at this --num-positions"),
+    (["--series", "noisy", "--stride", "1e308"],
+     "--stride must keep every time finite at this --num-positions"),
+    (["--series", "features", "--stride", "1e308"],
+     "--stride must keep every time finite at this --num-positions"),
+    (["--stride", "1e307", "--boundaries=-1.7e308"],
+     "--boundaries must keep every distance finite"),
+    (["--series", "noisy", "--stride", "1e307", "--boundaries=-1.7e308"],
+     "--boundaries must keep every distance finite")])
+def test_synth_overflowing_output_exits_usage(tmp_path, capsys, flags,
+                                              message):
+    # finite flags whose times or values overflow: refused, with no numpy
+    # warning, where a json output would hold Infinity tokens
+    out = tmp_path / "s.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["synth", "--seed", "1", "--num-positions", "4", *flags,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_largest_finite_times_are_written(tmp_path):
+    # the last time, 3 x 5e307, is finite, so the series is written
+    out = tmp_path / "s.csv"
+    assert run(["synth", "--num-positions", "4", "--stride", "5e307",
+                "--boundaries", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "3,1.5e+308,1.5e+308"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["atr-sim", "--length", "-5"], "--length"),
     (["atr-sim", "--length", "1"], "--length"),

@@ -472,6 +472,9 @@ def test_nms_suppression_and_ties():
 def test_nms_window_validation():
     with pytest.raises(ValueError):
         nms_1d([0], [1.0], 0)
+    # NaN fails every comparison, so it must not slip past the range check
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        nms_1d([1, 10, 20], [1, 2, 3], float("nan"))
 
 
 @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0.1, 5)),

@@ -178,6 +178,66 @@ def test_cls_errors_depend_only_on_kappa_over_stride(cells):
         assert np.array_equal(errors, scaled[0])
 
 
+def _spy_cls_work(monkeypatch):
+    """(drawn, built): the master seed of every stream-2 draw and the kappa
+    of every feature build that stats makes from now on."""
+    drawn, built = [], []
+    sample, features = stats.sample_noise_matrix, stats.make_kernel_features
+
+    def spy_sample(noise, seed, *args):
+        if seed[1] == 2:
+            drawn.append(seed[0])
+        return sample(noise, seed, *args)
+
+    def spy_features(grid, center, kappa, cols):
+        built.append(kappa)
+        return features(grid, center, kappa, cols)
+
+    monkeypatch.setattr(stats, "sample_noise_matrix", spy_sample)
+    monkeypatch.setattr(stats, "make_kernel_features", spy_features)
+    return drawn, built
+
+
+@pytest.mark.parametrize("dt, noise", [
+    (2.0, NoiseSpec()),
+    (0.7, NoiseSpec(family="student_t", nu=1.2, scale=1.0, rho=0.6))])
+def test_one_sample_sweep_cells_draw_and_build_nothing(monkeypatch, dt,
+                                                       noise):
+    # kappa <= dt/2 searches one sample per truth, whose first maximum is
+    # that sample whatever the noise, so those cells skip stream 2 and the
+    # features and still give _cls_errors' errors on a real draw
+    kappas = [0.25 * dt, 0.5 * dt, 2.0 * dt]
+    specs = [_spec(grid=TimeGrid(stride=dt, num_positions=100), kappa=kappa,
+                   noise=noise, num_trials=200, master_seed=40 + i)
+             for i, kappa in enumerate(kappas)]
+    drawn, built = _spy_cls_work(monkeypatch)
+    errors = sweep_errors(specs)
+    assert drawn == [42] and set(built) == {2.0 * dt}
+    truths = stats._truths(specs[0])
+    for spec, errs in zip(specs, errors):
+        lo, hi = stats._windows(spec, truths)
+        assert np.all(hi - lo == 1) == (spec.kappa <= dt / 2)
+        want = stats._cls_errors(spec, truths, *stats._cls_draw(spec))
+        assert errs.cls.tobytes() == want.tobytes()
+
+
+def test_a_truth_on_a_half_stride_searches_two_samples_and_draws(
+        monkeypatch):
+    # (50.5 - 0.5) * 2 / 2 and (50.5 + 0.5) * 2 / 2 are exact, so the
+    # window of truth 7 holds samples 50 and 51, and its cell draws
+    spec = _spec(grid=TimeGrid(stride=2.0, num_positions=100), kappa=1.0,
+                 num_trials=200, master_seed=8)
+    truths = stats._truths(spec)
+    truths[7] = 50.5 * 2.0
+    lo, hi = stats._windows(spec, truths)
+    assert (hi - lo)[7] == 2 and np.all(np.delete(hi - lo, 7) == 1)
+    drawn, built = _spy_cls_work(monkeypatch)
+    got = stats._sweep_cls_errors(spec, truths)
+    assert drawn == [8] and built == [1.0]
+    want = stats._cls_errors(spec, truths, *stats._cls_draw(spec))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_run_trials_seed_changes_results():
     a = run_trials(_spec(master_seed=7))
     b = run_trials(_spec(master_seed=8))

@@ -61,6 +61,13 @@ COMMANDS = [
     # the whole row
     ["scaling", "--kappas", "1,2", "--strides", "1e-3,1", "--trials", "400",
      "--num-positions", "60", "--seed", "2"],
+    # sweeps whose kappa <= dt/2 cells search one sample per truth and draw
+    # no classification noise: every cell, at non-power-of-two strides, and
+    # cells whose kappa is exactly dt/2 beside cells that draw
+    ["scaling", "--kappas", "0.1,0.3", "--strides", "0.7,3", "--trials",
+     "400", "--num-positions", "60", "--seed", "5"],
+    ["scaling", "--kappas", "0.35,1,3", "--strides", "0.7,2", "--trials",
+     "400", "--num-positions", "60", "--seed", "6"],
     # heavy tails: many fitted rows hold two or more crossings before
     # suppression and some none, so NaN distance errors enter every
     # cell's report
@@ -91,8 +98,8 @@ COMMANDS = [
     # message: a config value, a kappa below and one above the kernel's
     # range, a subnormal dt^2/kappa, a cell whose variance is subnormal
     # although every dt^2/kappa is normal, one bad value each for scaling,
-    # calib, flops and atr-sim, noise beyond the fitter's range, and an
-    # unknown config key
+    # calib, flops and atr-sim, noise beyond the fitter's range, synth
+    # output that overflows, and an unknown config key
     ["calib", "--config", {"bins": "ten", "seed": 3}],
     ["scaling", "--kappas", "1e-200,1", "--strides", "1,2", "--trials", "2000",
      "--seed", "1"],
@@ -107,6 +114,11 @@ COMMANDS = [
     ["flops", "--points", "0.5:2"],
     ["atr-sim", "--length", "1", "--seed", "1"],
     ["scaling", "--trials", "50", "--seed", "1", "--noise-scale", "1e39"],
+    # synth times and values that overflow although every flag is finite
+    ["synth", "--series", "noisy", "--seed", "1", "--num-positions", "4",
+     "--noise-scale", "1e308"],
+    ["synth", "--series", "distance", "--num-positions", "4", "--stride",
+     "1e308"],
     ["calib", "--config", {"bins": 12, "colour": "red", "seed": 1}],
 ]
 FORMATS = ("csv", "json")
