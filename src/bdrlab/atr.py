@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 
+from .blocks import BLOCK_VALUES, blocks
 from .synth import _blocked_scan
 
 
@@ -85,13 +86,21 @@ def apply_hysteresis(tau, cfg: HysteresisConfig = HysteresisConfig()) -> np.ndar
     hold_previous: sweeping left to right, a value inside the band around the
     already-stabilised previous value is replaced by it; the sweep runs as
     synth._blocked_scan, bit for bit the left-to-right loop. deadzone_half
-    snaps values within gamma of 0.5 to exactly 0.5.
+    snaps values within gamma of 0.5 to exactly 0.5, in place on the copy
+    it returns, a block of blocks.BLOCK_VALUES values at a time: its work
+    arrays hold one block, whatever the trace's length.
     """
     t = np.array(tau, dtype=float)
     if t.ndim != 1:
         raise ValueError("tau trace must be 1-D")
     if cfg.mode == "deadzone_half":
-        t[np.abs(t - 0.5) <= cfg.gamma] = 0.5
+        gap = np.empty(min(len(t), BLOCK_VALUES))
+        near = np.empty(len(gap), bool)
+        for b in blocks(len(t)):
+            g, k = gap[:b.stop - b.start], near[:b.stop - b.start]
+            np.less_equal(np.abs(np.subtract(t[b], 0.5, out=g), out=g),
+                          cfg.gamma, out=k)
+            np.copyto(t[b], 0.5, where=k)
         return t
     gamma = cfg.gamma
     return _blocked_scan(t, HOLD_WARMUP, partial(_hold_columns, gamma=gamma),

@@ -188,7 +188,8 @@ def cmd_flops(args) -> int:
 
 def _calib_scenario(name: str, samples: int, seed: int):
     rng = np.random.default_rng(seed)
-    sigma = np.exp(rng.uniform(np.log(0.2), np.log(5.0), samples))
+    sigma = rng.uniform(np.log(0.2), np.log(5.0), samples)
+    np.exp(sigma, out=sigma)
     errors = rng.standard_normal(samples)
     errors *= sigma
     if name == "sigma_x2":
@@ -254,7 +255,14 @@ def tau_scenario(length: int, rho: float, gain: float, seed: int) -> np.ndarray:
         raise ValueError("gain must be finite")
     eta = np.random.default_rng(seed).normal(0.0, 1.0, length)
     x = _apply_ar1(eta, rho)
-    return 1.0 / (1.0 + np.exp(-gain * x))
+    # 1 / (1 + exp(-gain x)), its four passes in place on x, which holds this
+    # call's own draw; an overflow to inf, where the logistic is 0 or 1, is
+    # silent
+    with np.errstate(over="ignore"):
+        x *= -gain
+        np.exp(x, out=x)
+        x += 1.0
+        return np.divide(1.0, x, out=x)
 
 
 def cmd_atr_sim(args) -> int:

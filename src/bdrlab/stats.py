@@ -203,17 +203,16 @@ def _readout(spec: ExperimentSpec):
     return m, r
 
 
-def _windows(spec: ExperimentSpec, truth: np.ndarray):
+def _windows(spec: ExperimentSpec, truth: np.ndarray, r: float):
     """(lo, hi): each truth's search window [lo, hi), in grid columns.
 
-    A window holds the samples within r of its truth, (m, r) =
-    _readout(spec), or the nearest interior sample if that holds none. lo
-    and hi never decrease as the truth grows. Each truth's window depends
-    on that truth alone, so the windows of a slice of truths are that slice
-    of the windows.
+    A window holds the samples within r of its truth, r being the search
+    radius of _readout(spec), or the nearest interior sample if that holds
+    none. lo and hi never decrease as the truth grows. Each truth's window
+    depends on that truth alone, so the windows of a slice of truths are
+    that slice of the windows.
     """
     stride, T = spec.grid.stride, spec.grid.num_positions
-    _, r = _readout(spec)
     lo = np.maximum(np.ceil((truth - r) / stride), 1)
     hi = np.minimum(np.floor((truth + r) / stride) + 1, T - 1)
     empty = hi <= lo
@@ -222,48 +221,52 @@ def _windows(spec: ExperimentSpec, truth: np.ndarray):
     return lo, hi
 
 
-def _reach(spec: ExperimentSpec, lo: np.ndarray, hi: np.ndarray):
+def _reach(spec: ExperimentSpec, lo: np.ndarray, hi: np.ndarray, m: int):
     """[a, b): the band of columns the spec's readout of the windows
-    [lo, hi) reads. Smoothed column j (width m, h = m // 2) sums inputs
-    j - h .. j + m-1-h, and the readout uses columns lo-1 .. hi, so
-    a = min(lo) - 1 - h and b = max(hi) + 1 + (m-1-h), cut to [0, T)."""
-    m, _ = _readout(spec)
+    [lo, hi) reads, m being the smoothing width of _readout(spec). Smoothed
+    column j (h = m // 2) sums inputs j - h .. j + m-1-h, and the readout
+    uses columns lo-1 .. hi, so a = min(lo) - 1 - h and
+    b = max(hi) + 1 + (m-1-h), cut to [0, T)."""
     h = m // 2
     return (max(0, int(lo.min()) - 1 - h),
             min(spec.grid.num_positions, int(hi.max()) + 1 + (m - 1 - h)))
 
 
-def _cls_band(spec: ExperimentSpec):
+def _cls_band(spec: ExperimentSpec, readout=None):
     """[a0, b0): every column the readout of _cls_errors can reach for a
     truth in the prior support (boundary + [0, 1]) x stride, the band
     stream 2 draws. The support's ends follow _truths' formula, whose
     rounding is monotone, so every truth lies between them; window ends
     never decrease as the truth grows, so the two ends bound them. The band
-    grows with kappa."""
+    grows with kappa. `readout` is _readout(spec), where the caller has
+    it."""
+    m, r = _readout(spec) if readout is None else readout
     support = (spec.boundary + np.array([0.0, 1.0])) * spec.grid.stride
-    return _reach(spec, *_windows(spec, support))
+    return _reach(spec, *_windows(spec, support, r), m)
 
 
-def _cls_draw(spec: ExperimentSpec):
+def _cls_draw(spec: ExperimentSpec, readout=None):
     """(noise, a0): the spec's classification noise, stream 2 over its band
     [a0, b0) = _cls_band(spec), one row of b0 - a0 values per trial, as
     _cls_errors reads it. The one classification draw: a sweep cell makes
     it unless every window of the cell holds one sample
     (_sweep_cls_errors), cls_variance_kappa_slope once, for its widest
-    kappa."""
-    a0, b0 = _cls_band(spec)
+    kappa. `readout` is _readout(spec), where the caller has it."""
+    a0, b0 = _cls_band(spec, readout)
     return _noise_rows(spec, 2, b0 - a0), a0
 
 
 def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
-                a0: int, band=None, windows=None) -> np.ndarray:
+                a0: int, band=None, windows=None,
+                readout=None) -> np.ndarray:
     """Signed classification-peak error per trial, one noise row per truth.
 
     Row k of `noise` holds the classification noise of grid columns
     a0 .. a0 + noise.shape[1] - 1 for truth k: the draw of _cls_draw with
     its a0, or full rows with a0 = 0. A chunk whose band falls outside
-    those columns raises ValueError. `band` and `windows`, where the caller
-    has computed them, are _cls_band(spec) and _windows(spec, truths).
+    those columns raises ValueError. `band`, `windows` and `readout`, where
+    the caller has computed them, are _cls_band(spec), the truths' windows
+    (_windows) and _readout(spec).
 
     A trial's estimate is the first maximum of its clipped, smoothed feature
     row within the search window of its truth (_windows). Quadratic
@@ -282,15 +285,15 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
     band with them.
     """
     grid, kappa = spec.grid, spec.kappa
-    m, _ = _readout(spec)
-    a, b = _cls_band(spec) if band is None else band
-    lo_all, hi_all = _windows(spec, truths) if windows is None else windows
+    readout = m, r = _readout(spec) if readout is None else readout
+    a, b = _cls_band(spec, readout) if band is None else band
+    lo_all, hi_all = _windows(spec, truths, r) if windows is None else windows
     chunk = max(1, CLS_CHUNK_VALUES // (b - a))
     errors = np.empty(len(truths))
     for start in range(0, len(truths), chunk):
         rows = slice(start, start + chunk)
         truth, lo, hi = truths[rows], lo_all[rows], hi_all[rows]
-        a, b = _reach(spec, lo, hi)
+        a, b = _reach(spec, lo, hi, m)
         if a < a0 or b > a0 + noise.shape[1]:
             raise ValueError(f"the readout reads columns [{a}, {b}), the "
                              f"noise holds [{a0}, {a0 + noise.shape[1]})")
@@ -309,8 +312,8 @@ def _cls_errors(spec: ExperimentSpec, truths: np.ndarray, noise: np.ndarray,
 
 def _sweep_cls_errors(spec: ExperimentSpec, truths: np.ndarray) -> np.ndarray:
     """One sweep cell's classification errors: _cls_errors on the cell's
-    own _cls_draw, with the cell's band and its truths' windows computed
-    once.
+    own _cls_draw, with the cell's readout, band and its truths' windows
+    computed once.
 
     A cell in which every truth's window holds one sample, as every cell
     with kappa <= dt/2 whose truths miss the half-strides does, draws
@@ -321,12 +324,13 @@ def _sweep_cls_errors(spec: ExperimentSpec, truths: np.ndarray) -> np.ndarray:
     own generator, so no other cell's draw moves. Truths that overflowed to
     inf take _cls_errors, whose features refuse them.
     """
-    windows = lo, hi = _windows(spec, truths)
+    readout = _readout(spec)
+    windows = lo, hi = _windows(spec, truths, readout[1])
     if np.all(hi - lo == 1) and np.isfinite(truths).all():
         return lo * spec.grid.stride - truths
-    noise, a0 = _cls_draw(spec)  # its rows span the band [a0, b0)
+    noise, a0 = _cls_draw(spec, readout)  # its rows span the band [a0, b0)
     return _cls_errors(spec, truths, noise, a0, (a0, a0 + noise.shape[1]),
-                       windows)
+                       windows, readout)
 
 
 def sweep_errors(specs) -> list:

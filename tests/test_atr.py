@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdrlab.blocks import BLOCK_VALUES
 from bdrlab.atr import (HysteresisConfig, apply_hysteresis, blend_residual,
                         expected_tau, flip_rate, per_layer_pruned_cost,
                         prune_mask, total_flops)
@@ -63,6 +66,38 @@ def test_deadzone_snaps_to_half():
     out = apply_hysteresis(np.array([0.46, 0.54, 0.7]),
                            HysteresisConfig(gamma=0.05, mode="deadzone_half"))
     assert np.allclose(out, [0.5, 0.5, 0.7])
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES,
+                               BLOCK_VALUES + 1, 2 * BLOCK_VALUES + 3])
+def test_deadzone_in_blocks_is_the_whole_array_expression(n):
+    rng = np.random.default_rng(n)
+    tau = rng.uniform(0.3, 0.7, n)
+    # values on the band's edges, which snap, and NaN, which does not
+    tau[rng.random(n) < 0.05] = 0.45
+    tau[rng.random(n) < 0.05] = 0.55
+    tau[rng.random(n) < 0.01] = np.nan
+    before = tau.copy()
+    want = tau.copy()
+    want[np.abs(want - 0.5) <= 0.05] = 0.5
+    got = apply_hysteresis(tau, HysteresisConfig(gamma=0.05,
+                                                 mode="deadzone_half"))
+    assert got.tobytes() == want.tobytes()
+    assert tau.tobytes() == before.tobytes()
+
+
+def test_deadzone_holds_no_full_size_temporary():
+    # the returned copy is the one array of n values: 2 MB here, against
+    # 6.0 MB when tau - 0.5, its absolute value and the mask were full size
+    tau = np.random.default_rng(3).uniform(0.0, 1.0, 250_000)
+    cfg = HysteresisConfig(gamma=0.05, mode="deadzone_half")
+    tracemalloc.start()
+    try:
+        apply_hysteresis(tau, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * tau.nbytes
 
 
 @given(traces, st.floats(0.0, 0.3))

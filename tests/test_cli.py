@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from bdrlab.cli import _metadata, build_parser, main, tau_scenario
 from bdrlab.atr import HysteresisConfig, apply_hysteresis, flip_rate
 from bdrlab.estimators import FIT_MAX_INCREMENT, fit_distance
 from bdrlab.stats import ExperimentSpec, run_trials
-from bdrlab.synth import NoiseSpec, TimeGrid
+from bdrlab.synth import NoiseSpec, TimeGrid, _apply_ar1
 
 
 def run(args):
@@ -530,6 +535,66 @@ def test_atr_sim_gamma_zero_identity(tmp_path):
     for line in out.read_text().splitlines()[1:]:
         _, _, raw, stab, mraw, mstab = line.split(",")
         assert raw == stab and mraw == mstab
+
+
+def _logistic_trace(length, rho, gain, seed):
+    """tau_scenario's trace by the whole-array formula, each pass a new
+    array; the saturated logistic's overflow to inf is silenced."""
+    x = _apply_ar1(np.random.default_rng(seed).normal(0.0, 1.0, length), rho)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-gain * x))
+
+
+@pytest.mark.parametrize("gain", [0.0, 0.2, 1000.0])
+def test_tau_scenario_is_the_logistic_bit_for_bit(gain):
+    # RuntimeWarnings are errors under pytest, so gain 1000 also checks
+    # that the in-place logistic warns nothing where exp overflows
+    got = tau_scenario(5000, 0.84, gain, 5)
+    assert got.tobytes() == _logistic_trace(5000, 0.84, gain, 5).tobytes()
+
+
+def test_atr_sim_saturated_logistic_writes_no_warning():
+    # a process of its own, with Python's default warning filters
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdrlab.cli", "atr-sim", "--gain", "1000",
+         "--length", "1000", "--seed", "1", "--format", "json"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    tau = _logistic_trace(1000, 0.84, 1000.0, 1)
+    assert 0.0 in tau  # exp overflowed there
+    for rec in json.loads(proc.stdout)["records"]:
+        assert rec["flip_rate_raw"] == flip_rate(tau)
+        assert rec["mean_tau_raw"] == float(np.mean(tau))
+
+
+def test_calib_scenario_holds_only_its_two_outputs(monkeypatch):
+    # exp runs in place on the uniform draw: when the errors are drawn the
+    # call has held one array of `samples` values, not the draw and its exp
+    samples, slack = 500_000, 2**16
+    real = np.random.default_rng
+    at_errors = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def uniform(self, *args):
+            return self.rng.uniform(*args)
+
+        def standard_normal(self, *args):
+            at_errors.append(tracemalloc.get_traced_memory()[1])
+            return self.rng.standard_normal(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    tracemalloc.start()
+    try:
+        errors, sigma = cli._calib_scenario("sigma_x2", samples, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at_errors[0] < sigma.nbytes + slack
+    assert peak < errors.nbytes + sigma.nbytes + slack
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.5, -1.0, -2.0, float("nan")])

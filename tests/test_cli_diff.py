@@ -128,3 +128,24 @@ def test_csv_floats_are_compared_beyond_their_printed_digits(parent, change,
     got = cli_diff.compare(cli_diff.parse_output(parent, "csv"),
                            cli_diff.parse_output(change, "csv"))
     assert got == (pytest.approx(worst, rel=1e-9), other)
+
+
+def test_a_csv_file_is_written_and_its_path_passed(tmp_path):
+    text = "error,sigma\n" + "".join(f"{i / 10!r},{1.0 + i % 3!r}\n"
+                                     for i in range(20))
+    command = ["calib", "--input", cli_diff.CsvFile(text), "--bins", "4"]
+    argv = cli_diff.with_config_files(command, tmp_path / "config0.json")
+    assert argv[:2] == ["calib", "--input"] and argv[3:] == ["--bins", "4"]
+    assert Path(argv[2]) == tmp_path / "config0.csv"
+    assert Path(argv[2]).read_text(encoding="utf-8") == text
+    code, out, err = cli_diff.run_cli(ROOT, argv)
+    assert (code, err) == (0, b"") and out.startswith(b"bin,count,")
+
+
+def test_the_tie_run_file_crosses_a_block_and_a_bin_edge():
+    rows = cli_diff.tied_run_csv().text.splitlines()[1:]
+    sigmas = [float(row.split(",")[1]) for row in rows]
+    assert len(sigmas) == 70_000 and sigmas[2**15 - 1] == sigmas[2**15] == 1.5
+    ranks = sorted(sigmas)
+    edge = len(sigmas) // 2  # of the default 10 equal-mass bins
+    assert ranks[edge - 1] == ranks[edge] == 1.5

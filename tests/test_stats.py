@@ -215,10 +215,25 @@ def test_one_sample_sweep_cells_draw_and_build_nothing(monkeypatch, dt,
     assert drawn == [42] and set(built) == {2.0 * dt}
     truths = stats._truths(specs[0])
     for spec, errs in zip(specs, errors):
-        lo, hi = stats._windows(spec, truths)
+        lo, hi = stats._windows(spec, truths, stats._readout(spec)[1])
         assert np.all(hi - lo == 1) == (spec.kappa <= dt / 2)
         want = stats._cls_errors(spec, truths, *stats._cls_draw(spec))
         assert errs.cls.tobytes() == want.tobytes()
+
+
+def test_a_drawing_sweep_cell_computes_its_readout_once(monkeypatch):
+    # the windows, the band, each chunk's reach and the readout all take
+    # the cell's one (m, r); five calls per cell before
+    spec = _spec(num_trials=300, master_seed=5)
+    truths = stats._truths(spec)
+    want = stats._cls_errors(spec, truths, *stats._cls_draw(spec))
+    real, calls = stats._readout, []
+    monkeypatch.setattr(stats, "_readout",
+                        lambda s: calls.append(s) or real(s))
+    monkeypatch.setattr(stats, "CLS_CHUNK_VALUES", 500)  # several chunks
+    got = stats._sweep_cls_errors(spec, truths)
+    assert calls == [spec]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_a_truth_on_a_half_stride_searches_two_samples_and_draws(
@@ -229,7 +244,7 @@ def test_a_truth_on_a_half_stride_searches_two_samples_and_draws(
                  num_trials=200, master_seed=8)
     truths = stats._truths(spec)
     truths[7] = 50.5 * 2.0
-    lo, hi = stats._windows(spec, truths)
+    lo, hi = stats._windows(spec, truths, stats._readout(spec)[1])
     assert (hi - lo)[7] == 2 and np.all(np.delete(hi - lo, 7) == 1)
     drawn, built = _spy_cls_work(monkeypatch)
     got = stats._sweep_cls_errors(spec, truths)

@@ -6,8 +6,9 @@ Each tree is a checkout of this repository (it holds `src/bdrlab`). Every
 command of COMMANDS runs in both trees as `python3 -m bdrlab.cli` with
 PYTHONPATH=<tree>/src, once with `--format csv` and once with
 `--format json`, writing to stdout. A dict in a command stands for a config
-file: the tool writes it as JSON to a temporary directory and passes its
-path, the same path to both trees. The tool prints each run whose exit
+file and a CsvFile for an input file: the tool writes the dict as JSON, or
+the CsvFile's text, to a temporary directory and passes its path, the same
+path to both trees. The tool prints each run whose exit
 code, standard output bytes or standard error bytes differ between the
 trees, naming which of the three differ, and exits 1 if any run differs and
 0 otherwise.
@@ -36,6 +37,26 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
+
+class CsvFile(NamedTuple):
+    """An input file of a command, written as its text."""
+
+    text: str
+
+
+def tied_run_csv() -> CsvFile:
+    """70 000 error,sigma rows for `calib --input`. Rows 30 000-35 999
+    share sigma 1.5, a run of equal sigma^2 that crosses index 32 768 =
+    2^15, where a block of r_ece's key ends, and at the default 10 bins the
+    bin edge at rank 35 000. The other sigmas, in [1, 2), repeat every
+    10 007 rows, so short tie runs cross other edges too."""
+    rows = ["error,sigma"]
+    for i in range(70_000):
+        sigma = 1.5 if 30_000 <= i < 36_000 else 1 + i * 7919 % 10_007 / 10_007
+        error = (i * 104_729 % 2001 - 1000) / 400
+        rows.append(f"{error!r},{sigma!r}")
+    return CsvFile("\n".join(rows) + "\n")
+
 
 SEEDS = range(1, 6)
 COMMANDS = [
@@ -94,6 +115,15 @@ COMMANDS = [
     # a command-line flag beats the file's value
     ["calib", "--config", {"samples": 100000, "bins": 5, "seed": 3},
      "--bins", "7"],
+    # lengths at the edges of the 2^15-value blocks the long passes of calib
+    # and atr-sim run in, and a tie run across a block and a bin edge
+    ["calib", "--input", tied_run_csv()],
+    ["calib", "--scenario", "well_calibrated", "--samples", "32769",
+     "--bins", "7", "--seed", "5"],
+    ["atr-sim", "--length", "98305", "--gain", "0.7", "--gamma", "0.2",
+     "--seed", "2"],
+    # a saturated logistic: exp overflows, and the trace holds exact 0s
+    ["atr-sim", "--gain", "1000", "--length", "1000", "--seed", "1"],
     # bad values, compared by exit code, the empty stdout and the error
     # message: a config value, a kappa below and one above the kernel's
     # range, a subnormal dt^2/kappa, a cell whose variance is subnormal
@@ -136,13 +166,18 @@ def run_cli(tree: Path, argv: list) -> tuple:
 
 
 def with_config_files(command: list, path: Path) -> list:
-    """The command with its dict, if any, written to path as JSON and
-    replaced by the path."""
+    """The command with its dict, if any, written to path as JSON and its
+    CsvFile, if any, written to path with the suffix .csv, each replaced by
+    its file's path."""
     argv = []
     for arg in command:
         if isinstance(arg, dict):
             path.write_text(json.dumps(arg), encoding="utf-8")
             arg = str(path)
+        elif isinstance(arg, CsvFile):
+            csv_path = path.with_suffix(".csv")
+            csv_path.write_text(arg.text, encoding="utf-8")
+            arg = str(csv_path)
         argv.append(arg)
     return argv
 
