@@ -83,17 +83,23 @@ def _hold_scan(x: memoryview, start: int, stop: int, gamma: float):
 def apply_hysteresis(tau, cfg: HysteresisConfig = HysteresisConfig()) -> np.ndarray:
     """Stabilise a tau trace against small fluctuations.
 
+    The caller's trace is read, never written; the result is a new array.
+
     hold_previous: sweeping left to right, a value inside the band around the
     already-stabilised previous value is replaced by it; the sweep runs as
-    synth._blocked_scan, bit for bit the left-to-right loop. deadzone_half
+    synth._blocked_scan, bit for bit the left-to-right loop, straight from
+    the trace, any float64 view of it included. A long trace's only
+    full-size array is the result, besides one tile of about
+    blocks.BLOCK_VALUES values; a short one costs one copy. deadzone_half
     snaps values within gamma of 0.5 to exactly 0.5, in place on the copy
     it returns, a block of blocks.BLOCK_VALUES values at a time: its work
     arrays hold one block, whatever the trace's length.
     """
-    t = np.array(tau, dtype=float)
+    t = np.asarray(tau, dtype=float)
     if t.ndim != 1:
         raise ValueError("tau trace must be 1-D")
     if cfg.mode == "deadzone_half":
+        t = t.copy()
         gap = np.empty(min(len(t), BLOCK_VALUES))
         near = np.empty(len(gap), bool)
         for b in blocks(len(t)):
@@ -115,7 +121,9 @@ def flip_rate(tau) -> float:
     if t.shape[0] < 2:
         raise ValueError("trace must have length >= 2")
     side = t >= 0.5
-    return float(np.mean(side[1:] != side[:-1]))
+    # an exact count over an exact length: np.mean's quotient, without its
+    # cast of every pair to float64
+    return int(np.count_nonzero(side[1:] != side[:-1])) / (len(t) - 1)
 
 
 def prune_mask(importance, keep_ratio: float, predicted_boundaries,

@@ -274,12 +274,12 @@ def cmd_atr_sim(args) -> int:
     raw_flip = flip_rate(tau)
     header = ("mode", "gamma", "flip_rate_raw", "flip_rate_stabilized",
               "mean_tau_raw", "mean_tau_stabilized")
-    rows = []
+    raw_mean, rows = float(np.mean(tau)), []
     for mode in ("hold_previous", "deadzone_half"):
         cfg = HysteresisConfig(gamma=args.gamma, mode=mode)
         stab = apply_hysteresis(tau, cfg)
         rows.append((mode, args.gamma, raw_flip, flip_rate(stab),
-                     float(np.mean(tau)), float(np.mean(stab))))
+                     raw_mean, float(np.mean(stab))))
     _emit(args, header, rows)
     return 0
 

@@ -637,6 +637,14 @@ def _variance_slope(variances: dict):
     return slope, variances
 
 
+def _distinct(name: str, values: list) -> list:
+    """values, refused before any draw when two are equal: each is one key
+    of the variances, and the slope needs one point per value."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must be distinct, not {values}")
+    return values
+
+
 def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     """Slope of log Var[pooled boundary estimate] vs log T.
 
@@ -644,12 +652,17 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     readout on base_spec's grid cut to T positions, boundary T // 2, and
     takes the MSE of its errors. Returns (slope, {T: variance}), or
     ("degenerate", variances) when the noise-free setup leaves nothing to
-    measure.
+    measure. The lengths must be distinct whole numbers (50.0 is 50); other
+    lengths are refused before any draw.
     """
     if len(lengths) < 3:
         raise ValueError("need at least 3 sequence lengths")
+    if not all(float(T).is_integer() for T in lengths):
+        raise ValueError("lengths must be whole numbers, not "
+                         f"{[float(T) for T in lengths]}")
     specs = [replace(base_spec, grid=replace(base_spec.grid, num_positions=T),
-                     boundary=float(T // 2)) for T in map(int, lengths)]
+                     boundary=float(T // 2))
+             for T in _distinct("lengths", [int(T) for T in lengths])]
     pooled = lambda fits, _, grid: pooled_boundary_estimate(fits, grid)
     return _variance_slope({
         spec.grid.num_positions: _mse(_distance_errors(spec, pooled)[1])
@@ -665,11 +678,12 @@ def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):
     that kappa's errors equal the classification errors of run_trials at
     that kappa bit for bit, at any stride, as both build the truths with
     _truths' formula, and every kappa's errors equal _cls_errors on the
-    shared draw.
+    shared draw. Equal kappas are refused before any draw.
     """
     if len(kappas) < 3:
         raise ValueError("need at least 3 kappas")
-    specs = [replace(base_spec, kappa=float(k)) for k in kappas]
+    specs = [replace(base_spec, kappa=k)
+             for k in _distinct("kappas", [float(k) for k in kappas])]
     truths = _truths(base_spec)
     noise, a0 = _cls_draw(max(specs, key=lambda spec: spec.kappa))
     return _variance_slope({

@@ -13,6 +13,8 @@ from functools import partial
 
 import numpy as np
 
+from .blocks import BLOCK_VALUES
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -117,8 +119,9 @@ SCAN_MIN_ROWS = 32
 
 def _blocked_scan(u: np.ndarray, warmup: int, step_columns, scan) -> np.ndarray:
     """The first-order scan y[0] = u[0], y[i] = f(y[i-1], u[i]) over the 1-D
-    float series u, for a recurrence f whose whole state is its last value.
-    u is the caller's own copy: the result may be u itself, stepped in place.
+    float64 series u, for a recurrence f whose whole state is its last
+    value. u is read, never written, and may be any view; the result is one
+    new array.
 
     step_columns(cols) steps f down axis 0 of a 2-D array in place, every
     column at once, cols[j] = f(cols[j-1], cols[j]); scan(x, start, stop) is
@@ -126,37 +129,56 @@ def _blocked_scan(u: np.ndarray, warmup: int, step_columns, scan) -> np.ndarray:
     x[start-1] through x[stop-1].
 
     A short series, or a warm-up longer than SCAN_BLOCK, runs the scalar
-    loop once. A long one is cut into overlapping rows: row k holds the
-    values at [kB, kB + W + B), a warm-up of W values, then its own block of
-    B = SCAN_BLOCK. Row 0 starts from the true state u[0]; every other row
-    takes its first value as a guessed state, and all rows step together,
-    one column at a time. Row k's warm-up ends on the position row k-1 ends
-    on. Where the two rows hold the same bits there, they hold the same
-    state, and with the same inputs ahead the same values from then on, so
-    row k's block is exact. The check compares bits, not values: +0.0 == -0.0
-    although their sums can differ later, and NaN != NaN. A row that fails
-    the check is redone by the scalar loop from the exact value before its
-    block, in order, so the next row is checked against the redone values.
-    The output is therefore bit for bit the scalar loop's, whatever the
-    warm-up; the warm-up only decides how often a block is redone. The
-    values past the last whole row run the scalar loop too.
+    loop once, on one copy of u. A long one is cut into overlapping rows:
+    row k holds the values at [kB, kB + W + B), a warm-up of W values, then
+    its own block of B = SCAN_BLOCK. Row 0 starts from the true state u[0];
+    every other row takes its first value as a guessed state, and all rows
+    step together, one column at a time. The columns pass through one tile
+    of about blocks.BLOCK_VALUES values, made once per call: C =
+    BLOCK_VALUES // rows columns of every row at a time (at least one),
+    stepped on from the last column before them, and each stepped value of
+    a block goes straight to the output. Row k's warm-up ends on the
+    position row k-1 ends on. Where the two rows hold the same bits there,
+    they hold the same state, and with the same inputs ahead the same
+    values from then on, so row k's block is exact. The check compares
+    bits, not values: +0.0 == -0.0 although their sums can differ later,
+    and NaN != NaN. A row that fails the check is redone by the scalar loop
+    from the exact value before its block, read again from u, in order, so
+    the next row is checked against the redone values. The output is
+    therefore bit for bit the scalar loop's, whatever the warm-up or the
+    tile; the warm-up only decides how often a block is redone. The values
+    past the last whole row run the scalar loop too.
     """
     n, W, B = len(u), warmup, SCAN_BLOCK
     rows = (n - W) // B if W <= B else 0
     if rows < SCAN_MIN_ROWS:
+        y = u.copy()
         if n:
-            scan(memoryview(u), 1, n)
-        return u
+            scan(memoryview(y), 1, n)
+        return y
     windows = np.lib.stride_tricks.sliding_window_view(u, W + B)[::B][:rows]
-    cols = np.ascontiguousarray(windows.T)
+    y = np.empty(n)
+    # own[k, j]: the output at column W + j of row k, in row k's own block
+    own = y[W:W + rows * B].reshape(rows, B)
+    C = max(1, BLOCK_VALUES // rows)
+    # tile[1 + i] steps column j + i of every row from tile[0], column j - 1
+    tile = np.empty((C + 1, rows))
     with np.errstate(invalid="ignore", over="ignore"):  # silent, as in floats
-        step_columns(cols)
-    y = np.empty_like(u)
-    y[:W + B] = cols[:, 0]
-    y[W + B:W + rows * B].reshape(rows - 1, B)[...] = cols[W:, 1:].T
+        for j in range(0, W + B, C):
+            c = min(C, W + B - j)
+            tile[1:c + 1] = windows[:, j:j + c].T
+            step_columns(tile[1 if j == 0 else 0:c + 1])
+            if j < W:  # row 0's warm-up, and every row's warm-up end
+                y[j:min(j + c, W)] = tile[1:min(c, W - j) + 1, 0]
+                if W <= j + c:
+                    warm_end = tile[W - j].copy()
+            if W < j + c:
+                start = max(j, W)
+                own[:, start - W:j + c - W] = tile[start - j + 1:c + 1].T
+            tile[0] = tile[c]
     # miss[k - 1]: row k's warm-up ends on other bits than row k-1 ends on
-    y_bits, col_bits = y.view(np.int64), cols.view(np.int64)
-    miss = col_bits[W - 1, 1:] != col_bits[-1, :-1]
+    y_bits, end_bits = y.view(np.int64), warm_end.view(np.int64)
+    miss = end_bits[1:] != own[:-1, -1].view(np.int64)
     x, k = memoryview(y), 0
     while (left := np.flatnonzero(miss[k:])).size:
         k += int(left[0]) + 1
@@ -164,7 +186,7 @@ def _blocked_scan(u: np.ndarray, warmup: int, step_columns, scan) -> np.ndarray:
         y[start:start + B] = u[start:start + B]
         scan(x, start, start + B)
         if k < rows - 1:
-            miss[k] = col_bits[W - 1, k + 1] != y_bits[start + B - 1]
+            miss[k] = end_bits[k + 1] != y_bits[start + B - 1]
     start = rows * B + W
     y[start:] = u[start:]
     scan(x, start, n)
@@ -206,8 +228,12 @@ def _apply_ar1(eta: np.ndarray, rho: float) -> np.ndarray:
 
     Every innovation is scaled in one pass first, in float64; products are
     commutative in floating point, so c eta[i] has the recursion's bits. One
-    series then takes _blocked_scan; a batch of rows steps all rows one
-    column at a time. A series of no values comes back empty at any rho.
+    series then takes _blocked_scan, which reads the scaled copy and returns
+    the recursion in one new array, stepping its long series through one
+    tile of about blocks.BLOCK_VALUES values; a short series costs it one
+    more copy. A batch of rows steps all rows one column at a time, in place
+    on the scaled copy. eta is never written. A series of no values comes
+    back empty at any rho.
     """
     if rho == 0.0:
         return eta

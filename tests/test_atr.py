@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdrlab.blocks import BLOCK_VALUES
+from bdrlab.cli import tau_scenario
 from bdrlab.atr import (HysteresisConfig, apply_hysteresis, blend_residual,
                         expected_tau, flip_rate, per_layer_pruned_cost,
                         prune_mask, total_flops)
@@ -100,6 +101,21 @@ def test_deadzone_holds_no_full_size_temporary():
     assert peak < 1.5 * tau.nbytes
 
 
+def test_hold_previous_holds_only_its_output():
+    # the scan reads the trace where it lies and steps it through one tile
+    # of about BLOCK_VALUES values, so the result is its one array of n
+    # values: 2.28 MB here, against 7.0 MB with a copy of the trace and a
+    # column matrix of 1.6 traces
+    tau = tau_scenario(250_000, 0.84, 0.2, 3)
+    tracemalloc.start()
+    try:
+        apply_hysteresis(tau, HysteresisConfig(gamma=0.05))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * tau.nbytes
+
+
 @given(traces, st.floats(0.0, 0.3))
 @settings(max_examples=200, deadline=None)
 def test_hysteresis_idempotent_both_modes(x, gamma):
@@ -133,6 +149,17 @@ def test_flip_rate_examples():
     # 0.5 counts as the high side
     assert flip_rate(np.array([0.5, 0.6])) == 0.0
     assert flip_rate(np.array([0.49, 0.5])) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, BLOCK_VALUES + 1, 250_001])
+def test_flip_rate_is_the_mean_of_the_flips_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for t in (rng.uniform(0.0, 1.0, n), tau_scenario(n, 0.84, 0.2, n),
+              np.round(rng.uniform(0.0, 1.0, n), 1)):
+        side = t >= 0.5
+        got = flip_rate(t)
+        assert type(got) is float
+        assert got.hex() == float(np.mean(side[1:] != side[:-1])).hex()
 
 
 def test_flip_rate_length_check():

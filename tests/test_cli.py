@@ -568,6 +568,20 @@ def test_atr_sim_saturated_logistic_writes_no_warning():
         assert rec["mean_tau_raw"] == float(np.mean(tau))
 
 
+def test_tau_scenario_holds_its_draw_its_scaling_and_its_trace():
+    # the draw, its scaled copy and the AR(1) scan's output, besides one
+    # tile of about BLOCK_VALUES values: 6.28 MB for a 2 MB trace, against
+    # 9.24 MB when the scan built a column matrix of 1.6 traces
+    length = 250_000
+    tracemalloc.start()
+    try:
+        tau_scenario(length, 0.84, 0.2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * length
+
+
 def test_calib_scenario_holds_only_its_two_outputs(monkeypatch):
     # exp runs in place on the uniform draw: when the errors are drawn the
     # call has held one array of `samples` values, not the draw and its exp

@@ -57,6 +57,7 @@ force every block, and NaN, infinities and overflow run through both.
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1186,6 +1187,179 @@ def test_toolkit_trace_matches_reference():
     assert tau.tobytes() == want.tobytes()
     for gamma in (0.05, 0.3):
         _check_hold_previous(tau, gamma)
+
+
+# --- the blocked scan's tile ------------------------------------------------
+
+# AR(1) coefficients whose warm-up is one step and exactly one block
+RHO_WARMUP_ONE, RHO_WARMUP_BLOCK = 1e-30, 0.8972
+
+
+def test_tile_rhos_have_the_edge_warmups():
+    assert _ar1_warmup(RHO_WARMUP_ONE) == 1
+    assert _ar1_warmup(RHO_WARMUP_BLOCK) == SCAN_BLOCK
+
+
+def tile_widths(warmup):
+    """Columns of every row a tile is set to hold: one, two, the warm-up's
+    length -1, +0 and +1, and a whole row of W + B. At a warm-up of 1, W - 1
+    = 0 leaves the tile its least, one column."""
+    return [1, 2, warmup - 1, warmup, warmup + 1, warmup + SCAN_BLOCK]
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The length of every tile the two column steps were given, in order."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(cols, **params):
+            calls.append(len(cols))
+            real(cols, **params)
+        monkeypatch.setattr(module, name, recorded)
+    spy(synth, "_ar1_columns")
+    spy(atr, "_hold_columns")
+    return calls
+
+
+def tiles(n, warmup, columns):
+    """The tile lengths the blocked scan steps: none when the scalar loop
+    runs the whole series; else C columns first, then each later run of up
+    to C columns below the last column stepped before them."""
+    if (n - warmup) // SCAN_BLOCK < SCAN_MIN_ROWS:
+        return []
+    C, span = max(1, columns), warmup + SCAN_BLOCK
+    return [min(C, span)] + [min(C, span - j) + 1 for j in range(C, span, C)]
+
+
+def check_tiles(monkeypatch, steps, scans, run, want, warmup, redone):
+    """run() gives the bytes `want` and redoes the rows `redone` (None: the
+    scalar loop alone) in a tile of each of tile_widths(warmup) columns of
+    every row."""
+    n = len(want)
+    rows = (n - warmup) // SCAN_BLOCK
+    for columns in tile_widths(warmup):
+        monkeypatch.setattr(synth, "BLOCK_VALUES", columns * rows)
+        steps.clear()
+        scans.clear()
+        assert run().tobytes() == want.tobytes(), columns
+        assert steps == tiles(n, warmup, columns), columns
+        assert redone_rows(scans, n, warmup) == redone, columns
+
+
+@pytest.mark.parametrize("rho", [0.84, -0.5, RHO_WARMUP_ONE, RHO_WARMUP_BLOCK])
+@pytest.mark.parametrize("edge", range(7))
+def test_one_series_ar1_matches_reference_in_tiles_of_any_width(
+        monkeypatch, steps, scans, rho, edge):
+    W = _ar1_warmup(rho)
+    n = edge_lengths(W)[edge]
+    eta = np.random.default_rng(n).normal(0.0, 1.0, n)
+    check_tiles(monkeypatch, steps, scans, lambda: _apply_ar1(eta, rho),
+                reference_ar1_loop(eta, rho), W, None if edge == 0 else [])
+
+
+@pytest.mark.parametrize("edge", range(7))
+def test_hold_previous_matches_reference_in_tiles_of_any_width(
+        monkeypatch, steps, scans, edge):
+    n = edge_lengths(HOLD_WARMUP)[edge]
+    tau = tau_scenario(n, 0.84, 0.2, edge)
+    check_tiles(monkeypatch, steps, scans, lambda: apply_hysteresis(tau),
+                reference_hold_previous(tau, 0.05), HOLD_WARMUP,
+                None if edge == 0 else [])
+
+
+def signed_zeros(n):
+    """+0.0, then n - 1 values of -0.0."""
+    x = np.full(n, -0.0)
+    x[:1] = 0.0
+    return x
+
+
+def forced_redo_series(case):
+    """(series, AR(1) rho or None, hold_previous gamma or None, redone rows)
+    of each series above whose blocks the scan must redo."""
+    B, W = SCAN_BLOCK, _ar1_warmup(0.84)
+    if case == "ar1 zero stretch":
+        eta = np.random.default_rng(2).normal(0.0, 1.0, W + 40 * B + 7)
+        eta[20 * B - 5:20 * B + W + 5] = 0.0
+        return eta, 0.84, None, [20]
+    if case == "ar1 signed zeros":
+        return signed_zeros(W + 40 * B + 7), 0.84, None, list(range(1, 40))
+    n = HOLD_WARMUP + 40 * B + 7
+    if case == "hold constant stretch":
+        tau = np.random.default_rng(5).uniform(0.0, 1.0, n)
+        jump = 20 * B - 6
+        tau[jump - 1:jump + 1] = 0.0, 0.5
+        tau[jump + 1:20 * B + HOLD_WARMUP + 5] = 0.52
+        return tau, None, 0.05, [20]
+    if case == "hold signed zeros":
+        return signed_zeros(n), None, 0.05, list(range(1, 40))
+    tau = tau_scenario(edge_lengths(HOLD_WARMUP)[-1], 0.84, 0.2, 4)
+    return tau, None, 0.3, list(range(1, 100))  # above the trace's range
+
+
+@pytest.mark.parametrize("case", ["ar1 zero stretch", "ar1 signed zeros",
+                                  "hold constant stretch", "hold signed zeros",
+                                  "hold above the range"])
+def test_forced_redos_match_reference_in_tiles_of_any_width(
+        monkeypatch, steps, scans, case):
+    x, rho, gamma, redone = forced_redo_series(case)
+    if rho is None:
+        run = lambda: apply_hysteresis(x, HysteresisConfig(gamma=gamma))
+        want, W = reference_hold_previous(x, gamma), HOLD_WARMUP
+    else:
+        run = lambda: _apply_ar1(x, rho)
+        want, W = reference_ar1_loop(x, rho), _ar1_warmup(rho)
+    check_tiles(monkeypatch, steps, scans, run, want, W, redone)
+
+
+def plain_ar1_loop(u, rho):
+    """x[0] = u[0], x[i] = rho x[i-1] + u[i]: the AR(1) scan, unscaled."""
+    x = np.array(u)
+    for i in range(1, len(x)):
+        x[i] = rho * x[i - 1] + x[i]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 5_000, edge_lengths(HOLD_WARMUP)[-1]])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_blocked_scan_reads_its_input_and_never_writes_it(n, zeros):
+    # the input is a strided view of a read-only array, so any write would
+    # raise; signed zeros make the scan redo every block from the input
+    base = (signed_zeros(2 * n) if zeros
+            else np.random.default_rng(n).uniform(0.0, 1.0, 2 * n))
+    base.flags.writeable = False
+    u = base[::2]
+    before = u.tobytes()
+    for warmup, params, step, scan, want in (
+            (HOLD_WARMUP, dict(gamma=0.05), atr._hold_columns, atr._hold_scan,
+             reference_hold_previous(u, 0.05)),
+            (_ar1_warmup(0.84), dict(rho=0.84), synth._ar1_columns,
+             synth._ar1_scan, plain_ar1_loop(u, 0.84))):
+        y = synth._blocked_scan(u, warmup, partial(step, **params),
+                                partial(scan, **params))
+        assert y.tobytes() == want.tobytes()
+        assert not np.may_share_memory(y, base)
+    assert u.tobytes() == before
+
+
+@pytest.mark.parametrize("mode", ["hold_previous", "deadzone_half"])
+def test_hysteresis_reads_a_strided_view_or_a_list_and_leaves_it(mode):
+    base = tau_scenario(2 * edge_lengths(HOLD_WARMUP)[-1], 0.84, 0.2, 8)
+    before = base.copy()
+    trace = base[::2]
+    if mode == "hold_previous":
+        want = reference_hold_previous(trace, 0.05)
+    else:
+        want = np.where(np.abs(trace - 0.5) <= 0.05, 0.5, trace)
+    values = trace.tolist()
+    cfg = HysteresisConfig(gamma=0.05, mode=mode)
+    for tau in (trace, values):
+        assert apply_hysteresis(tau, cfg).tobytes() == want.tobytes()
+    assert base.tobytes() == before.tobytes()
+    assert values == trace.tolist()
 
 
 def reference_r_ece(errors, sigmas, num_bins):

@@ -678,6 +678,45 @@ def test_kappa_slope_draws_the_noise_once(monkeypatch):
         assert v == np.mean(errs ** 2)
 
 
+def _spy_noise_rows(monkeypatch):
+    """Every _noise_rows call, recorded before it runs."""
+    drawn, real = [], stats._noise_rows
+    monkeypatch.setattr(stats, "_noise_rows",
+                        lambda *args: drawn.append(args) or real(*args))
+    return drawn
+
+
+@pytest.mark.parametrize("lengths, match", [
+    ([50, 50, 100], "lengths must be distinct"),
+    ([50, 100, 50.0], "lengths must be distinct"),
+    ([50.7, 100, 200], "lengths must be whole numbers"),
+    ([50, 100, float("nan")], "lengths must be whole numbers")])
+def test_finite_sample_check_refuses_bad_lengths_before_any_draw(
+        monkeypatch, lengths, match):
+    drawn = _spy_noise_rows(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        finite_sample_variance_check(_spec(num_trials=20), lengths)
+    assert drawn == []
+
+
+def test_finite_sample_check_takes_a_whole_float_length(monkeypatch):
+    drawn = _spy_noise_rows(monkeypatch)
+    spec = _spec(num_trials=20)
+    got = finite_sample_variance_check(spec, [50.0, 100, 200])
+    assert len(drawn) == 3
+    assert got == finite_sample_variance_check(spec, [50, 100, 200])
+    assert list(got[1]) == [50, 100, 200]
+
+
+@pytest.mark.parametrize("kappas", [[1, 1, 2], [1.0, 2, 1]])
+def test_kappa_slope_refuses_equal_kappas_before_any_draw(monkeypatch,
+                                                          kappas):
+    drawn = _spy_noise_rows(monkeypatch)
+    with pytest.raises(ValueError, match="kappas must be distinct"):
+        cls_variance_kappa_slope(_spec(), kappas)
+    assert drawn == []
+
+
 @pytest.mark.parametrize("kappas", [[], [1.0, 2.0]])
 def test_kappa_slope_needs_three_kappas(kappas):
     with pytest.raises(ValueError, match="3 kappas"):

@@ -124,6 +124,15 @@ COMMANDS = [
      "--seed", "2"],
     # a saturated logistic: exp overflows, and the trace holds exact 0s
     ["atr-sim", "--gain", "1000", "--length", "1000", "--seed", "1"],
+    # the blocked scan's cutoff, warm-up + 32 blocks of 512, and one below
+    # it, for hold_previous (warm-up 256) and the AR(1) latent at the
+    # default --trace-rho (319); a trace that steps many tiles; and one
+    # blocked AR(1) noise row through synth
+    *(["atr-sim", "--length", str(warmup + 32 * 512 - below), "--seed", "3"]
+      for warmup in (256, 319) for below in (1, 0)),
+    ["atr-sim", "--length", "2000000", "--seed", "4"],
+    ["synth", "--series", "noisy", "--rho", "0.84", "--num-positions",
+     "20000", "--seed", "5"],
     # bad values, compared by exit code, the empty stdout and the error
     # message: a config value, a kappa below and one above the kernel's
     # range, a subnormal dt^2/kappa, a cell whose variance is subnormal
