@@ -1,14 +1,19 @@
 """Distance-field regression loss/fitter, zero-crossing extraction, peak-search helpers.
 
-fit_distance descends the smoothed loss on the residual of the fit from the
-observations, in float32, and returns the fit in float64. The residual stays
-the size of the noise, so the fit tracks the same steps taken in float64
-within 1e-5 strides at unit-scale noise, whatever the rows' length. It fits
-rows in chunks of FIT_CHUNK_VALUES values, each in one pass, and refuses a
-chunk whose increments exceed FIT_MAX_INCREMENT strides, under which no
-float32 value overflows, before stepping it. One gradient kernel, which owns
-its residual, serves the fitter and bdr_loss_smoothed_grad, which runs it in
-float64.
+fit_distances descends the smoothed loss on the residual of the fit from
+the observations, in float32, and returns the fit in float64, for blocks
+of rows of any lengths and strides in one pass; fit_distance is its
+one-block case. The residual stays the size of the noise, so the fit
+tracks the same steps taken in float64 within 1e-5 strides at unit-scale
+noise, whatever the rows' length. It packs rows in block order into chunks
+of FIT_CHUNK_VALUES values, each fitted in one pass, and refuses a chunk
+whose increments exceed FIT_MAX_INCREMENT strides, under which no float32
+value overflows, before stepping it. One gradient kernel, which owns its
+residual, serves the fitter and bdr_loss_smoothed_grad, which runs it in
+float64. A step of the kernel makes once the calls that carry no
+per-length constant and once per length of its rows the four that do, so
+rows of several lengths share each step, and each block's fit is the fit
+of that block alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -69,20 +74,25 @@ def _check_positions(what: str, *arrays) -> None:
         raise ValueError(f"{what} need at least 2 positions")
 
 
-def _smoothed_grad_kernel(target_inc, dtype, stride: float, alpha: float,
-                          delta: float, scale: float):
-    """(residual, step), both in `dtype`: the residual e, zeroed, with one
-    more column than the target's increments `target_inc`, and a
-    zero-argument step that returns `scale` times the gradient of
-    bdr_loss_smoothed (batched rows, Huber width `delta`) at the prediction
-    target + e.
+def _smoothed_grad_kernel(target_incs, dtype, stride: float, alpha: float,
+                          delta: float, scales):
+    """(residual, views, step), all in `dtype`: the flat residual e of
+    every run, zeroed, its view per run, and a zero-argument step that
+    returns the gradient of bdr_loss_smoothed (batched rows, Huber width
+    `delta`) at the prediction target + e, laid out like e.
+
+    Run k is rows of the target whose increments are `target_incs[k]`, a
+    (rows, T - 1) array; views[k] is their (rows, T) residual, and their
+    gradient is scaled by `scales[k]`. The kernel lays the runs of one
+    length and scale back to back in e, so that each such group is one
+    slice.
 
     The caller writes e in place, once or between steps. The kernel reads
-    the prediction only through e and `target_inc`, rounded once to
-    `dtype`: the Huber term reads e, the hinge the prediction's increments
-    diff(e) + target_inc. Every value it holds is then the size of the
-    residual, not of the target, which is what lets the fitter step in
-    float32.
+    the prediction only through e and the target's increments, rounded once
+    to `dtype`: the Huber term reads e, the hinge the prediction's
+    increments diff(e) + target_inc. Every value it holds is then the size
+    of the residual, not of the target, which is what lets the fitter step
+    in float32.
 
     The Huber term's gradient is the clipped residual clip(e/delta, -1, 1)
     over T, computed as e * (scale/(delta T)) clipped to +-scale/T: one
@@ -100,52 +110,72 @@ def _smoothed_grad_kernel(target_inc, dtype, stride: float, alpha: float,
     Everything that does not change between steps is made here, once: the
     residual, the gradient, the target's increments laid out like the
     residual and the two scratch arrays, increments and hinge gradient,
-    their flat views and slices, and the constants. The increments and the
-    hinge gradient run over the flattened rows, with each row's last
-    column, the one that would straddle two rows, set to zero. The step
-    itself makes only ufunc calls that write into those arrays, so it
+    their slices, and the constants. The increments and the hinge gradient
+    run over all the rows back to back, with each row's last column, the
+    one that would straddle two rows, set to zero. So a step makes once the
+    seven calls that carry no per-length constant: the increments' subtract
+    and add, the dead-zone clip and subtract, the adjoint's subtract and
+    add, and the caller's update of e. Each group makes on its slice the
+    four that do: the Huber multiply and clip, the straddle zeroing and the
+    hinge multiply. Rows never read each other, so each row gets the bits
+    it would get alone, and one group makes the 11 calls of a one-length
+    step in their order.
+
+    The step makes only ufunc calls that write into those arrays, so it
     allocates nothing; each call returns the same gradient array,
     overwritten. Its constants, the clips' bounds of both signs and the
     zero among them, are 0-d arrays in `dtype` and every output is passed
-    by position, so no call converts a scalar or parses a keyword: the
-    same operations in the same order, with less of numpy's per-call work.
+    by position, so no call converts a scalar or parses a keyword.
     """
     dtype = np.dtype(dtype).type
-    shape = target_inc.shape[:-1] + (target_inc.shape[-1] + 1,)
+    groups = {}  # (T, scale): the runs of that length and scale
+    for k, (target_inc, scale) in enumerate(zip(target_incs, scales)):
+        groups.setdefault((target_inc.shape[-1] + 1, scale), []).append(k)
+    size = sum(a.size + len(a) for a in target_incs)
     # the increments' last entry only ever adds two zeros, so stays finite
-    residual, grad, inc, q, t_inc = (np.zeros(shape, dtype) for _ in range(5))
-    t_inc[..., :-1] = target_inc
-    flat_e, flat_inc, flat_q, flat_g = (a.reshape(-1)
-                                        for a in (residual, inc, q, grad))
-    e_next, e_prev, inc_head = flat_e[1:], flat_e[:-1], flat_inc[:-1]
-    q_head, q_last = flat_q[:-1], q[..., -1]
-    g_head, g_tail = flat_g[:-1], flat_g[1:]
-    T = shape[-1]
-    huber_bound = dtype(scale / T)
-    huber_mul, delta = dtype(scale / (delta * T)), dtype(delta)
-    while delta * huber_mul < huber_bound:
-        huber_mul = np.nextafter(huber_mul, dtype(np.inf))
-    hinge_mul = dtype(2.0 * alpha / (T - 1) * scale)
-    stride = dtype(stride)
-    huber_mul, hinge_mul, low, high, inc_low, inc_high, zero = (
-        np.array(c, dtype) for c in (huber_mul, hinge_mul, -huber_bound,
-                                     huber_bound, -stride, stride, 0.0))
+    residual, grad, inc, q, t_inc = (np.zeros(size, dtype) for _ in range(5))
+    e_next, e_prev, inc_head = residual[1:], residual[:-1], inc[:-1]
+    q_head, g_head, g_tail = q[:-1], grad[:-1], grad[1:]
+    band, stride = dtype(delta), dtype(stride)
+    views, huber, hinge, end = [None] * len(target_incs), [], [], 0
+    for (T, scale), runs in groups.items():
+        start = end
+        for k in runs:
+            rows = len(target_incs[k])
+            views[k] = residual[end:end + rows * T].reshape(rows, T)
+            t_inc[end:end + rows * T].reshape(rows, T)[:, :-1] = target_incs[k]
+            end += rows * T
+        huber_bound = dtype(scale / T)
+        huber_mul = dtype(scale / (delta * T))
+        while band * huber_mul < huber_bound:
+            huber_mul = np.nextafter(huber_mul, dtype(np.inf))
+        huber_mul, hinge_mul, low, high = (
+            np.array(c, dtype) for c in (huber_mul,
+                                         2.0 * alpha / (T - 1) * scale,
+                                         -huber_bound, huber_bound))
+        e_run, g_run, q_run = (a[start:end] for a in (residual, grad, q))
+        huber.append((e_run, huber_mul, g_run.clip, low, high, g_run))
+        hinge.append((q_run.reshape(-1, T)[:, -1], q_run, hinge_mul))
+    inc_low, inc_high, zero = (np.array(c, dtype)
+                               for c in (-stride, stride, 0.0))
     multiply, subtract, add = np.multiply, np.subtract, np.add
-    clip_grad, clip_inc = grad.clip, inc.clip
+    clip_inc = inc.clip
 
     def step():
-        multiply(residual, huber_mul, grad)
-        clip_grad(low, high, grad)
+        for e_run, huber_mul, clip_run, low, high, g_run in huber:
+            multiply(e_run, huber_mul, g_run)
+            clip_run(low, high, g_run)
         subtract(e_next, e_prev, inc_head)
         add(inc, t_inc, inc)
         subtract(inc, clip_inc(inc_low, inc_high, q), q)
-        q_last[...] = zero
-        multiply(q, hinge_mul, q)
+        for q_last, q_run, hinge_mul in hinge:
+            q_last[...] = zero
+            multiply(q_run, hinge_mul, q_run)
         subtract(g_head, q_head, g_head)
         add(g_tail, q_head, g_tail)
         return grad
 
-    return residual, step
+    return residual, views, step
 
 
 def bdr_loss_smoothed(target, prediction, stride: float = 1.0,
@@ -182,11 +212,11 @@ def bdr_loss_smoothed_grad(target, prediction, stride: float = 1.0,
     # round, is broadcast into the kernel's residual
     shape = np.broadcast_shapes(np.shape(prediction), target.shape)
     target_inc = np.diff(np.broadcast_to(target, shape), axis=-1)
-    residual, grad = _smoothed_grad_kernel(target_inc, np.float64, stride,
-                                           cfg.alpha, cfg.huber_delta * stride,
-                                           1.0)
-    np.subtract(prediction, target, out=residual)
-    return grad()
+    _, (residual,), grad = _smoothed_grad_kernel(
+        [target_inc.reshape(-1, shape[-1] - 1)], np.float64, stride,
+        cfg.alpha, cfg.huber_delta * stride, [1.0])
+    np.subtract(prediction, target, out=residual.reshape(shape))
+    return grad().reshape(shape)
 
 
 def _curvature_bound(T: int, alpha: float, delta: float) -> float:
@@ -197,20 +227,73 @@ def _curvature_bound(T: int, alpha: float, delta: float) -> float:
 
 
 def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> np.ndarray:
-    """Fit a distance series to noisy observations by descending the smoothed loss.
+    """Fit a distance series to noisy observations by descending the smoothed
+    loss: the one-block fit_distances.
 
-    Works on a single series or a batch (trials stacked on the first axis).
-    Optimisation runs in grid units so behaviour is stride-independent. It
-    takes FIT_ITERATIONS steps of one size, FIT_STEP halved while at least
-    2/L for L = _curvature_bound, so by the descent lemma every step lowers
-    every row's loss in exact arithmetic (unless the row is at a minimum).
-    The loss itself is never evaluated: each step is the step-scaled
-    gradient of _smoothed_grad_kernel, the kernel bdr_loss_smoothed_grad
-    runs too, subtracted from the fit. The step is a power of two, so
-    folding it into the gradient's constants gives the same bits as scaling
-    afterwards. The Huber term's gradient is a multiply and a clip, with
-    no divide: inside the band it rounds within 3 ULP of
-    clip(e/delta, -1, 1)/T, outside the band it is that bit for bit.
+    Works on a single series or a batch (trials stacked on the first axis),
+    and returns the fit in the observations' shape.
+    """
+    return fit_distances([observations], [grid], cfg)[0]
+
+
+def _chunks(shapes):
+    """Each chunk of rows the fitter steps together, as a list of
+    (block, first row, end row), for blocks of the (rows, T) `shapes`.
+
+    The rows are packed in block order, as many as hold at most
+    FIT_CHUNK_VALUES values and at least one, so rows of one length T come
+    FIT_CHUNK_VALUES // T to a chunk, or one."""
+    chunk, values = [], 0
+    for k, (rows, T) in enumerate(shapes):
+        start = 0
+        while start < rows:
+            if chunk and values + T > FIT_CHUNK_VALUES:
+                yield chunk
+                chunk, values = [], 0
+            # a row longer than a chunk is a chunk of its own
+            end = min(rows, start + max(1, (FIT_CHUNK_VALUES - values) // T))
+            chunk.append((k, start, end))
+            values += (end - start) * T
+            start = end
+    if chunk:
+        yield chunk
+
+
+def fit_groups(sizes) -> list:
+    """The blocks to fit together, as lists of block indices in order, for
+    blocks of `sizes` values each: consecutive blocks share one
+    fit_distances pass while they hold at most FIT_CHUNK_VALUES values in
+    all. Past that, sharing the steps saves no chunk and only holds more
+    memory."""
+    groups, held = [], 0  # held: the values of the last group's blocks
+    for k, values in enumerate(sizes):
+        if groups and held + values <= FIT_CHUNK_VALUES:
+            groups[-1].append(k)
+            held += values
+        else:
+            groups.append([k])
+            held = values
+    return groups
+
+
+def fit_distances(observations, grids, cfg: FitConfig = FitConfig()) -> list:
+    """The fit of each block of observations on its grid, in one pass over
+    all blocks: blocks of rows of different lengths and strides share each
+    step. observations[k] is a single series or a batch on grids[k], and
+    fit k has its shape; no blocks give no fits.
+
+    Optimisation runs in grid units so behaviour is stride-independent. A
+    block of T positions takes FIT_ITERATIONS steps of one size, FIT_STEP
+    halved while at least 2/L for L = _curvature_bound(T), so by the
+    descent lemma every step lowers every row's loss in exact arithmetic
+    (unless the row is at a minimum). The loss itself is never evaluated:
+    each step is the step-scaled gradient of _smoothed_grad_kernel, the
+    kernel bdr_loss_smoothed_grad runs too, subtracted from the fit. The
+    step is a power of two, so folding it into the gradient's constants
+    gives the same bits as scaling afterwards. The Huber term's gradient is
+    a multiply and a clip, with no divide: inside the band it rounds within
+    3 ULP of clip(e/delta, -1, 1)/T, outside the band it is that bit for
+    bit.
 
     The fitter steps the residual e = d - o of the fit d from the
     observations o, both in grid units, in float32, starting from e = 0,
@@ -235,47 +318,64 @@ def fit_distance(observations, grid: TimeGrid, cfg: FitConfig = FitConfig()) -> 
     (2k + 1)(M + k), a quarter of float32's range at the bound; the rest
     is slack for rounding.
 
-    Rows are fitted in chunks of FIT_CHUNK_VALUES // T rows, at least one,
-    each from start to finish in one pass: its increments are formed and
-    checked, the kernel is built on them, the kernel's residual takes
-    FIT_ITERATIONS steps in place and (o + e) * stride is written back into
-    that chunk of the output. So the arrays, views, slices and constants of
-    the kernel are made once per chunk, not on every step, and beside the
-    output the fit holds only one chunk's arrays. Rows are independent, so
-    the fit does not depend on the chunk size; a refused row raises after
-    the chunks before it have stepped, and no output is returned.
+    Rows are fitted in chunks of at most FIT_CHUNK_VALUES values (_chunks),
+    packed in block order, each from start to finish in one pass: its
+    increments are formed and checked, the kernel is built on them, the
+    kernel's residual takes FIT_ITERATIONS steps in place and (o + e) *
+    stride is written back into that chunk of the output. So the arrays,
+    views, slices and constants of the kernel are made once per chunk, not
+    on every step, and beside the output the fit holds only one chunk's
+    arrays. A step of a chunk makes once the calls that carry no
+    per-length constant and once per length the four that do, so one
+    length makes the 11 calls of one fit and five lengths 27, not 55. Rows
+    are independent, so the fit of a row does not depend on the chunk
+    size or on the rows it shares a chunk with: each block's fit is the
+    fit of that block alone, bit for bit. A refused row raises after the
+    chunks before it have stepped, and no output is returned.
     """
-    obs = np.asarray(observations, dtype=float)
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observations must be finite")
-    _check_positions("observations", obs)
-    T = obs.shape[-1]
+    if len(observations) != len(grids):
+        raise ValueError(f"{len(observations)} blocks of observations and "
+                         f"{len(grids)} grids")
+    obs = [np.asarray(o, dtype=float) for o in observations]
+    for o in obs:
+        if not np.all(np.isfinite(o)):
+            raise ValueError("observations must be finite")
+        _check_positions("observations", o)
     alpha, delta = cfg.loss.alpha, cfg.loss.huber_delta
-    step, bound = FIT_STEP, _curvature_bound(T, alpha, delta)
-    while step * bound >= 2.0:
-        step *= 0.5
+    full, steps = [], []
+    for o, grid in zip(obs, grids):
+        T = o.shape[-1]
+        step, bound = FIT_STEP, _curvature_bound(T, alpha, delta)
+        while step * bound >= 2.0:
+            step *= 0.5
+        steps.append(step)
+        # an overflow here gives inf or NaN increments, which the check
+        # refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            full.append(o.reshape(-1, T) / grid.stride)
+    subtract = np.subtract
     # rows are independent; chunks of a fixed number of values keep the
     # kernel's working set in cache on long batches and short rows alike
-    chunk = max(1, FIT_CHUNK_VALUES // T)
-    # an overflow here gives inf or NaN increments, which the check refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = obs.reshape(-1, T) / grid.stride
-    for start in range(0, len(full), chunk):
-        d = full[start:start + chunk]
+    for chunk in _chunks([f.shape for f in full]):
+        rows = [full[k][start:end] for k, start, end in chunk]
         with np.errstate(over="ignore", invalid="ignore"):
-            inc = np.diff(d, axis=-1)
-        # NaN fails both comparisons
-        if not (inc.max() <= FIT_MAX_INCREMENT
-                and inc.min() >= -FIT_MAX_INCREMENT):
-            raise ValueError("observations must change by at most "
-                             f"{FIT_MAX_INCREMENT:.3g} strides per grid step")
-        e, scaled_grad = _smoothed_grad_kernel(inc, np.float32, 1.0, alpha,
-                                               delta, step)
+            incs = [np.diff(d, axis=-1) for d in rows]
+        for inc in incs:
+            # NaN fails both comparisons
+            if not (inc.max() <= FIT_MAX_INCREMENT
+                    and inc.min() >= -FIT_MAX_INCREMENT):
+                raise ValueError("observations must change by at most "
+                                 f"{FIT_MAX_INCREMENT:.3g} strides per grid "
+                                 "step")
+        e, views, scaled_grad = _smoothed_grad_kernel(
+            incs, np.float32, 1.0, alpha, delta,
+            [steps[k] for k, _, _ in chunk])
         for _ in range(FIT_ITERATIONS):
-            np.subtract(e, scaled_grad(), e)
-        d += e
-        d *= grid.stride
-    return full.reshape(obs.shape)
+            subtract(e, scaled_grad(), e)
+        for d, view, (k, _, _) in zip(rows, views, chunk):
+            d += view
+            d *= grids[k].stride
+    return [f.reshape(o.shape) for f, o in zip(full, obs)]
 
 
 def nms_1d(positions, scores, window: float) -> list:

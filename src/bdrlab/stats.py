@@ -18,11 +18,13 @@ A spec's boundary is in grid positions: trial k's truth is
 _cls_band reads is (boundary + [0, 1]) x stride. No other code converts it.
 
 Each estimator side has one path, which every entry point takes. The
-distance side is _distance_errors(spec, readout): it draws streams 0 and 1,
-fits them with SWEEP_FIT on the spec's grid and returns the truths and the
-errors of a readout, which returns one estimate per row (NaN where a row
-has none). The classification side is _cls_draw(spec), the one stream-2
-draw over the spec's band, read by _cls_errors.
+distance side is _distance_errors(specs, readout): for each spec it draws
+streams 0 and 1, fits them with SWEEP_FIT on the spec's grid and returns
+the truths and the errors of a readout, which returns one estimate per row
+(NaN where a row has none). Consecutive specs whose rows fit in one
+FIT_CHUNK_VALUES chunk share one fitter pass. The classification side is
+_cls_draw(spec), the one stream-2 draw over the spec's band, read by
+_cls_errors.
 
 sweep_errors runs both sides on a list of cells that share streams 0 and 1
 (common random numbers): _distance_errors with the _nearest_crossing
@@ -33,12 +35,15 @@ _cls_draw, and _cls_errors searches the plateau window of each of the
 cell's truths, through _sweep_cls_errors, which computes the cell's band
 and its truths' windows once. A cell in which every window holds one
 sample, as a kappa <= dt/2 cell's do, draws no stream 2 and builds no
-features: that sample is its estimate whatever the data. run_trials is
-the one-cell sweep. scaling_sweep runs the (kappa, stride) grid through sweep_errors and adds a report per cell and
-the slope fit. finite_sample_variance_check runs _distance_errors with the
-pooled_boundary_estimate readout once per length. cls_variance_kappa_slope
-makes one _cls_draw, for its widest kappa, and reads every kappa off it
-with the same truths.
+features: that sample is its estimate whatever the data. run_trials is the
+one-cell sweep. scaling_sweep runs the (kappa, stride) grid through
+sweep_errors and adds a report per cell and the slope fit.
+finite_sample_variance_check runs _distance_errors with the
+pooled_boundary_estimate readout once, on every length: lengths whose rows
+fit in one chunk together, as the benchmark's 25 trials of T = 50 to 800
+do, share one fitter pass, and the T-slope gate's 4000 trials fit each
+length alone. cls_variance_kappa_slope makes one _cls_draw, for its widest
+kappa, and reads every kappa off it with the same truths.
 
 The classification side is batched: features, smoothing, the windowed
 argmax and the quadratic refinement each run once per chunk of trials, and
@@ -62,7 +67,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (BDRLossConfig, FitConfig, extract_boundaries,
-                         fit_distance, moving_average, quadratic_peak_offset)
+                         fit_distance, fit_distances, fit_groups,
+                         moving_average, quadratic_peak_offset)
 from .synth import (KAPPA_MAX, KAPPA_MIN, NoiseSpec, TimeGrid,
                     make_kernel_features, sample_noise_matrix)
 
@@ -150,23 +156,45 @@ def _noise_rows(spec: ExperimentSpec, label: int, count: int) -> np.ndarray:
                                spec.num_trials, count)
 
 
-def _distance_errors(spec: ExperimentSpec, readout):
-    """(truths, errors) in frames of the spec's distance side: the one
-    place that draws streams 0 and 1 and fits them.
+def _distance_errors(specs, readout) -> list:
+    """One (truths, errors) pair in frames per spec of `specs`, in order, of
+    the specs' distance sides: the one place that draws streams 0 and 1
+    and fits them.
 
     The observations are the clean signed-distance field plus noise in
     stride units (one noise unit per grid step), matching the regression
     error model the scaling analysis is phrased in. They are fitted with
-    SWEEP_FIT on the spec's own grid, and each row's error is
+    SWEEP_FIT on each spec's own grid, and each row's error is
     readout(fits, truths, grid) - truths. Every readout returns one
     estimate per row, NaN where a row has none: _nearest_crossing for
     sweep_errors, pooled_boundary_estimate for finite_sample_variance_check.
+
+    Consecutive specs are fitted together, in one fit_distances pass, as
+    fit_groups groups them by their rows' values: while they hold at most
+    one FIT_CHUNK_VALUES chunk. A group of one spec is one fit_distance
+    call, the fit perfbench/tracing.py times and counts. Each spec draws
+    from its own generators, and a block's fit does not depend on the
+    blocks beside it, so the errors are those of each spec alone, bit for
+    bit.
     """
-    grid = spec.grid
-    truths, noise = _truths(spec), _noise_rows(spec, 1, grid.num_positions)
-    clean = grid.times()[None, :] - truths[:, None]
-    fits = fit_distance(clean + grid.stride * noise, grid, SWEEP_FIT)
-    return truths, readout(fits, truths, grid) - truths
+    groups = fit_groups([spec.num_trials * spec.grid.num_positions
+                         for spec in specs])
+    return [pair for group in groups
+            for pair in _distance_group([specs[k] for k in group], readout)]
+
+
+def _distance_group(specs, readout) -> list:
+    """_distance_errors of one group of specs, fitted in one pass; its
+    draws and fits are freed when it returns."""
+    truths = [_truths(spec) for spec in specs]
+    obs = [spec.grid.times()[None, :] - t[:, None]
+           + spec.grid.stride * _noise_rows(spec, 1, spec.grid.num_positions)
+           for spec, t in zip(specs, truths)]
+    grids = [spec.grid for spec in specs]
+    fits = (fit_distances(obs, grids, SWEEP_FIT) if len(specs) > 1
+            else [fit_distance(obs[0], grids[0], SWEEP_FIT)])
+    return [(t, readout(fit, t, grid) - t)
+            for t, fit, grid in zip(truths, fits, grids)]
 
 
 def _nearest_crossing(dhat: np.ndarray, truths: np.ndarray,
@@ -358,7 +386,7 @@ def sweep_errors(specs) -> list:
         raise ValueError("specs must share num_positions, boundary, noise "
                          "and num_trials")
     unit = replace(specs[0], grid=replace(specs[0].grid, stride=1.0))
-    truths, e_unit = _distance_errors(unit, _nearest_crossing)
+    [(truths, e_unit)] = _distance_errors([unit], _nearest_crossing)
     return [TrialErrors(bdr=e_unit * spec.grid.stride,
                         cls=_sweep_cls_errors(spec,
                                               truths * spec.grid.stride))
@@ -648,9 +676,11 @@ def _distinct(name: str, values: list) -> list:
 def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
     """Slope of log Var[pooled boundary estimate] vs log T.
 
-    Each length T runs _distance_errors with the pooled_boundary_estimate
-    readout on base_spec's grid cut to T positions, boundary T // 2, and
-    takes the MSE of its errors. Returns (slope, {T: variance}), or
+    Each length T is base_spec's grid cut to T positions, boundary T // 2.
+    One _distance_errors call with the pooled_boundary_estimate readout
+    fits every length, consecutive lengths in one pass while their rows fit
+    in one chunk, and each length's variance is the MSE of its errors, bit
+    for bit that of its own fit. Returns (slope, {T: variance}), or
     ("degenerate", variances) when the noise-free setup leaves nothing to
     measure. The lengths must be distinct whole numbers (50.0 is 50); other
     lengths are refused before any draw.
@@ -665,8 +695,8 @@ def finite_sample_variance_check(base_spec: ExperimentSpec, lengths):
              for T in _distinct("lengths", [int(T) for T in lengths])]
     pooled = lambda fits, _, grid: pooled_boundary_estimate(fits, grid)
     return _variance_slope({
-        spec.grid.num_positions: _mse(_distance_errors(spec, pooled)[1])
-        for spec in specs})
+        spec.grid.num_positions: _mse(errors)
+        for spec, (_, errors) in zip(specs, _distance_errors(specs, pooled))})
 
 
 def cls_variance_kappa_slope(base_spec: ExperimentSpec, kappas):

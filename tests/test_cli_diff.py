@@ -17,6 +17,17 @@ TINY = [["flops", "--points", "0.16:0.8"],
         ["synth", "--num-positions", "6"]]
 
 
+# a library call small enough for a test: 5 trials of three short lengths
+TINY_LIBRARY = dict(call="finite_sample_variance_check", kappa=4.0, rho=0.6,
+                    trials=5, seed=3, axis=(10, 20, 30))
+
+
+@pytest.fixture(autouse=True)
+def no_library_runs(monkeypatch):
+    # the full library calls take seconds; a test that wants one sets it
+    monkeypatch.setattr(cli_diff, "LIBRARY", [])
+
+
 @pytest.fixture
 def tiny_commands(monkeypatch):
     monkeypatch.setattr(cli_diff, "COMMANDS", TINY)
@@ -114,6 +125,36 @@ def test_other_fields_must_be_equal(monkeypatch, tmp_path, capsys):
                         "differ)")
     assert len(lines) == 10 and all("time_frameZ" in x for x in lines[3:9])
     assert lines[-1] == "0 of 2 runs byte-identical, 0 more within --rtol 1"
+
+
+def test_one_changed_library_byte_is_named(monkeypatch, tmp_path, capsys):
+    # a relative change of 1e-6 in the fitter's slope prior changes the
+    # printed variances; a library run is compared byte for byte even with
+    # --rtol
+    monkeypatch.setattr(cli_diff, "COMMANDS", [])
+    monkeypatch.setattr(cli_diff, "LIBRARY", [TINY_LIBRARY])
+    assert cli_diff.main([str(ROOT), str(ROOT)]) == 0
+    assert capsys.readouterr().out == "1 of 1 runs byte-identical\n"
+    change = _copy_with(tmp_path, "stats.py", "SWEEP_FIT_ALPHA = 4.0",
+                        "SWEEP_FIT_ALPHA = 4.0 * (1 + 1e-6)")
+    label, _ = cli_diff.library_run(TINY_LIBRARY)
+    assert label == ("library: finite_sample_variance_check (10, 20, 30) "
+                     "trials 5 rho 0.6 seed 3")
+    for rtol in ([], ["--rtol", "1"]):
+        assert cli_diff.main([str(ROOT), str(change), *rtol]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"differs: {label} (stdout: exit 0 -> 0, ")
+        assert lines[1].startswith("0 of 1 runs byte-identical")
+
+
+def test_a_library_run_prints_every_bit_of_its_values():
+    _, args = cli_diff.library_run(TINY_LIBRARY)
+    code, out, err = cli_diff.run_python(ROOT, args)
+    assert (code, err) == (0, b"")
+    lines = out.decode().splitlines()
+    assert len(lines) == 4 and float.fromhex(lines[0]) < 0
+    assert [line.split()[0] for line in lines[1:]] == ["10", "20", "30"]
+    assert all(float.fromhex(line.split()[1]) > 0 for line in lines[1:])
 
 
 @pytest.mark.parametrize("parent,change,worst,other", [

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -9,8 +10,8 @@ from bdrlab import estimators
 from bdrlab.estimators import (FIT_CHUNK_VALUES, FIT_MAX_INCREMENT, FIT_STEP,
                                BDRLossConfig, FitConfig, _curvature_bound,
                                bdr_loss_smoothed, bdr_loss_smoothed_grad,
-                               extract_boundaries,
-                               fit_distance, moving_average, nms_1d,
+                               extract_boundaries, fit_distance,
+                               fit_distances, moving_average, nms_1d,
                                quadratic_peak_offset)
 from bdrlab.stats import SWEEP_FIT
 from bdrlab.synth import (NoiseSpec, TimeGrid, make_distance_field,
@@ -164,33 +165,37 @@ def test_curvature_bound_holds_on_random_row_pairs(T, alpha, delta):
         assert ratio[0] >= 0.95 * bound
 
 
-@pytest.mark.parametrize("T", [10, 50, 100, 132])
-@pytest.mark.parametrize("rho", [0.0, 0.6])
-def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
-                                                               T, rho):
-    cfg = FitConfig(loss=BDRLossConfig(alpha=4.0))
-    assert FIT_STEP * _curvature_bound(T, 4.0, 0.01) >= 2.0  # step halved
-    grid = TimeGrid(stride=1.0, num_positions=T)
-    obs = (grid.times() - T / 2
-           + sample_noise_matrix(NoiseSpec(rho=rho), T, 100, T))
+def _noisy_block(T, stride, rho, rows, seed):
+    """`rows` noisy distance rows of T positions on a grid of `stride`,
+    boundary mid-row, and the grid."""
+    grid = TimeGrid(stride=stride, num_positions=T)
+    noise = sample_noise_matrix(NoiseSpec(rho=rho), seed, rows, T)
+    return grid.times() - T / 2 * stride + stride * noise, grid
+
+
+def _losses_before_each_step(monkeypatch, blocks, cfg):
+    """Fit `blocks` of (observations, grid) in one fit_distances pass and
+    return, per block, the (steps, rows) grid-unit losses of the fit
+    obs + e before each step, e being the residual the kernel steps from,
+    in float64. The blocks must fit in one chunk."""
     build, losses = estimators._smoothed_grad_kernel, []
 
     def spy(*args):
-        residual, step = build(*args)
+        residual, views, step = build(*args)
 
         def spied_step():
-            # the grid-unit loss of the fit obs + e before the step, e being
-            # the residual the kernel steps from, in float64
-            losses.append(bdr_loss_smoothed(obs, obs + residual, 1.0,
-                                            cfg.loss))
+            losses.append([bdr_loss_smoothed(obs, obs + view, 1.0, cfg.loss)
+                           for (obs, _), view in zip(blocks, views)])
             return step()
 
-        return residual, spied_step
+        return residual, views, spied_step
 
     monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
-    fit_distance(obs, grid, cfg)
-    losses = np.array(losses)  # (steps, rows): the loss before each step
-    assert losses.shape == (300, 100)
+    estimators.fit_distances(*zip(*blocks), cfg)
+    return [np.array(block) for block in zip(*losses)]
+
+
+def _assert_loss_does_not_rise(losses, T):
     # Each loss sums 2T - 1 non-negative rounded terms, so it is rounded by
     # up to about 2T eps of itself, and the difference of two by 4T eps. The
     # steps run in float32, whose roundings perturb the fit by about eps32
@@ -203,18 +208,44 @@ def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
     assert np.all(losses[-1] < losses[0])
 
 
-def _chunk_rows(monkeypatch, shape):
-    """The row count of each chunk a fit of zeros of `shape` builds its
-    kernel for, one step each."""
+@pytest.mark.parametrize("T", [10, 50, 100, 132])
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_fit_loss_does_not_rise_where_the_bound_halves_the_step(monkeypatch,
+                                                               T, rho):
+    cfg = FitConfig(loss=BDRLossConfig(alpha=4.0))
+    assert FIT_STEP * _curvature_bound(T, 4.0, 0.01) >= 2.0  # step halved
+    grid = TimeGrid(stride=1.0, num_positions=T)
+    obs = (grid.times() - T / 2
+           + sample_noise_matrix(NoiseSpec(rho=rho), T, 100, T))
+    [losses] = _losses_before_each_step(monkeypatch, [(obs, grid)], cfg)
+    assert losses.shape == (300, 100)  # the loss before each step
+    _assert_loss_does_not_rise(losses, T)
+    # the same rows in one chunk with rows of 37 and of 2T positions, each
+    # length with its own step size
+    blocks = [(obs, grid)] + [_noisy_block(n, 1.0, rho, 40, n)
+                              for n in (37, 2 * T)]
+    mixed = _losses_before_each_step(monkeypatch, blocks, cfg)
+    assert np.array_equal(mixed[0], losses)
+    for block, (o, _) in zip(mixed, blocks):
+        assert block.shape == (300, len(o))
+        _assert_loss_does_not_rise(block, o.shape[-1])
+
+
+def _chunk_rows(monkeypatch, *shapes):
+    """The row counts of each chunk a one-step fit of zero blocks of
+    `shapes` builds its kernel for: one list per chunk, one count per run
+    of one block's rows."""
     build, built = estimators._smoothed_grad_kernel, []
 
-    def spy(target_inc, *args):
-        built.append(len(target_inc))
-        return build(target_inc, *args)
+    def spy(target_incs, *args):
+        built.append([len(inc) for inc in target_incs])
+        return build(target_incs, *args)
 
     monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
     monkeypatch.setattr(estimators, "FIT_ITERATIONS", 1)
-    fit_distance(np.zeros(shape), TimeGrid(stride=1.0, num_positions=2))
+    estimators.fit_distances(
+        [np.zeros(shape) for shape in shapes],
+        [TimeGrid(stride=1.0, num_positions=2)] * len(shapes))
     return built
 
 
@@ -224,7 +255,13 @@ def _chunk_rows(monkeypatch, shape):
 def test_fit_builds_the_kernel_once_per_chunk(monkeypatch, rows, chunks):
     # a chunk holds FIT_CHUNK_VALUES // T rows, 128 rows of this T
     T = FIT_CHUNK_VALUES // 128
-    assert _chunk_rows(monkeypatch, (rows, T)) == chunks
+    assert _chunk_rows(monkeypatch, (rows, T)) == [[n] for n in chunks]
+    # a block of rows half as long after them fills the last chunk's room,
+    # two rows to each row left out of it, then chunks of its own
+    room = 2 * (128 - chunks[-1])
+    last = [chunks[-1], room] if room else [chunks[-1]]
+    assert (_chunk_rows(monkeypatch, (rows, T), (room + 256 + 3, T // 2))
+            == [[n] for n in chunks[:-1]] + [last, [256], [3]])
 
 
 @pytest.mark.parametrize("T,rows,chunks", [
@@ -234,7 +271,111 @@ def test_fit_chunks_hold_a_fixed_number_of_values(monkeypatch, T, rows,
                                                   chunks):
     # short rows fill a chunk with many, a row longer than a chunk is a
     # chunk of its own
-    assert _chunk_rows(monkeypatch, (rows, T)) == chunks
+    assert _chunk_rows(monkeypatch, (rows, T)) == [[n] for n in chunks]
+
+
+FIT_LENGTHS = (2, 3, 10, 37, 50, 132, 200, 800, 3000)
+FIT_STRIDES = (1.0, 0.7, 8.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_fit_distances_equal_each_block_fitted_alone(rho):
+    # every length with 1, 7 and 25 rows, the strides taking turns; the
+    # blocks fill several chunks, mixing lengths in each, and the 25 rows
+    # of 3000 span two
+    blocks = [_noisy_block(T, FIT_STRIDES[(i + j) % 3], rho, rows, 10 * i + j)
+              for i, T in enumerate(FIT_LENGTHS)
+              for j, rows in enumerate((1, 7, 25))]
+    fits = fit_distances(*zip(*blocks), SWEEP_FIT)
+    assert len(fits) == len(blocks)
+    for fit, (obs, grid) in zip(fits, blocks):
+        assert fit.tobytes() == fit_distance(obs, grid, SWEEP_FIT).tobytes()
+
+
+def test_fit_distances_keep_each_blocks_shape():
+    one, grid1 = _noisy_block(50, 1.0, 0.0, 1, 1)
+    cube, grid3 = _noisy_block(40, 0.7, 0.6, 6, 2)
+    cube = cube.reshape(2, 3, 40)
+    rows, grid2 = _noisy_block(37, 8.0, 0.0, 4, 3)
+    fits = fit_distances([one[0], cube, rows], [grid1, grid3, grid2])
+    assert [f.shape for f in fits] == [(50,), (2, 3, 40), (4, 37)]
+    for fit, obs, grid in zip(fits, [one[0], cube, rows],
+                              [grid1, grid3, grid2]):
+        assert np.array_equal(fit, fit_distance(obs, grid))
+
+
+def _kernel_runs(monkeypatch):
+    """The (rows, T) of each run of every kernel a fit builds, one list
+    per chunk."""
+    build, built = estimators._smoothed_grad_kernel, []
+
+    def spy(target_incs, *args):
+        built.append([(len(inc), inc.shape[-1] + 1) for inc in target_incs])
+        return build(target_incs, *args)
+
+    monkeypatch.setattr(estimators, "_smoothed_grad_kernel", spy)
+    return built
+
+
+@pytest.mark.parametrize("chunk_values,shapes,chunks", [
+    # one chunk splits a length's rows
+    (100, [(7, 40)], [[(2, 40)], [(2, 40)], [(2, 40)], [(1, 40)]]),
+    # one chunk holds rows of three lengths
+    (400, [(3, 10), (2, 37), (4, 50)], [[(3, 10), (2, 37), (4, 50)]]),
+    # one row longer than a chunk is a chunk of its own, between rows that
+    # share one
+    (30, [(2, 10), (1, 37), (3, 10)],
+     [[(2, 10)], [(1, 37)], [(3, 10)]]),
+    # two blocks of one length with another between them: three runs, the
+    # kernel lays the two of one length side by side
+    (1000, [(2, 10), (3, 37), (4, 10)], [[(2, 10), (3, 37), (4, 10)]])])
+def test_fit_distances_chunks_pack_rows_in_block_order(monkeypatch,
+                                                        chunk_values, shapes,
+                                                        chunks):
+    blocks = [_noisy_block(T, FIT_STRIDES[k % 3], 0.6, rows, k)
+              for k, (rows, T) in enumerate(shapes)]
+    alone = [fit_distance(obs, grid) for obs, grid in blocks]
+    monkeypatch.setattr(estimators, "FIT_CHUNK_VALUES", chunk_values)
+    built = _kernel_runs(monkeypatch)
+    fits = fit_distances(*zip(*blocks))
+    assert built == chunks
+    for fit, want in zip(fits, alone):
+        assert fit.tobytes() == want.tobytes()
+
+
+def test_fit_distances_refuse_a_block_beyond_the_float32_bound(monkeypatch):
+    grid = TimeGrid(stride=1.0, num_positions=40)
+    jump = np.nextafter(FIT_MAX_INCREMENT, np.inf)
+    good, _ = _noisy_block(40, 1.0, 0.0, 3, 4)
+    # the refused block shares a chunk with a good one, or comes after a
+    # chunk that has already stepped
+    for chunk_values in (FIT_CHUNK_VALUES, 120):
+        monkeypatch.setattr(estimators, "FIT_CHUNK_VALUES", chunk_values)
+        with pytest.raises(ValueError, match=re.escape(
+                f"observations must change by at most "
+                f"{FIT_MAX_INCREMENT:.3g} strides per grid step")):
+            fit_distances([good, _jump_rows(40, jump)], [grid, grid])
+
+
+def test_fit_distances_take_one_grid_per_block():
+    obs, grid = _noisy_block(10, 1.0, 0.0, 2, 5)
+    assert fit_distances([], []) == []
+    for grids in ([], [grid, grid]):
+        with pytest.raises(ValueError, match="grids"):
+            fit_distances([obs], grids)
+
+
+@pytest.mark.parametrize("sizes,groups", [
+    ([], []),
+    # the benchmark's long_ar1 blocks: 25 rows of T = 50 to 800 share one
+    ([25 * T for T in (50, 100, 200, 400, 800)], [[0, 1, 2, 3, 4]]),
+    # a block past what is left of a chunk starts a group, and one larger
+    # than a chunk stands alone
+    ([25 * 37, 25 * 61, 25 * 3000, 10], [[0, 1], [2], [3]]),
+    # blocks that fill one chunk exactly share it, one more value does not
+    ([FIT_CHUNK_VALUES - 10, 10, 1], [[0, 1], [2]])])
+def test_fit_groups_share_a_pass_up_to_one_chunk(sizes, groups):
+    assert estimators.fit_groups(sizes) == groups
 
 
 def test_fit_memory_is_the_output_plus_one_chunk():
@@ -254,11 +395,19 @@ def test_fit_memory_is_the_output_plus_one_chunk():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grad_kernel_steps_in_the_residuals_dtype(dtype):
-    residual, step = estimators._smoothed_grad_kernel(
-        np.full((3, 9), 1.5), dtype, 1.0, 4.0, 0.01, 0.5)
-    assert residual.shape == (3, 10) and residual.dtype == dtype
+    residual, (view,), step = estimators._smoothed_grad_kernel(
+        [np.full((3, 9), 1.5)], dtype, 1.0, 4.0, 0.01, [0.5])
+    assert view.shape == (3, 10) and view.dtype == dtype
+    assert residual.dtype == dtype and view.base is residual
     assert not residual.any()
-    residual[...] = np.linspace(-1.0, 1.0, 30).reshape(3, 10)
+    view[...] = np.linspace(-1.0, 1.0, 30).reshape(3, 10)
+    assert step().dtype == dtype
+    # runs of two lengths step in one dtype too
+    residual, views, step = estimators._smoothed_grad_kernel(
+        [np.full((3, 9), 1.5), np.full((2, 4), -0.5)], dtype, 1.0, 4.0, 0.01,
+        [0.5, 1.0])
+    assert [v.shape for v in views] == [(3, 10), (2, 5)]
+    assert residual.dtype == dtype and residual.size == 40
     assert step().dtype == dtype
 
 

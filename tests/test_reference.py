@@ -7,14 +7,16 @@ two scratch arrays, a fitter whose Huber term and accept step use np.where
 over whole fresh arrays on every step and which rejected and halved steps
 per row, the same loop with the one step the curvature bound allows,
 scaling each gradient by the step separately, the finite-sample check with
-its own seeding and fitting loop, the AR(1) recursions that indexed numpy
-arrays step by step (one series, and a batch of rows a column at a time),
-the classification peak loop that smoothed, searched and refined one trial
-at a time, the batched classification side that computed every column of
-each row, the hold_previous hysteresis loop that indexed the numpy array,
-r_ece with a stable argsort that gathered both errors and sigmas, the calib
-scenario's rng.normal(0, sigma) draw, the bootstrap's two percentile calls
-and Holm's adjustment as a loop over the ranks.
+its own seeding and one fit_distance call per length, which the check,
+fitting lengths together, must equal to the last bit of its slope and
+variances, the AR(1) recursions that indexed numpy arrays step by step
+(one series, and a batch of rows a column at a time), the classification
+peak loop that smoothed, searched and refined one trial at a time, the
+batched classification side that computed every column of each row, the
+hold_previous hysteresis loop that indexed the numpy array, r_ece with a
+stable argsort that gathered both errors and sigmas, the calib scenario's
+rng.normal(0, sigma) draw, the bootstrap's two percentile calls and Holm's
+adjustment as a loop over the ranks.
 
 The kernel's Huber gradient is a multiply and a clip, r * 1/(delta T)
 clipped to +-1/T, not the quotient clip(r/delta, -1, 1)/T; the two round
@@ -285,11 +287,11 @@ def test_smoothed_grad_within_rounding_of_the_prediction_order(layout, stride,
 def _huber_kernel_grad(r, delta, scale):
     """The kernel's Huber gradient alone (alpha 0) at residuals r, rows of
     T, the target's increments zero."""
-    residual, step = estimators._smoothed_grad_kernel(
-        np.zeros(r.shape[:-1] + (r.shape[-1] - 1,)), r.dtype, 1.0, 0.0, delta,
-        scale)
+    _, (residual,), step = estimators._smoothed_grad_kernel(
+        [np.zeros(r.shape[:-1] + (r.shape[-1] - 1,))], r.dtype, 1.0, 0.0,
+        delta, [scale])
     residual[...] = r
-    return step()
+    return step().reshape(r.shape)
 
 
 def _residuals_around_the_band(rng, delta, T):
@@ -634,16 +636,31 @@ def reference_finite_sample(base_spec, lengths):
     return slope, variances
 
 
-@pytest.mark.parametrize("seed", [4, 91])
+def _hex(slope, variances):
+    return slope.hex(), {T: v.hex() for T, v in variances.items()}
+
+
+LONG_AR1_LENGTHS = (50, 100, 200, 400, 800)
+
+
+# all of [50, 100, 200] at 12 trials, and the benchmark's long_ar1 lengths
+# at 25, share one fitter pass; of (37, 61, 3000) at 25 trials, 37 and 61
+# share one and the rows of 3000 fill chunks of their own
+@pytest.mark.parametrize("seed,trials,lengths", [
+    pytest.param(4, 12, (50, 100, 200), id="4"),
+    pytest.param(91, 12, (50, 100, 200), id="91"),
+    *(pytest.param(seed, 25, lengths,
+                   id=f"{seed}-{'-'.join(map(str, lengths))}")
+      for seed in (1000, 1001, 1002)
+      for lengths in (LONG_AR1_LENGTHS, (37, 61, 3000)))])
 @pytest.mark.parametrize("rho", [0.0, 0.6])
-def test_finite_sample_check_matches_reference(seed, rho):
+def test_finite_sample_check_matches_reference(seed, trials, lengths, rho):
     base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
                           kappa=4.0, boundary=100.0,
-                          noise=NoiseSpec(rho=rho), num_trials=12,
+                          noise=NoiseSpec(rho=rho), num_trials=trials,
                           master_seed=seed)
-    lengths = [50, 100, 200]
-    assert (finite_sample_variance_check(base, lengths)
-            == reference_finite_sample(base, lengths))
+    assert (_hex(*finite_sample_variance_check(base, lengths))
+            == _hex(*reference_finite_sample(base, lengths)))
 
 
 def reference_ar1_loop(eta, rho):

@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from bdrlab import stats
+from bdrlab import estimators, stats
 from bdrlab.estimators import EXTRACT_THETA_GRAD
 from bdrlab.stats import (ExperimentSpec, blocked_bootstrap,
                           cls_variance_kappa_slope,
@@ -39,7 +39,7 @@ def _recorded_distance_side(spec):
     def readout(dhat, truths, grid):
         fits.append(dhat)
         return stats._nearest_crossing(dhat, truths, grid)
-    truths, errors = stats._distance_errors(spec, readout)
+    [(truths, errors)] = stats._distance_errors([spec], readout)
     return fits[0], truths, errors
 
 
@@ -515,7 +515,7 @@ def test_distance_errors_scale_with_stride_bit_for_bit(dt):
     spec = _spec(grid=TimeGrid(stride=dt, num_positions=100),
                  boundary=50.0, noise=NoiseSpec(family="student_t"),
                  num_trials=60, master_seed=1)
-    _, own_grid = stats._distance_errors(spec, stats._nearest_crossing)
+    [(_, own_grid)] = stats._distance_errors([spec], stats._nearest_crossing)
     assert np.isnan(own_grid).any()
     assert np.array_equal(run_trials(spec).bdr, own_grid, equal_nan=True)
 
@@ -706,6 +706,60 @@ def test_finite_sample_check_takes_a_whole_float_length(monkeypatch):
     assert len(drawn) == 3
     assert got == finite_sample_variance_check(spec, [50, 100, 200])
     assert list(got[1]) == [50, 100, 200]
+
+
+def _spy_fits(monkeypatch):
+    """Every distance fit _distance_errors makes, as ("fit_distance", T)
+    or ("fit_distances", (T, ...)); each returns the observations."""
+    fits = []
+
+    def one(obs, grid, cfg):
+        fits.append(("fit_distance", obs.shape[-1]))
+        return obs
+
+    def several(obs, grids, cfg):
+        fits.append(("fit_distances", tuple(o.shape[-1] for o in obs)))
+        return obs
+
+    monkeypatch.setattr(stats, "fit_distance", one)
+    monkeypatch.setattr(stats, "fit_distances", several)
+    return fits
+
+
+@pytest.mark.parametrize("trials,lengths,fits", [
+    # the benchmark's long_ar1 call: 25 rows of each length, 38 750 values,
+    # one chunk
+    (25, [50, 100, 200, 400, 800],
+     [("fit_distances", (50, 100, 200, 400, 800))]),
+    # the T-slope gate: every length's rows fill a chunk or more
+    (4000, [50, 100, 200, 400],
+     [("fit_distance", T) for T in (50, 100, 200, 400)]),
+    # consecutive lengths share a pass while their rows fit in one chunk
+    (25, [37, 61, 3000], [("fit_distances", (37, 61)),
+                          ("fit_distance", 3000)])])
+def test_finite_sample_check_fits_lengths_together_up_to_a_chunk(
+        monkeypatch, trials, lengths, fits):
+    made = _spy_fits(monkeypatch)
+    finite_sample_variance_check(_spec(num_trials=trials), lengths)
+    assert made == fits
+
+
+def test_finite_sample_check_groups_by_the_fitters_chunk(monkeypatch):
+    # the grouping follows estimators.FIT_CHUNK_VALUES: with room for 25
+    # rows of 150 values, 50 and 100 share a pass and the rest stand alone
+    monkeypatch.setattr(estimators, "FIT_CHUNK_VALUES", 25 * 150)
+    made = _spy_fits(monkeypatch)
+    finite_sample_variance_check(_spec(num_trials=25),
+                                 [50, 100, 200, 400, 800])
+    assert made == [("fit_distances", (50, 100)), ("fit_distance", 200),
+                    ("fit_distance", 400), ("fit_distance", 800)]
+
+
+def test_sweep_errors_fit_the_shared_distance_side_once(monkeypatch):
+    made = _spy_fits(monkeypatch)
+    sweep_errors([_spec(), _spec(grid=TimeGrid(stride=2.0,
+                                                num_positions=100))])
+    assert made == [("fit_distance", 100)]
 
 
 @pytest.mark.parametrize("kappas", [[1, 1, 2], [1.0, 2, 1]])

@@ -1,4 +1,4 @@
-"""Check that two source trees give the same CLI output.
+"""Check that two source trees give the same CLI and library output.
 
     python3 tools/cli_diff.py PARENT_TREE CHANGE_TREE [--rtol R]
 
@@ -8,19 +8,23 @@ PYTHONPATH=<tree>/src, once with `--format csv` and once with
 `--format json`, writing to stdout. A dict in a command stands for a config
 file and a CsvFile for an input file: the tool writes the dict as JSON, or
 the CsvFile's text, to a temporary directory and passes its path, the same
-path to both trees. The tool prints each run whose exit
-code, standard output bytes or standard error bytes differ between the
-trees, naming which of the three differ, and exits 1 if any run differs and
-0 otherwise.
+path to both trees. Every call of LIBRARY, a library function no command
+reaches, runs in both trees as a `python3 -c` snippet with the same
+PYTHONPATH, printing float.hex of its slope and of every variance. The
+tool prints each run whose exit code, standard output bytes or standard
+error bytes differ between the trees, naming which of the three differ,
+and exits 1 if any run differs and 0 otherwise.
 
-With --rtol R, a run whose exit code and standard error match but whose
-standard output bytes differ is compared by value: both outputs are parsed,
-as JSON or as CSV, and the tool prints the largest relative difference
-between their floats and every other field that differs. The run passes
-when every float is within R of its partner and every other field, integers
-and strings included, is equal. A CSV float is printed to a few digits, so
-its relative difference counts only what is left of the gap between the two
-printed values after half a unit in each one's last digit.
+With --rtol R, a command run whose exit code and standard error match but
+whose standard output bytes differ is compared by value: both outputs are
+parsed, as JSON or as CSV, and the tool prints the largest relative
+difference between their floats and every other field that differs. The
+run passes when every float is within R of its partner and every other
+field, integers and strings included, is equal. A CSV float is printed to a
+few digits, so its relative difference counts only what is left of the gap
+between the two printed values after half a unit in each one's last digit.
+A library run prints every bit of its floats, so it must match byte for
+byte with or without --rtol.
 """
 
 from __future__ import annotations
@@ -160,18 +164,56 @@ COMMANDS = [
      "1e308"],
     ["calib", "--config", {"bins": 12, "colour": "red", "seed": 1}],
 ]
+# a library call: the slope function, its spec's kappa, AR(1) coefficient,
+# trials and seed on a 200-position stride-1 grid, and the axis it sweeps
+LIBRARY_CALL = """\
+from bdrlab.stats import ExperimentSpec, {call}
+from bdrlab.synth import NoiseSpec, TimeGrid
+base = ExperimentSpec(grid=TimeGrid(stride=1.0, num_positions=200),
+                      kappa={kappa}, boundary=100.0,
+                      noise=NoiseSpec(rho={rho}), num_trials={trials},
+                      master_seed={seed})
+slope, variances = {call}(base, {axis})
+print(slope.hex() if isinstance(slope, float) else slope)
+for key, value in variances.items():
+    print(key, value.hex())
+"""
+LIBRARY = [
+    # the benchmark's long_ar1 call: every length shares one fitter pass
+    dict(call="finite_sample_variance_check", kappa=4.0, rho=0.6,
+         trials=25, seed=1000, axis=(50, 100, 200, 400, 800)),
+    # 37 and 61 share a pass, the rows of 3000 fill chunks of their own
+    dict(call="finite_sample_variance_check", kappa=4.0, rho=0.0,
+         trials=25, seed=1001, axis=(37, 61, 3000)),
+    # the benchmark's cls_kappa call
+    dict(call="cls_variance_kappa_slope", kappa=1.0, rho=0.0, trials=1000,
+         seed=1000, axis=(1.0, 2.0, 4.0, 8.0)),
+]
 FORMATS = ("csv", "json")
-# what run_cli returns, in order
+# what run_python returns, in order
 STREAMS = ("exit code", "stdout", "stderr")
+
+
+def run_python(tree: Path, args: list) -> tuple:
+    """(exit code, stdout bytes, stderr bytes) of python3 on args, with the
+    tree's sources on its path."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_cli(tree: Path, argv: list) -> tuple:
     """(exit code, stdout bytes, stderr bytes) of the tree's CLI on argv."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-m", "bdrlab.cli", *argv],
-                          cwd=tree, env=env, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    return run_python(tree, ["-m", "bdrlab.cli", *argv])
+
+
+def library_run(call: dict) -> tuple:
+    """(label, python3 arguments) of one LIBRARY call."""
+    label = (f"library: {call['call']} {call['axis']} trials {call['trials']}"
+             f" rho {call['rho']} seed {call['seed']}")
+    return label, ["-c", LIBRARY_CALL.format(**call)]
 
 
 def with_config_files(command: list, path: Path) -> list:
@@ -271,35 +313,40 @@ def main(argv=None) -> int:
             ap.error(f"{tree} holds no src/bdrlab")
     differ = close = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [[*with_config_files(command, Path(tmp) / f"config{i}.json"),
-                 "--format", fmt]
-                for i, command in enumerate(COMMANDS) for fmt in FORMATS]
-        for run in runs:
-            parent, change = (run_cli(tree, run) for tree in
+        # (label, python3 arguments, the output's format or None)
+        runs = []
+        for i, command in enumerate(COMMANDS):
+            argv = with_config_files(command, Path(tmp) / f"config{i}.json")
+            for fmt in FORMATS:
+                run = [*argv, "--format", fmt]
+                runs.append((" ".join(run), ["-m", "bdrlab.cli", *run], fmt))
+        runs += [(*library_run(call), None) for call in LIBRARY]
+        for label, run, fmt in runs:
+            parent, change = (run_python(tree, run) for tree in
                               (args.parent, args.change))
             if parent == change:
                 continue
             which = [name for name, p, c in zip(STREAMS, parent, change)
                      if p != c]
-            if args.rtol is None or which != ["stdout"]:
+            if args.rtol is None or which != ["stdout"] or fmt is None:
                 differ += 1
-                print(f"differs: {' '.join(run)} ({', '.join(which)}: exit "
+                print(f"differs: {label} ({', '.join(which)}: exit "
                       f"{parent[0]} -> {change[0]}, stdout {len(parent[1])} "
                       f"-> {len(change[1])} bytes, stderr {len(parent[2])} "
                       f"-> {len(change[2])} bytes)")
                 continue
             try:
-                worst, other = compare(*(parse_output(side[1], run[-1])
+                worst, other = compare(*(parse_output(side[1], fmt)
                                          for side in (parent, change)))
             except ValueError as exc:  # JSON and Unicode errors among them
                 worst, other = 0.0, [f"output does not parse: {exc}"]
             if worst <= args.rtol and not other:
                 close += 1
-                print(f"within --rtol: {' '.join(run)} (largest relative "
+                print(f"within --rtol: {label} (largest relative "
                       f"difference {worst:.2g})")
                 continue
             differ += 1
-            print(f"differs: {' '.join(run)} (largest relative difference "
+            print(f"differs: {label} (largest relative difference "
                   f"{worst:.2g}, {len(other)} other fields differ)")
             for line in other:
                 print(f"  {line}")
